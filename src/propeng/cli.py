@@ -28,8 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--reducers", help="comma-separated reducer names, "
                        "e.g. pi1@c1,lineq@c2,rho@c1,c2")
     run_p.add_argument("--mode", choices=list(engine.MODES), default="ci")
-    run_p.add_argument("--strategy", default="det",
-                       choices=["det", "seeded", "lifo", "roundrobin", "block"])
+    run_p.add_argument("--strategy", choices=list(engine.STRATEGIES), default="det")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--max-steps", type=int, default=engine.DEFAULT_STEP_CAP)
     run_p.add_argument("--early-exit", action="store_true",

@@ -206,13 +206,16 @@ def validate(csp: CSP) -> list[str]:
             problems.append(f"{where}: scheme {c.scheme.indices} outside domains 1..{n}")
             continue
         if isinstance(c.body, ExtensionalBody):
-            doms = [csp.domains[i - 1] for i in c.scheme]
-            for t in sorted(c.body.tuples, key=atom_key):
+            members = [d.values if isinstance(d, SetDomain) else range(d.lo, d.hi + 1)
+                       for d in (csp.domains[i - 1] for i in c.scheme)]
+            bad = [t for t in c.body.tuples
+                   if len(t) != len(c.scheme) or any(v not in m for v, m in zip(t, members))]
+            for t in sorted(bad, key=atom_key):
                 if len(t) != len(c.scheme):
                     problems.append(f"{where}: tuple {t} has arity {len(t)}, scheme needs {len(c.scheme)}")
                     continue
-                for v, d, i in zip(t, doms, c.scheme):
-                    if v not in (d.values if isinstance(d, SetDomain) else range(d.lo, d.hi + 1)):
+                for v, m, i in zip(t, members, c.scheme):
+                    if v not in m:
                         problems.append(f"{where}: tuple {t} coordinate {v!r} outside domain {i}")
         else:
             if len(c.body.coeffs) != len(c.scheme):

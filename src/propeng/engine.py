@@ -2,23 +2,32 @@
 
 A ``ReductionFunction`` is an inflationary, monotonic transformer on the
 components named by its scheme.  ``run`` drives a set of such functions to a
-common fixpoint using one of four worklist disciplines:
+common fixpoint with one worklist loop.  The mode fixes two things: whether
+the worklist is a set (a function is pending at most once, and the strategy
+chooses the next one) or a FIFO queue with duplicates, and whether the
+applied function leaves the worklist before or after the change test:
 
-* ``ci``   -- pending set, the applied function is removed before the
-              change test (so it re-enters when it changed its own inputs);
-* ``cii``  -- pending set, removal after the change test (appropriate for
+* ``ci``   -- set, removed before the change test (so it re-enters when it
+              changed its own inputs);
+* ``cii``  -- set, removed after the change test (appropriate for
               idempotent functions: never immediately re-applied);
-* ``ciq``  -- FIFO queue with duplicates, dequeue before the change test;
-* ``ciiq`` -- FIFO queue, dequeue after the change test.
+* ``ciq``  -- FIFO queue, dequeued before the change test;
+* ``ciiq`` -- FIFO queue, dequeued after the change test.
 
 On a change, exactly the functions depending on a changed component are woken
-up.  Termination is guaranteed on finite-chain components; a step cap guards
+up, found through a component -> functions index built once per run.  They
+enter the worklist in the order of the strategy's ``batch``; in a set mode a
+function that is already pending moves to the back, so ``lifo``, which takes
+the back, runs the most recently woken function first.
+
+Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import random
 import zlib
 from collections import deque
@@ -89,78 +98,61 @@ class FixpointResult:
 
 
 class Strategy:
-    """Resolves the nondeterminism left open by the iteration loops: which
+    """Resolves the nondeterminism left open by the iteration loop: which
     pending function a set mode picks next, and in what order a batch of
-    woken functions enters a queue."""
+    woken functions enters the worklist.
 
-    name = "base"
+    The base class is the deterministic policy: lowest ``key`` first.
+    Every strategy is built from the run's seed; only ``seeded`` draws
+    from it.
+    """
+
+    key = operator.attrgetter("fid")
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
 
     def reset(self, functions: Sequence[ReductionFunction]) -> None:
         pass
 
     def choose(self, pending: Sequence[ReductionFunction]) -> ReductionFunction:
-        raise NotImplementedError
+        return min(pending, key=self.key)
 
     def batch(self, functions: Sequence[ReductionFunction]) -> list[ReductionFunction]:
-        raise NotImplementedError
-
-
-class DetStrategy(Strategy):
-    """Deterministic: lowest function id first."""
-
-    name = "det"
-
-    def choose(self, pending):
-        return min(pending, key=lambda f: f.fid)
-
-    def batch(self, functions):
-        return sorted(functions, key=lambda f: f.fid)
+        return sorted(functions, key=self.key)
 
 
 class SeededStrategy(Strategy):
     """Pseudo-random with a fixed seed; reproducible across runs."""
 
-    name = "seeded"
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._rng = random.Random(seed)
-
     def reset(self, functions):
         self._rng = random.Random(self.seed)
 
     def choose(self, pending):
-        return self._rng.choice(sorted(pending, key=lambda f: f.fid))
+        return self._rng.choice(super().batch(pending))
 
     def batch(self, functions):
-        out = sorted(functions, key=lambda f: f.fid)
+        out = super().batch(functions)
         self._rng.shuffle(out)
         return out
 
 
 class LifoStrategy(Strategy):
-    """Most recently woken function first."""
-
-    name = "lifo"
+    """Most recently woken function first: a set mode moves a function that
+    is woken again to the back of the pending set, and this picks the back."""
 
     def choose(self, pending):
         return pending[-1]
 
     def batch(self, functions):
-        return sorted(functions, key=lambda f: f.fid, reverse=True)
+        return sorted(functions, key=self.key, reverse=True)
 
 
 class RoundRobinStrategy(Strategy):
     """Cycles through the registered ids, taking the next one pending."""
 
-    name = "roundrobin"
-
-    def __init__(self):
-        self._order: list[str] = []
-        self._pos = 0
-
     def reset(self, functions):
-        self._order = sorted(f.fid for f in functions)
+        self._order = [f.fid for f in self.batch(functions)]
         self._pos = 0
 
     def choose(self, pending):
@@ -173,50 +165,44 @@ class RoundRobinStrategy(Strategy):
                 return have[fid]
         raise ConfigError("round-robin strategy saw an unregistered function")
 
-    def batch(self, functions):
-        return sorted(functions, key=lambda f: f.fid)
-
 
 class BlockStrategy(Strategy):
     """Keeps the functions of one group (typically one constraint) together."""
 
-    name = "block"
-
     @staticmethod
-    def _key(f):
+    def key(f):
         return (f.group or f.fid, f.fid)
 
-    def choose(self, pending):
-        return min(pending, key=self._key)
 
-    def batch(self, functions):
-        return sorted(functions, key=self._key)
+STRATEGIES = {
+    "det": Strategy,
+    "seeded": SeededStrategy,
+    "lifo": LifoStrategy,
+    "roundrobin": RoundRobinStrategy,
+    "block": BlockStrategy,
+}
 
 
 def make_strategy(name: str, seed: int = 0) -> Strategy:
-    if name == "det":
-        return DetStrategy()
-    if name == "seeded":
-        return SeededStrategy(seed)
-    if name == "lifo":
-        return LifoStrategy()
-    if name == "roundrobin":
-        return RoundRobinStrategy()
-    if name == "block":
-        return BlockStrategy()
-    raise ConfigError(f"unknown strategy {name!r}")
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}")
+    return STRATEGIES[name](seed)
 
 
 # ---------------------------------------------------------------------------
 # Canonical extension and application
 
 
-def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], ProductValue]:
-    """Lift ``f`` to the full product: apply it to its scheme's components
-    and copy every other component unchanged."""
+def _check_scheme(f: ReductionFunction, arity: int) -> None:
     if any(i < 1 or i > arity for i in f.scheme):
         raise ConfigError(
             f"function {f.fid!r} has scheme {f.scheme.indices} outside 1..{arity}")
+
+
+def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], ProductValue]:
+    """Lift ``f`` to the full product: apply it to its scheme's components
+    and copy every other component unchanged."""
+    _check_scheme(f, arity)
 
     def extended(d: ProductValue) -> ProductValue:
         if len(d) != arity:
@@ -306,7 +292,7 @@ def probe_function(f: ReductionFunction, start: ProductValue,
 
 
 # ---------------------------------------------------------------------------
-# The iteration loops
+# The iteration loop
 
 
 def run(functions: Iterable[ReductionFunction], start: ProductValue,
@@ -327,14 +313,12 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if len(set(fids)) != len(fids):
         raise ConfigError("duplicate function ids in one run")
     for f in functions:
-        if any(i < 1 or i > n for i in f.scheme):
-            raise ConfigError(
-                f"function {f.fid!r} has scheme {f.scheme.indices} outside 1..{n}")
+        _check_scheme(f, n)
     if validate:
         for f in functions:
             probe_function(f, start, samples=probe_samples)
 
-    strategy = strategy or DetStrategy()
+    strategy = strategy or Strategy()
     strategy.reset(functions)
     trace = RunTrace()
     d = start
@@ -349,55 +333,54 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         trace.outcome = Outcome.EMPTY_COMPONENT
         return FixpointResult(d, trace)
 
-    by_fid = {f.fid: f for f in functions}
+    # component -> positions of the functions reading it, built once
+    dependents: list[list[int]] = [[] for _ in range(n + 1)]
+    for pos, f in enumerate(functions):
+        for i in set(f.scheme.indices):
+            dependents[i].append(pos)
 
-    def wake_set(changed):
-        cs = set(changed)
-        return [f for f in functions if cs.intersection(f.scheme.indices)]
+    def woken(changed) -> list[ReductionFunction]:
+        positions = {p for i in changed for p in dependents[i]}
+        return [functions[p] for p in sorted(positions)]
 
-    if mode in ("ci", "cii"):
-        pending: dict[str, ReductionFunction] = {}
-        for f in strategy.batch(functions):
+    queue = mode in ("ciq", "ciiq")
+    remove_before = mode in ("ci", "ciq")
+    pending = deque() if queue else {}    # a set maps fid -> function
+
+    def push(f: ReductionFunction) -> None:
+        if queue:
+            pending.append(f)
+        else:
+            pending.pop(f.fid, None)    # a re-woken function moves to the back
             pending[f.fid] = f
-        while pending:
-            if trace.total_applications >= step_cap:
-                trace.outcome = Outcome.STEP_LIMIT
-                return FixpointResult(d, trace)
-            g = strategy.choose(list(pending.values()))
-            if mode == "ci":
-                del pending[g.fid]
-            d2, changed = apply_step(g, d)
-            trace.total_applications += 1
-            trace.steps.append(TraceStep(g.fid, bool(changed), changed))
-            if changed:
-                for f in strategy.batch(wake_set(changed)):
-                    pending.setdefault(f.fid, f)
-                d = d2
-            if mode == "cii":
-                pending.pop(g.fid, None)
-            if early_exit and changed and emptied(changed) is not None:
-                trace.outcome = Outcome.EMPTY_COMPONENT
-                return FixpointResult(d, trace)
-    else:
-        queue: deque[str] = deque(f.fid for f in strategy.batch(functions))
-        while queue:
-            if trace.total_applications >= step_cap:
-                trace.outcome = Outcome.STEP_LIMIT
-                return FixpointResult(d, trace)
-            g = by_fid[queue[0]]
-            if mode == "ciq":
-                queue.popleft()
-            d2, changed = apply_step(g, d)
-            trace.total_applications += 1
-            trace.steps.append(TraceStep(g.fid, bool(changed), changed))
-            if changed:
-                queue.extend(f.fid for f in strategy.batch(wake_set(changed)))
-                d = d2
-            if mode == "ciiq":
-                queue.popleft()
-            if early_exit and changed and emptied(changed) is not None:
-                trace.outcome = Outcome.EMPTY_COMPONENT
-                return FixpointResult(d, trace)
+
+    def remove(g: ReductionFunction) -> None:
+        if queue:
+            pending.popleft()
+        else:
+            del pending[g.fid]
+
+    for f in strategy.batch(functions):
+        push(f)
+    while pending:
+        if trace.total_applications >= step_cap:
+            trace.outcome = Outcome.STEP_LIMIT
+            return FixpointResult(d, trace)
+        g = pending[0] if queue else strategy.choose(list(pending.values()))
+        if remove_before:
+            remove(g)
+        d2, changed = apply_step(g, d)
+        trace.total_applications += 1
+        trace.steps.append(TraceStep(g.fid, bool(changed), changed))
+        if changed:
+            for f in strategy.batch(woken(changed)):
+                push(f)
+            d = d2
+        if not remove_before:
+            remove(g)
+        if early_exit and changed and emptied(changed) is not None:
+            trace.outcome = Outcome.EMPTY_COMPONENT
+            return FixpointResult(d, trace)
 
     trace.outcome = Outcome.CONVERGED
     return FixpointResult(d, trace)
@@ -445,9 +428,9 @@ def compare_limits(fs: Iterable[ReductionFunction], gs: Iterable[ReductionFuncti
                    step_cap: int = DEFAULT_STEP_CAP,
                    validate: bool = True) -> LimitComparison:
     """Run both function sets from the same start and compare the limits."""
-    a = run(fs, start, mode=mode, strategy=strategy or DetStrategy(),
+    a = run(fs, start, mode=mode, strategy=strategy,
             step_cap=step_cap, validate=validate)
-    b = run(gs, start, mode=mode, strategy=strategy or DetStrategy(),
+    b = run(gs, start, mode=mode, strategy=strategy,
             step_cap=step_cap, validate=validate)
     if not (a.converged and b.converged):
         return LimitComparison("inconclusive",

@@ -176,6 +176,14 @@ class TestValidate:
         csp = CSP((D01, D01), (ext("c", (1, 2), {(0, 7)}),))
         assert any("outside domain" in p for p in validate(csp))
 
+    def test_bad_tuples_reported_in_tuple_order(self):
+        csp = CSP((D01, D01), (ext("c", (1, 2), {(5, 8), (0, 0), (1, 7)}),))
+        assert validate(csp) == [
+            "constraint 'c': tuple (1, 7) coordinate 7 outside domain 2",
+            "constraint 'c': tuple (5, 8) coordinate 5 outside domain 1",
+            "constraint 'c': tuple (5, 8) coordinate 8 outside domain 2",
+        ]
+
     def test_scheme_outside_arity(self):
         csp = CSP((D01,), (ext("c", (1, 3), {(0, 0)}),))
         assert any("outside domains" in p for p in validate(csp))

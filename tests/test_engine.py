@@ -155,6 +155,76 @@ class TestRun:
             run([f, g], ProductValue((pv({1}, {1}),)))
 
 
+PINNED_TRACES = {
+    ("det", 0): {
+        "ci": "pi1@c1 pi1@c1 pi1@c2 pi1@c1 pi1@c1 pi1@c2 pi2@c1 pi1@c1 pi1@c2 "
+              "pi2@c1 pi2@c2 pi1@c2 pi2@c2",
+        "cii": "pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c2 pi1@c2",
+        "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c1 "
+               "pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+    },
+    ("block", 0): {
+        "ci": "pi1@c1 pi1@c1 pi2@c1 pi1@c1 pi2@c1 pi1@c2 pi1@c1 pi1@c1 pi2@c1 "
+              "pi1@c2 pi2@c2 pi1@c2 pi2@c2",
+        "cii": "pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi2@c2 pi1@c2",
+        "ciq": "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c1 pi1@c2 "
+               "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+    },
+    ("roundrobin", 0): {
+        "ci": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1",
+        "cii": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1",
+        "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c1 "
+               "pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+    },
+    ("seeded", 1): {
+        "ci": "pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi1@c1",
+        "cii": "pi2@c1 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi2@c1 pi1@c2",
+        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c2 pi2@c1 pi1@c1 pi1@c1 "
+               "pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c2 pi2@c2 "
+               "pi2@c1 pi1@c1",
+    },
+}
+
+
+class TestScheduling:
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES))
+    def test_pinned_step_order(self, name, seed):
+        # x1 < x2 < x3 over {0,1,2}: a small chain whose projections keep
+        # re-waking each other.  ciiq realizes the same order as ciq here.
+        d = SetDomain(frozenset({0, 1, 2}))
+        lt = frozenset((a, b) for a in range(3) for b in range(3) if a < b)
+        cs = [Constraint("c1", Scheme((1, 2)), ExtensionalBody(lt)),
+              Constraint("c2", Scheme((2, 3)), ExtensionalBody(lt))]
+        csp = CSP((d, d, d), tuple(cs))
+        fns = [f for c in cs for f in make_binary_projections(c)]
+        want = dict(PINNED_TRACES[name, seed], ciiq=PINNED_TRACES[name, seed]["ciq"])
+        for mode in MODES:
+            res = run(fns, domain_bottom(csp), mode=mode,
+                      strategy=make_strategy(name, seed), validate=False)
+            assert " ".join(s.fid for s in res.trace.steps) == want[mode], mode
+            assert [sorted(v.elements) for v in res.value.components] == [[0], [1], [2]]
+
+    def test_lifo_takes_the_most_recently_woken(self):
+        base = frozenset({0, 1})
+        x = ReductionFunction(
+            "x", Scheme((2,)),
+            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+        y = ReductionFunction("y", Scheme((1,)), lambda args: args)
+        z = ReductionFunction("z", Scheme((2,)), lambda args: args)
+        start = ProductValue((PowersetValue.bottom(base),
+                              PowersetValue.bottom(base)))
+        # x changes component 2 and wakes z (and, in ci, itself): z was
+        # woken after y, so it runs before y
+        for mode, want in (("ci", ["x", "x", "z", "y"]), ("cii", ["x", "z", "y"])):
+            res = run([x, y, z], start, mode=mode, strategy=make_strategy("lifo"),
+                      validate=False)
+            assert [s.fid for s in res.trace.steps] == want, mode
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            make_strategy("fastest")
+
+
 class TestProbes:
     def test_growing_function_rejected(self):
         base = frozenset({1, 2, 3})
