@@ -7,8 +7,8 @@ and relational consistency drop out as particular function sets.
 
 from .csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
-    Scheme, SetDomain, equivalent, join_constraints, project, scheme_union,
-    solutions, validate,
+    Relation, Scheme, SetDomain, equivalent, join_constraints, project,
+    scheme_union, solutions, validate,
 )
 from .engine import (
     FixpointResult, Outcome, ReductionFunction, RunTrace, closure_star,

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .csp import (
-    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Scheme,
+    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Relation, Scheme,
     join_constraints, reselect, scheme_union,
 )
 from .engine import (
@@ -110,7 +110,7 @@ def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) 
         raise ConfigError("relational consistency needs m >= 1")
     merged = _merge_same_scheme(csp)
     by_scheme = {c.scheme.indices: c for c in merged}
-    join_cache: dict[frozenset, Constraint] = {}
+    join_cache: dict[frozenset, Relation] = {}
     work = 0
     for sel in itertools.permutations(range(len(merged)), m):
         members = [merged[i] for i in sel]
@@ -176,23 +176,28 @@ def _achieve_arc(csp, mode, strategy, step_cap, early_exit):
     return csp_from_domain_state(csp, result.value), result.trace
 
 
+def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
+    """One component per merged constraint, then a synthetic universal
+    constraint for each of ``schemes`` (index tuples) that none of them has."""
+    merged = _merge_same_scheme(csp)
+    base = CSP(csp.domains, tuple(merged))
+    comps = [ExtComponent(c) for c in merged]
+    have = {c.scheme.indices for c in merged}
+    for idx in schemes:
+        if idx not in have:
+            comps.append(ExtComponent(
+                universal_constraint(base, Scheme(idx), cap=cap), synthetic=True))
+    return ConstraintSpace(base, comps, cap=cap)
+
+
 def _binary_pair_space(csp: CSP, cap: int) -> ConstraintSpace:
     """Unique binary constraint per ordered index pair, universal ones filled in."""
     for c in csp.constraints:
         if not c.is_extensional or len(c.scheme) != 2:
             raise ConfigError(
                 f"constraint {c.cid!r} is not binary extensional; incompatible goal")
-    merged = _merge_same_scheme(csp)
-    base = CSP(csp.domains, tuple(merged))
-    comps = [ExtComponent(c) for c in merged]
-    have = {c.scheme.indices for c in merged}
-    n = csp.arity
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (i, j) not in have:
-                comps.append(ExtComponent(
-                    universal_constraint(base, Scheme((i, j)), cap=cap), synthetic=True))
-    return ConstraintSpace(base, comps, cap=cap)
+    return _merged_space(
+        csp, itertools.permutations(range(1, csp.arity + 1), 2), cap)
 
 
 def _achieve_path(csp, mode, strategy, step_cap, early_exit, cap):
@@ -218,20 +223,13 @@ def _scheme_count(n: int) -> int:
 def _achieve_relational(csp, m, mode, strategy, step_cap, early_exit, cap, fn_cap):
     if m < 1:
         raise ConfigError("relational goal needs m >= 1")
-    merged = _merge_same_scheme(csp)
-    base = CSP(csp.domains, tuple(merged))
     n = csp.arity
     if _scheme_count(n) > fn_cap:
         raise ResourceLimitError(
             f"{_scheme_count(n)} schemes over {n} variables exceed the cap {fn_cap}")
-    comps = [ExtComponent(c) for c in merged]
-    have = {c.scheme.indices for c in merged}
-    for length in range(1, n + 1):
-        for idx in itertools.permutations(range(1, n + 1), length):
-            if idx not in have:
-                comps.append(ExtComponent(
-                    universal_constraint(base, Scheme(idx), cap=cap), synthetic=True))
-    space = ConstraintSpace(base, comps, cap=cap)
+    space = _merged_space(csp, itertools.chain.from_iterable(
+        itertools.permutations(range(1, n + 1), length) for length in range(1, n + 1)), cap)
+    comps = space.components
 
     fns: list[ReductionFunction] = []
     seen_fids: set[str] = set()
@@ -284,11 +282,12 @@ def _achieve_directional_arc(csp, order):
     chosen = []
     for c in csp.constraints:
         i, j = c.scheme.indices
-        if rank[i] < rank[j]:
-            chosen.append((c, make_binary_projections(c)[0]))
+        # prune the earlier variable against the later one, in either orientation
+        later, k = (j, 0) if rank[i] < rank[j] else (i, 1)
+        chosen.append((-rank[later], c.cid, make_binary_projections(c)[k]))
     # later variables first, so one pass suffices
-    chosen.sort(key=lambda pair: (-rank[pair[0].scheme.indices[1]], pair[0].cid))
-    state, trace = _single_pass([f for _, f in chosen], domain_bottom(csp))
+    chosen.sort(key=lambda entry: entry[:2])
+    state, trace = _single_pass([f for _, _, f in chosen], domain_bottom(csp))
     return csp_from_domain_state(csp, state), trace
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, ResourceLimitError
 from .lattice import atom_key
@@ -255,19 +255,23 @@ def _join2(sa: Scheme, ta: frozenset, sb: Scheme, tb: frozenset, cap: int | None
     return scheme_union([sa, sb]), frozenset(out)
 
 
-def join_constraints(cs: Sequence[Constraint], cap: int | None = DEFAULT_ENUM_CAP,
-                     cid: str = "join") -> Constraint:
-    """Relational join: a tuple belongs iff its restriction to every member
-    scheme belongs to that member."""
+class Relation(NamedTuple):
+    """A plain relation: a scheme and the set of tuples over it."""
+
+    scheme: Scheme
+    tuples: frozenset
+
+
+def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP) -> Relation:
+    """Relational join of relations or extensional constraints (anything with
+    ``.scheme`` and ``.tuples``): a tuple belongs iff its restriction to every
+    member scheme belongs to that member."""
     if not cs:
         raise ConfigError("cannot join an empty sequence of constraints")
-    for c in cs:
-        if not c.is_extensional:
-            raise ConfigError(f"constraint {c.cid!r} is not extensional; cannot join")
     s, ts = cs[0].scheme, cs[0].tuples
     for c in cs[1:]:
         s, ts = _join2(s, ts, c.scheme, c.tuples, cap)
-    return Constraint(cid, s, ExtensionalBody(ts))
+    return Relation(s, ts)
 
 
 def reselect(scheme_from: Scheme, tuples: Iterable[tuple], scheme_to: Scheme) -> frozenset:

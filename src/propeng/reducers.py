@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, IntDomain,
-    LinearEqBody, LinearIneqBody, Scheme, SetDomain, join_constraints,
-    reselect, scheme_union,
+    LinearEqBody, LinearIneqBody, Relation, Scheme, SetDomain,
+    join_constraints, reselect, scheme_union,
 )
 from .engine import ReductionFunction
 from .errors import ConfigError, DataError, ResourceLimitError
@@ -296,12 +296,19 @@ class ConstraintSpace:
         self.cap = cap
         self._by_key: dict[str, int] = {}
         self._by_scheme: dict[tuple, list[int]] = {}
+        self._join_schemes: dict[int, Scheme] = {}
+        # embedded domains: their atoms join as 1-tuples
+        self.unary_positions: set[int] = set()
         for pos, comp in enumerate(self.components, start=1):
             if comp.key in self._by_key:
                 raise ConfigError(f"duplicate constraint-space component {comp.key!r}")
             self._by_key[comp.key] = pos
             if isinstance(comp, ExtComponent):
                 self._by_scheme.setdefault(comp.scheme.indices, []).append(pos)
+                self._join_schemes[pos] = comp.scheme
+            elif isinstance(comp, DomainComponent):
+                self._join_schemes[pos] = Scheme((comp.var,))
+                self.unary_positions.add(pos)
         self.domains_nonempty = all(not d.is_empty for d in csp.domains)
 
     def position(self, key: str) -> int:
@@ -331,14 +338,24 @@ class ConstraintSpace:
                     _ineq_record(m) for m in comp.members))
         return ProductValue(tuple(vals))
 
-    def tuple_view(self, pos: int, value) -> tuple[Scheme, frozenset]:
-        """A component's current contents as (scheme, tuple set), for joins."""
-        comp = self.components[pos - 1]
-        if isinstance(comp, ExtComponent):
-            return comp.scheme, value.elements
-        if isinstance(comp, DomainComponent):
-            return Scheme((comp.var,)), frozenset((a,) for a in value.elements)
-        raise ConfigError(f"component {comp.key!r} has no tuple view")
+    def join_schemes(self, positions: Sequence[int]) -> list[Scheme]:
+        """The schemes of the tuple sets of distinct components to be joined
+        (an embedded domain is unary)."""
+        if len(set(positions)) != len(positions) or not positions:
+            raise ConfigError("member constraints must be distinct and nonempty")
+        for p in positions:
+            if p not in self._join_schemes:
+                raise ConfigError(f"component {self.components[p - 1].key!r} is not joinable")
+        return [self._join_schemes[p] for p in positions]
+
+    def join(self, positions: Sequence[int], values: Sequence) -> Relation:
+        """The join of the current tuple sets ``values`` of the components at
+        ``positions``; an embedded domain's atoms join as 1-tuples."""
+        return join_constraints([
+            Relation(self._join_schemes[p],
+                     frozenset((a,) for a in v.elements)
+                     if p in self.unary_positions else v.elements)
+            for p, v in zip(positions, values)], cap=self.cap)
 
     def rebuild(self, state: ProductValue) -> CSP:
         """The problem determined by the base problem and ``state``: reduced
@@ -360,9 +377,11 @@ class ConstraintSpace:
                     domains[comp.var - 1] = IntDomain(1, 0)
                     continue
                 domains[comp.var - 1] = SetDomain(elements)
+        allowed = [d.values if isinstance(d, SetDomain) else range(d.lo, d.hi + 1)
+                   for d in domains]
 
         def in_domains(scheme, t):
-            return all(x in _domain_value_set(domains[i - 1]) for i, x in zip(scheme, t))
+            return all(x in allowed[i - 1] for i, x in zip(scheme, t))
 
         constraints: list[Constraint] = []
         handled: set[str] = set()
@@ -407,14 +426,7 @@ class ConstraintSpace:
         return CSP(tuple(domains), tuple(out))
 
 
-def _domain_value_set(d) -> frozenset:
-    if isinstance(d, SetDomain):
-        return d.values
-    return frozenset(range(d.lo, d.hi + 1))
-
-
-def universal_constraint(csp: CSP, scheme: Scheme, cid: str | None = None,
-                         cap: int = DEFAULT_ENUM_CAP) -> Constraint:
+def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) -> Constraint:
     """The full product of the domains along ``scheme``, as a constraint."""
     size = 1
     for i in scheme:
@@ -423,8 +435,7 @@ def universal_constraint(csp: CSP, scheme: Scheme, cid: str | None = None,
             raise ResourceLimitError(
                 f"universal constraint over {scheme.indices} exceeds {cap} tuples")
     tuples = frozenset(itertools.product(*(csp.domain_members(i) for i in scheme)))
-    name = cid if cid is not None else "u(" + ",".join(map(str, scheme)) + ")"
-    return Constraint(name, scheme, ExtensionalBody(tuples))
+    return Constraint("u(" + ",".join(map(str, scheme)) + ")", scheme, ExtensionalBody(tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -437,35 +448,18 @@ def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
     the joint solutions of all the members (the strongest constraint reducer
     over those components)."""
     positions = [space.position(k) for k in member_keys]
-    if len(set(positions)) != len(positions):
-        raise ConfigError("member constraints must be distinct")
-    if not positions:
-        raise ConfigError("at least one member constraint is required")
-    schemes = []
-    for p in positions:
-        comp = space.components[p - 1]
-        if isinstance(comp, IneqComponent):
-            raise ConfigError(f"component {comp.key!r} is not joinable")
-        schemes.append(comp.scheme if isinstance(comp, ExtComponent)
-                       else Scheme((comp.var,)))
+    schemes = space.join_schemes(positions)
+    unary = [p in space.unary_positions for p in positions]
     name = fid or ("rho@" + ",".join(member_keys))
 
     def apply(args):
         if not space.domains_nonempty:
             return tuple(v.with_elements(()) for v in args)
-        views = []
-        for k, (p, v) in enumerate(zip(positions, args)):
-            s, ts = space.tuple_view(p, v)
-            views.append(Constraint(f"m{k}", s, ExtensionalBody(ts)))
-        joined = join_constraints(views, cap=space.cap)
+        joined = space.join(positions, args)
         out = []
-        for v, (p, s) in zip(args, zip(positions, schemes)):
+        for v, s, is_domain in zip(args, schemes, unary):
             proj = reselect(joined.scheme, joined.tuples, s)
-            comp = space.components[p - 1]
-            if isinstance(comp, DomainComponent):
-                out.append(v.with_elements(t[0] for t in proj))
-            else:
-                out.append(v.with_elements(proj))
+            out.append(v.with_elements({t[0] for t in proj} if is_domain else proj))
         return tuple(out)
 
     return ReductionFunction(name, Scheme(tuple(positions)), apply,
@@ -482,24 +476,15 @@ def _make_join_intersection(space: ConstraintSpace, target_pos: int,
     if not isinstance(target, ExtComponent):
         raise ConfigError(f"component {target.key!r} cannot be a reduction target")
     members = list(member_positions)
-    if len(set(members)) != len(members) or not members:
-        raise ConfigError("member constraints must be distinct and nonempty")
-    union = scheme_union([
-        space.components[p - 1].scheme if isinstance(space.components[p - 1], ExtComponent)
-        else Scheme((space.components[p - 1].var,))
-        for p in members])
+    union = scheme_union(space.join_schemes(members))
     if not all(i in union for i in t):
         raise ConfigError(
             f"target scheme {t.indices} is not covered by the members' scheme {union.indices}")
     scheme_positions = (target_pos,) + tuple(p for p in members if p != target_pos)
-    slot = {p: k for k, p in enumerate(scheme_positions)}
+    member_slots = [scheme_positions.index(p) for p in members]
 
     def apply(args):
-        views = []
-        for k, p in enumerate(members):
-            s, ts = space.tuple_view(p, args[slot[p]])
-            views.append(Constraint(f"m{k}", s, ExtensionalBody(ts)))
-        joined = join_constraints(views, cap=space.cap)
+        joined = space.join(members, [args[k] for k in member_slots])
         proj = reselect(joined.scheme, joined.tuples, t)
         tgt = args[0]
         return (tgt.with_elements(tgt.elements & proj),) + tuple(args[1:])

@@ -204,5 +204,29 @@ class TestRunCommand:
         assert code == 0
         assert "domain 1 set {1,2}" in out
 
+    def test_inequality_group_join_member_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "ineq.csp"
+        p.write_text(
+            "domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+            "constraint c scheme (1,2) tuples {(0,0)}\n"
+            "constraint i1 scheme (1,2) leq 1*x1 + 1*x2 <= 3\n")
+        for names in ("cut@i1;1,rel@1,2;cutset(i1)", "cut@i1;1,rho@c,cutset(i1)"):
+            assert main(["run", str(p), "--reducers", names]) == 1
+            err = capsys.readouterr().err
+            assert "error: component 'cutset(i1)' is not joinable" in err
+            assert "Traceback" not in err
+
+    def test_cut_only_run_over_huge_int_domain(self, tmp_path, capsys):
+        # rebuilding a space with no extensional component must not
+        # enumerate the int domains
+        p = tmp_path / "huge.csp"
+        p.write_text(
+            "domain 1 int [0..1000000000]\ndomain 2 int [0..1000000000]\n"
+            "constraint i1 scheme (1,2) leq 1*x1 + 1*x2 <= 3\n")
+        assert main(["run", str(p), "--reducers", "cut@i1;1"]) == 0
+        out = capsys.readouterr().out
+        assert "domain 1 int [0..1000000000]" in out
+        assert "# outcome: converged" in out
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.csp", "--goal", "arc"]) == 1

@@ -251,6 +251,41 @@ class TestDirectionalArc:
         with pytest.raises(ConfigError):
             achieve(self.CSP1, ConsistencyGoal("dir-arc", order=(1, 1)))
 
+    def test_constraint_against_the_order(self):
+        # the same relation on (1,2) and on (2,1) prunes x1 alike
+        for scheme, tuples in (((1, 2), {(1, 0)}), ((2, 1), {(0, 1)})):
+            csp = CSP((D01, D01), (ext("c", scheme, tuples),))
+            out, _ = achieve(csp, ConsistencyGoal("dir-arc", order=(1, 2)))
+            assert out.domains[0].values == frozenset({1})
+            assert out.domains[1].values == frozenset({0, 1})
+
+    def test_random_orientations_are_directionally_arc_consistent(self):
+        d012 = SetDomain(frozenset({0, 1, 2}))
+        rng = random.Random(89)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            constraints = []
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                if rng.random() < 0.4:
+                    constraints.append(ext(
+                        f"c{len(constraints)}", (i, j),
+                        {t for t in itertools.product((0, 1, 2), repeat=2)
+                         if rng.random() < 0.5}))
+            csp = CSP((d012,) * n, tuple(constraints))
+            order = tuple(rng.sample(range(1, n + 1), n))
+            rank = {v: r for r, v in enumerate(order)}
+            out, _ = achieve(csp, ConsistencyGoal("dir-arc", order=order))
+            dom = {i: out.domains[i - 1].values for i in range(1, n + 1)}
+            # every value of the earlier variable has a support in the later
+            # variable's output domain
+            for c in csp.constraints:
+                earlier, later = sorted(c.scheme.indices, key=rank.get)
+                pairs = [dict(zip(c.scheme.indices, t)) for t in c.tuples]
+                for a in dom[earlier]:
+                    assert any(p[earlier] == a and p[later] in dom[later]
+                               for p in pairs)
+            assert equivalent(csp, out)
+
 
 class TestDirectionalPath:
     def test_single_pass_fixpoint_and_equivalence(self):

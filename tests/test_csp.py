@@ -8,9 +8,9 @@ import pytest
 
 from conftest import brute_force_join, random_set_csp
 from propeng.csp import (
-    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme,
-    SetDomain, equivalent, join_constraints, project, reselect, scheme_union,
-    solutions, tuple_restrict, validate,
+    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Relation,
+    Scheme, SetDomain, equivalent, join_constraints, project, reselect,
+    scheme_union, solutions, tuple_restrict, validate,
 )
 from propeng.errors import ConfigError, ResourceLimitError
 
@@ -42,9 +42,11 @@ class TestJoin:
     def test_worked_example(self):
         c1 = ext("c1", (1, 2), {(0, 0), (1, 1)})
         c2 = ext("c2", (2, 3), {(0, 1)})
-        got = join_constraints([c1, c2])
-        assert got.scheme.indices == (1, 2, 3)
-        assert got.tuples == frozenset({(0, 0, 1)})
+        relations = [Relation(c.scheme, c.tuples) for c in (c1, c2)]
+        for members in ([c1, c2], relations):
+            got = join_constraints(members)
+            assert got.scheme.indices == (1, 2, 3)
+            assert got.tuples == frozenset({(0, 0, 1)})
 
     def test_single_input_is_identity(self):
         c = ext("c", (2, 3), {(0, 1), (1, 0)})

@@ -25,7 +25,7 @@ from propeng.reducers import (
     embed_domain_as_constraint, linear_eq_narrow, make_binary_projections,
     make_cut_reducer, make_full_projection, make_interval_hull_projection,
     make_linear_eq_narrowing, make_path_reducer, make_relational_reducer,
-    make_solution_projection,
+    make_solution_projection, universal_constraint,
 )
 
 D012 = SetDomain(frozenset({0, 1, 2}))
@@ -174,6 +174,19 @@ class TestSolutionProjection:
         out = rho.apply((start.component(1).with_elements(()), start.component(2)))
         assert all(v.elements == frozenset() for v in out)
 
+    def test_member_may_be_an_embedded_domain(self):
+        c1 = ext("c1", (2, 1), {(0, 1), (0, 0)})
+        space = ConstraintSpace(CSP((D012, D01), (c1,)),
+                                (ExtComponent(c1), DomainComponent(1)))
+        rho = make_solution_projection(space, ["c1", "~dom1"])
+        start = space.bottom()
+        dom1 = start.component(2).with_elements({1, 2})
+        out = rho.apply((start.component(1), dom1))
+        # the join over scheme (2,1), by hand: c1's pairs whose x1 is in dom1
+        joined = {(b, a) for b, a in c1.tuples if a in dom1.elements}
+        assert out[0].elements == joined == {(0, 1)}
+        assert out[1].elements == {a for _, a in joined} == {1}
+
 
 def path_space():
     c12 = ext("c12", (1, 2), {(0, 0), (0, 1)})
@@ -320,6 +333,32 @@ class TestCuttingPlane:
         rebuilt = space.rebuild(state)
         assert [c.cid for c in rebuilt.constraints] == ["i1", "i2", "g#cut1"]
         assert equivalent(csp, rebuilt)
+
+
+class TestConstraintSpaceRebuild:
+    def test_constraint_order(self):
+        # reduced base constraints keep their base places and pass-through
+        # ones stay put; synthetic constraints that still say something and
+        # derived cuts follow in component order
+        d = IntDomain(0, 2)
+        a = ext("a", (1, 2), {(0, 0), (1, 1), (2, 2)})
+        i1 = Constraint("i1", Scheme((1, 2)), LinearIneqBody((1, 1), 1))
+        q = Constraint("q", Scheme((1, 2)), LinearEqBody((1, -1), 0))
+        i2 = Constraint("i2", Scheme((1, 2)), LinearIneqBody((1, -1), 0))
+        b = ext("b", (2,), {(0,), (1,)})
+        csp = CSP((d, d), (a, i1, q, i2, b))
+        space = ConstraintSpace(csp, (
+            ExtComponent(a),
+            ExtComponent(universal_constraint(csp, Scheme((1,))), synthetic=True),
+            IneqComponent("g", (i1, i2)),
+            ExtComponent(b),
+            ExtComponent(universal_constraint(csp, Scheme((2, 1))), synthetic=True)))
+        cut = make_cut_reducer(space, "g", [Fraction(1, 2), Fraction(1, 2)])
+        state, _ = apply_step(cut, space.bottom())
+        state = state.replace({2: state.component(2).with_elements({(0,), (1,)})})
+        rebuilt = space.rebuild(state)
+        assert [c.cid for c in rebuilt.constraints] == [
+            "a", "i1", "q", "i2", "b", "u(1)", "g#cut1"]
 
 
 class TestNamedReducerRegistry:
