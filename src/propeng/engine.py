@@ -16,9 +16,13 @@ applied function leaves the worklist before or after the change test:
 
 On a change, exactly the functions depending on a changed component are woken
 up, found through a component -> functions index built once per run.  They
-enter the worklist in the order of the strategy's ``batch``; in a set mode a
-function that is already pending moves to the back, so ``lifo``, which takes
-the back, runs the most recently woken function first.
+enter the worklist in the order of the strategy's ``batch``.  A set mode
+keeps its pending functions in a list sorted by the strategy's ``key``, which
+it maintains by bisection, and hands that list to the strategy's ``choose``;
+so one step costs O(log F + wake degree) key evaluations for F functions,
+not O(F).  Beside the list, ``Pending.recent`` keeps the wake order: a
+function woken again while pending moves to the back of it, so ``lifo``,
+which takes the back, runs the most recently woken function first.
 
 Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
@@ -26,6 +30,7 @@ against the general case, where infinite executions exist.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import operator
 import random
@@ -97,14 +102,28 @@ class FixpointResult:
 # Scheduling strategies
 
 
+class Pending(list):
+    """A set mode's pending functions, sorted by the strategy's ``key``.
+
+    ``recent`` maps the fid of each of them to the function, in wake order:
+    the most recently woken one is last.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.recent: dict[str, ReductionFunction] = {}
+
+
 class Strategy:
     """Resolves the nondeterminism left open by the iteration loop: which
     pending function a set mode picks next, and in what order a batch of
     woken functions enters the worklist.
 
     The base class is the deterministic policy: lowest ``key`` first.
-    Every strategy is built from the run's seed; only ``seeded`` draws
-    from it.
+    ``key`` must give distinct functions distinct, comparable values.  A set
+    mode passes ``choose`` its pending functions as a ``Pending`` list,
+    already sorted by ``key``, which ``choose`` must not modify.  Every
+    strategy is built from the run's seed; only ``seeded`` draws from it.
     """
 
     key = operator.attrgetter("fid")
@@ -115,8 +134,8 @@ class Strategy:
     def reset(self, functions: Sequence[ReductionFunction]) -> None:
         pass
 
-    def choose(self, pending: Sequence[ReductionFunction]) -> ReductionFunction:
-        return min(pending, key=self.key)
+    def choose(self, pending: Pending) -> ReductionFunction:
+        return pending[0]
 
     def batch(self, functions: Sequence[ReductionFunction]) -> list[ReductionFunction]:
         return sorted(functions, key=self.key)
@@ -129,7 +148,7 @@ class SeededStrategy(Strategy):
         self._rng = random.Random(self.seed)
 
     def choose(self, pending):
-        return self._rng.choice(super().batch(pending))
+        return self._rng.choice(pending)
 
     def batch(self, functions):
         out = super().batch(functions)
@@ -139,10 +158,10 @@ class SeededStrategy(Strategy):
 
 class LifoStrategy(Strategy):
     """Most recently woken function first: a set mode moves a function that
-    is woken again to the back of the pending set, and this picks the back."""
+    is woken again to the back of the wake order, and this picks the back."""
 
     def choose(self, pending):
-        return pending[-1]
+        return next(reversed(pending.recent.values()))
 
     def batch(self, functions):
         return sorted(functions, key=self.key, reverse=True)
@@ -156,14 +175,11 @@ class RoundRobinStrategy(Strategy):
         self._pos = 0
 
     def choose(self, pending):
-        have = {f.fid: f for f in pending}
-        k = len(self._order)
-        for off in range(k):
-            fid = self._order[(self._pos + off) % k]
-            if fid in have:
-                self._pos = (self._pos + off + 1) % k
-                return have[fid]
-        raise ConfigError("round-robin strategy saw an unregistered function")
+        # the first pending id at or after the cursor, else wrap around
+        i = bisect.bisect_left(pending, self._order[self._pos], key=self.key)
+        g = pending[i] if i < len(pending) else pending[0]
+        self._pos = (bisect.bisect_left(self._order, g.fid) + 1) % len(self._order)
+        return g
 
 
 class BlockStrategy(Strategy):
@@ -308,6 +324,8 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     functions = list(functions)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    if step_cap < 0:
+        raise ConfigError(f"step cap must be at least 0, got {step_cap}")
     n = len(start)
     fids = [f.fid for f in functions]
     if len(set(fids)) != len(fids):
@@ -345,20 +363,23 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
 
     queue = mode in ("ciq", "ciiq")
     remove_before = mode in ("ci", "ciq")
-    pending = deque() if queue else {}    # a set maps fid -> function
+    pending = deque() if queue else Pending()
+    key = strategy.key
 
     def push(f: ReductionFunction) -> None:
         if queue:
             pending.append(f)
-        else:
-            pending.pop(f.fid, None)    # a re-woken function moves to the back
-            pending[f.fid] = f
+            return
+        if pending.recent.pop(f.fid, None) is None:
+            bisect.insort(pending, f, key=key)
+        pending.recent[f.fid] = f    # a re-woken function moves to the back
 
     def remove(g: ReductionFunction) -> None:
         if queue:
             pending.popleft()
         else:
-            del pending[g.fid]
+            del pending.recent[g.fid]
+            del pending[bisect.bisect_left(pending, key(g), key=key)]
 
     for f in strategy.batch(functions):
         push(f)
@@ -366,7 +387,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         if trace.total_applications >= step_cap:
             trace.outcome = Outcome.STEP_LIMIT
             return FixpointResult(d, trace)
-        g = pending[0] if queue else strategy.choose(list(pending.values()))
+        g = pending[0] if queue else strategy.choose(pending)
         if remove_before:
             remove(g)
         d2, changed = apply_step(g, d)

@@ -130,6 +130,17 @@ class TestRunCommand:
         assert "domain 1 int [3..9]" in out
         assert "domain 2 int [1..4]" in out
 
+    def test_negative_step_cap_is_input_error(self, eq_ne_file, capsys):
+        code = main(["run", eq_ne_file, "--goal", "arc", "--max-steps", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: step cap must be at least 0, got -1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        # a cap of 0 is valid: it stops before the first application
+        assert main(["run", eq_ne_file, "--goal", "arc", "--max-steps", "0"]) == 2
+        assert "# outcome: step-limit applications=0" in capsys.readouterr().out
+
     def test_deterministic_trace_is_byte_identical(self, eq_ne_file, capsys):
         args = ["run", eq_ne_file, "--goal", "arc", "--trace"]
         main(args)

@@ -2,6 +2,7 @@
 probes, closure, and limit comparison."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
 )
 from propeng.engine import (
-    MODES, Outcome, ReductionFunction, closure_star, compare_limits, extend,
-    make_strategy, probe_function, run,
+    MODES, STRATEGIES, Outcome, ReductionFunction, closure_star, compare_limits,
+    extend, make_strategy, probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from propeng.lattice import PowersetValue, ProductValue, leq
@@ -170,6 +171,13 @@ PINNED_TRACES = {
         "ciq": "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c1 pi1@c2 "
                "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
     },
+    ("lifo", 0): {
+        "ci": "pi1@c1 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi1@c1 pi2@c1 pi1@c2 "
+              "pi2@c2 pi1@c2 pi2@c2",
+        "cii": "pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi2@c2 pi1@c2",
+        "ciq": "pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi2@c2 pi1@c2 pi2@c2 pi2@c1 pi1@c2 "
+               "pi1@c1 pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c2 pi1@c2",
+    },
     ("roundrobin", 0): {
         "ci": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1",
         "cii": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1",
@@ -219,6 +227,58 @@ class TestScheduling:
             res = run([x, y, z], start, mode=mode, strategy=make_strategy("lifo"),
                       validate=False)
             assert [s.fid for s in res.trace.steps] == want, mode
+
+    def test_roundrobin_skips_and_wraps_around(self):
+        base = frozenset({0, 1, 2})
+
+        def narrow_x1(args):
+            x1, x2 = args
+            if 2 in x2.elements:
+                return args
+            return (x1.with_elements(x1.elements - {2}), x2)
+
+        a = ReductionFunction("a", Scheme((1,)), lambda args: args)
+        b = ReductionFunction("b", Scheme((1, 2)), narrow_x1)
+        c = ReductionFunction("c", Scheme((3,)), lambda args: args)
+        d = ReductionFunction(
+            "d", Scheme((2,)),
+            lambda args: (args[0].with_elements(args[0].elements - {2}),))
+        start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(3)))
+        # d wakes b, and b wakes a; after b the cursor is at c, so in cii,
+        # with neither c nor d pending, the pick wraps around to a.  In ci,
+        # d re-woke itself, so the pick skips c and takes d.
+        for mode, want in (("cii", "a b c d b a"), ("ci", "a b c d b d a b")):
+            res = run([a, b, c, d], start, mode=mode,
+                      strategy=make_strategy("roundrobin"), validate=False)
+            assert " ".join(s.fid for s in res.trace.steps) == want, mode
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_scheduling_cost_is_logarithmic(self, name):
+        # F functions on F separate components, each shrinking its own once:
+        # every step wakes at most one function, so picking and waking must
+        # not evaluate the key of every pending function
+        n = 512
+        base = frozenset({0, 1})
+        fns = [ReductionFunction(
+            f"f{i:03d}", Scheme((i,)),
+            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+            for i in range(1, n + 1)]
+        start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(n)))
+        base_key = STRATEGIES[name].key
+
+        class Counting(STRATEGIES[name]):
+            calls = 0
+
+            def key(self, f):
+                self.calls += 1
+                return base_key(f)
+
+        for mode in ("ci", "cii"):
+            strategy = Counting(1)
+            res = run(fns, start, mode=mode, strategy=strategy, validate=False)
+            assert res.converged
+            per_step = strategy.calls / res.trace.total_applications
+            assert per_step <= 4 * math.log2(n), (mode, per_step)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):
