@@ -1,29 +1,34 @@
 """Consistency predicates and the drivers that achieve them.
 
-``achieve`` turns a consistency goal into a set of reduction functions, feeds
-them to the generic engine (or, for the directional goals, applies them in a
-single ordered pass) and returns the problem determined by the fixpoint.
+``achieve`` turns a consistency goal into a set of reduction functions, runs
+them on the generic engine and returns the problem determined by the
+fixpoint.  A directional goal is the same run under a schedule that follows
+its variable order: each of its functions wakes only functions later in the
+pass, so the run applies every function once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Relation, Scheme,
-    join_constraints, reselect, scheme_union,
+    SetDomain, join_constraints, reselect, scheme_union,
 )
 from .engine import (
-    DEFAULT_STEP_CAP, Outcome, ReductionFunction, RunTrace, Strategy,
-    TraceStep, apply_step, run,
+    DEFAULT_STEP_CAP, ReductionFunction, RunTrace, Strategy, run,
 )
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, ExtComponent, domain_bottom,
-    csp_from_domain_state, make_binary_projections, make_full_projection,
-    make_path_reducer, make_relational_reducer, universal_constraint,
+    ConstraintSpace, ExtComponent, RunSetup, domain_bottom,
+    make_binary_projections, make_full_projection, make_path_reducer,
+    make_relational_reducer, universal_constraint,
 )
+# not called here: the benchmark's tracer (bench/tracing.py) patches these names
+from .engine import apply_step  # noqa: F401
+from .reducers import csp_from_domain_state  # noqa: F401
 
 DEFAULT_FN_CAP = 20_000
 
@@ -152,28 +157,24 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
             early_exit: bool = False, cap: int = DEFAULT_ENUM_CAP,
             fn_cap: int = DEFAULT_FN_CAP) -> tuple[CSP, RunTrace]:
     """Enforce ``goal`` on ``csp``; returns the reduced, equivalent problem
-    and the realized run trace."""
+    and the realized run trace.  A directional goal lists its functions in
+    pass order and runs them in that order, whatever ``strategy`` says."""
     if goal.kind == "arc":
-        return _achieve_arc(csp, mode, strategy, step_cap, early_exit)
-    if goal.kind == "path":
-        return _achieve_path(csp, mode, strategy, step_cap, early_exit, cap)
-    if goal.kind == "rel":
-        if goal.m is None:
-            raise ConfigError("relational goal needs its arity m")
-        return _achieve_relational(csp, goal.m, mode, strategy, step_cap,
-                                   early_exit, cap, fn_cap)
-    if goal.kind == "dir-arc":
-        return _achieve_directional_arc(csp, goal.order)
-    if goal.kind == "dir-path":
-        return _achieve_directional_path(csp, goal.order, cap)
-    raise ConfigError(f"unknown goal kind {goal.kind!r}")
-
-
-def _achieve_arc(csp, mode, strategy, step_cap, early_exit):
-    fns = [make_full_projection(c) for c in csp.constraints]
-    result = run(fns, domain_bottom(csp), mode=mode, strategy=strategy,
+        setup = RunSetup("domain", domain_bottom(csp),
+                         [make_full_projection(c) for c in csp.constraints], None)
+    elif goal.kind == "path":
+        setup = _path_setup(csp, cap)
+    elif goal.kind == "rel":
+        setup = _relational_setup(csp, goal.m, cap, fn_cap)
+    elif goal.kind == "dir-arc":
+        setup, strategy = _directional_arc_setup(csp, goal.order), _PassOrder()
+    elif goal.kind == "dir-path":
+        setup, strategy = _directional_path_setup(csp, goal.order, cap), _PassOrder()
+    else:
+        raise ConfigError(f"unknown goal kind {goal.kind!r}")
+    result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False)
-    return csp_from_domain_state(csp, result.value), result.trace
+    return setup.rebuild(csp, result.value), result.trace
 
 
 def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
@@ -190,43 +191,36 @@ def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
     return ConstraintSpace(base, comps, cap=cap)
 
 
-def _binary_pair_space(csp: CSP, cap: int) -> ConstraintSpace:
-    """Unique binary constraint per ordered index pair, universal ones filled in."""
+def _check_binary(csp: CSP) -> None:
+    """Every constraint must be binary extensional."""
     for c in csp.constraints:
         if not c.is_extensional or len(c.scheme) != 2:
             raise ConfigError(
                 f"constraint {c.cid!r} is not binary extensional; incompatible goal")
+
+
+def _binary_pair_space(csp: CSP, cap: int) -> ConstraintSpace:
+    """Unique binary constraint per ordered index pair, universal ones filled in."""
+    _check_binary(csp)
     return _merged_space(
         csp, itertools.permutations(range(1, csp.arity + 1), 2), cap)
 
 
-def _achieve_path(csp, mode, strategy, step_cap, early_exit, cap):
+def _path_setup(csp, cap):
     space = _binary_pair_space(csp, cap)
     n = csp.arity
     fns = [make_path_reducer(space, k, l, m)
            for k, l, m in itertools.permutations(range(1, n + 1), 3)]
-    result = run(fns, space.bottom(), mode=mode, strategy=strategy,
-                 step_cap=step_cap, early_exit=early_exit, validate=False)
-    return space.rebuild(result.value), result.trace
+    return RunSetup("constraint", space.bottom(), fns, space)
 
 
-def _scheme_count(n: int) -> int:
-    total = 0
-    for length in range(1, n + 1):
-        p = 1
-        for q in range(n, n - length, -1):
-            p *= q
-        total += p
-    return total
-
-
-def _achieve_relational(csp, m, mode, strategy, step_cap, early_exit, cap, fn_cap):
-    if m < 1:
-        raise ConfigError("relational goal needs m >= 1")
+def _relational_setup(csp, m, cap, fn_cap):
+    if m is None or m < 1:
+        raise ConfigError("relational goal needs an arity m >= 1")
     n = csp.arity
-    if _scheme_count(n) > fn_cap:
-        raise ResourceLimitError(
-            f"{_scheme_count(n)} schemes over {n} variables exceed the cap {fn_cap}")
+    schemes = sum(math.perm(n, length) for length in range(1, n + 1))
+    if schemes > fn_cap:
+        raise ResourceLimitError(f"{schemes} schemes over {n} variables exceed the cap {fn_cap}")
     space = _merged_space(csp, itertools.chain.from_iterable(
         itertools.permutations(range(1, n + 1), length) for length in range(1, n + 1)), cap)
     comps = space.components
@@ -251,9 +245,16 @@ def _achieve_relational(csp, m, mode, strategy, step_cap, early_exit, cap, fn_ca
             if len(fns) > fn_cap:
                 raise ResourceLimitError(
                     f"relational goal needs more than {fn_cap} functions")
-    result = run(fns, space.bottom(), mode=mode, strategy=strategy,
-                 step_cap=step_cap, early_exit=early_exit, validate=False)
-    return space.rebuild(result.value), result.trace
+    return RunSetup("constraint", space.bottom(), fns, space)
+
+
+class _PassOrder(Strategy):
+    """A directional goal's schedule: each function's position in the pass,
+    whose functions wake only later ones."""
+
+    def reset(self, functions):
+        position = {f.fid: k for k, f in enumerate(functions)}
+        self.key = lambda f: position[f.fid]
 
 
 def _check_order(csp: CSP, order) -> dict[int, int]:
@@ -263,35 +264,25 @@ def _check_order(csp: CSP, order) -> dict[int, int]:
     return {idx: pos for pos, idx in enumerate(order)}
 
 
-def _single_pass(fns, state):
-    trace = RunTrace()
-    for f in fns:
-        state, changed = apply_step(f, state)
-        trace.total_applications += 1
-        trace.steps.append(TraceStep(f.fid, bool(changed), changed))
-    trace.outcome = Outcome.CONVERGED
-    return state, trace
-
-
-def _achieve_directional_arc(csp, order):
+def _directional_arc_setup(csp, order):
     rank = _check_order(csp, order)
-    for c in csp.constraints:
-        if not c.is_extensional or len(c.scheme) != 2:
-            raise ConfigError(
-                f"constraint {c.cid!r} is not binary extensional; incompatible goal")
+    _check_binary(csp)
     chosen = []
     for c in csp.constraints:
         i, j = c.scheme.indices
+        # the support projections apply to set domains only: fail at set-up
+        if not all(isinstance(csp.domains[k - 1], SetDomain) for k in (i, j)):
+            raise ConfigError(
+                f"constraint {c.cid!r} is not over finite set domains; incompatible goal")
         # prune the earlier variable against the later one, in either orientation
         later, k = (j, 0) if rank[i] < rank[j] else (i, 1)
         chosen.append((-rank[later], c.cid, make_binary_projections(c)[k]))
     # later variables first, so one pass suffices
     chosen.sort(key=lambda entry: entry[:2])
-    state, trace = _single_pass([f for _, _, f in chosen], domain_bottom(csp))
-    return csp_from_domain_state(csp, state), trace
+    return RunSetup("domain", domain_bottom(csp), [f for _, _, f in chosen], None)
 
 
-def _achieve_directional_path(csp, order, cap):
+def _directional_path_setup(csp, order, cap):
     rank = _check_order(csp, order)
     space = _binary_pair_space(csp, cap)
     n = csp.arity
@@ -300,5 +291,4 @@ def _achieve_directional_path(csp, order, cap):
         if rank[k] < rank[m] and rank[l] < rank[m]:
             fns.append((m, make_path_reducer(space, k, l, m)))
     fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
-    state, trace = _single_pass([f for _, f in fns], space.bottom())
-    return space.rebuild(state), trace
+    return RunSetup("constraint", space.bottom(), [f for _, f in fns], space)

@@ -8,15 +8,19 @@ chooses the next one) or a FIFO queue with duplicates, and whether the
 applied function leaves the worklist before or after the change test:
 
 * ``ci``   -- set, removed before the change test (so it re-enters when it
-              changed its own inputs);
+              changed a component it reads);
 * ``cii``  -- set, removed after the change test (appropriate for
               idempotent functions: never immediately re-applied);
 * ``ciq``  -- FIFO queue, dequeued before the change test;
 * ``ciiq`` -- FIFO queue, dequeued after the change test.
 
-On a change, exactly the functions depending on a changed component are woken
-up, found through a component -> functions index built once per run.  They
-enter the worklist in the order of the strategy's ``batch``.  A set mode
+On a change, exactly the functions that *read* a changed component are woken
+up, found through a component -> functions index built once per run; they
+enter the worklist in the order of the strategy's ``batch``.  A function
+reads its whole scheme unless it declares ``reads``.  An intersection
+``x := x & h(y)`` stays stable when only ``x`` shrinks, so it may leave ``x``
+out and still keep the invariant of generic iteration: every function
+outside the worklist is stable at the current state.  A set mode
 keeps its pending functions in a list sorted by the strategy's ``key``, which
 it maintains by bisection, and hands that list to the strategy's ``choose``;
 so one step costs O(log F + wake degree) key evaluations for F functions,
@@ -59,6 +63,8 @@ class ReductionFunction:
     is a declared property (the engine can verify it by sampling but never
     assumes it except in the ``cii``/``ciiq`` disciplines, which are only
     appropriate for idempotent functions).  ``group`` keys block scheduling.
+    ``reads`` names the components of the scheme whose change can make the
+    function unstable again (``None``: the whole scheme).
     """
 
     fid: str
@@ -66,6 +72,7 @@ class ReductionFunction:
     apply: Callable[[tuple], tuple]
     idempotent: bool = True
     group: str | None = None
+    reads: tuple[int, ...] | None = None
 
 
 class Outcome(enum.Enum):
@@ -213,6 +220,9 @@ def _check_scheme(f: ReductionFunction, arity: int) -> None:
     if any(i < 1 or i > arity for i in f.scheme):
         raise ConfigError(
             f"function {f.fid!r} has scheme {f.scheme.indices} outside 1..{arity}")
+    if not set(f.reads or ()) <= set(f.scheme.indices):
+        raise ConfigError(
+            f"function {f.fid!r} reads {f.reads} outside its scheme {f.scheme.indices}")
 
 
 def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], ProductValue]:
@@ -354,7 +364,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     # component -> positions of the functions reading it, built once
     dependents: list[list[int]] = [[] for _ in range(n + 1)]
     for pos, f in enumerate(functions):
-        for i in set(f.scheme.indices):
+        for i in set(f.scheme.indices if f.reads is None else f.reads):
             dependents[i].append(pos)
 
     def woken(changed) -> list[ReductionFunction]:

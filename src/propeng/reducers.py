@@ -112,8 +112,12 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
         kept = {b for a, b in tuples if a in x.elements and b in y.elements}
         return (x, y.with_elements(kept))
 
-    pi1 = ReductionFunction(f"pi1@{c.cid}", c.scheme, first, idempotent=True, group=c.cid)
-    pi2 = ReductionFunction(f"pi2@{c.cid}", c.scheme, second, idempotent=True, group=c.cid)
+    # each side is intersected with the support of the other: it reads only that
+    i, j = c.scheme.indices
+    pi1 = ReductionFunction(f"pi1@{c.cid}", c.scheme, first, idempotent=True,
+                            group=c.cid, reads=(j,))
+    pi2 = ReductionFunction(f"pi2@{c.cid}", c.scheme, second, idempotent=True,
+                            group=c.cid, reads=(i,))
     return pi1, pi2
 
 
@@ -471,7 +475,8 @@ def _make_join_intersection(space: ConstraintSpace, target_pos: int,
                             fid: str, group: str | None) -> ReductionFunction:
     """Intersect the target component with the projection onto ``t`` of the
     join of the member components (shared core of the path-style and
-    relational reducers)."""
+    relational reducers).  It reads only its members: shrinking the target
+    alone leaves it stable."""
     target = space.components[target_pos - 1]
     if not isinstance(target, ExtComponent):
         raise ConfigError(f"component {target.key!r} cannot be a reduction target")
@@ -490,7 +495,7 @@ def _make_join_intersection(space: ConstraintSpace, target_pos: int,
         return (tgt.with_elements(tgt.elements & proj),) + tuple(args[1:])
 
     return ReductionFunction(fid, Scheme(scheme_positions), apply,
-                             idempotent=True, group=group)
+                             idempotent=True, group=group, reads=tuple(members))
 
 
 def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> ReductionFunction:
@@ -629,21 +634,14 @@ def _parse_name(text: str) -> tuple[str, str]:
 def _domain_function(kind: str, cid: str, csp: CSP) -> ReductionFunction:
     c = csp.constraint(cid)
     if kind in ("pi1", "pi2"):
-        for i in c.scheme:
-            if not isinstance(csp.domains[i - 1], SetDomain):
-                raise ConfigError(f"{kind}@{cid} needs finite set domains")
+        if not all(isinstance(csp.domains[i - 1], SetDomain) for i in c.scheme):
+            raise ConfigError(f"{kind}@{cid} needs finite set domains")
         return make_binary_projections(c)[0 if kind == "pi1" else 1]
     if kind == "piC":
         return make_full_projection(c)
-    if kind == "hull":
-        for i in c.scheme:
-            if not isinstance(csp.domains[i - 1], IntDomain):
-                raise ConfigError(f"hull@{cid} needs integer interval domains")
-        return make_interval_hull_projection(c)
-    for i in c.scheme:
-        if not isinstance(csp.domains[i - 1], IntDomain):
-            raise ConfigError(f"lineq@{cid} needs integer interval domains")
-    return make_linear_eq_narrowing(c)
+    if not all(isinstance(csp.domains[i - 1], IntDomain) for i in c.scheme):
+        raise ConfigError(f"{kind}@{cid} needs integer interval domains")
+    return (make_interval_hull_projection if kind == "hull" else make_linear_eq_narrowing)(c)
 
 
 def build_named_reducers(csp: CSP, names: Sequence[str],

@@ -215,6 +215,53 @@ class TestRunCommand:
         assert code == 0
         assert "domain 1 set {1,2}" in out
 
+    @pytest.mark.parametrize("goal,text", [
+        ("dir-arc:1,2", "domain 1 set {1,2,3}\ndomain 2 set {1,2}\n"
+                        "constraint c scheme (1,2) tuples {(1,1),(2,2)}\n"),
+        ("dir-path:1,2,3", "domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+                           "domain 3 set {0,1}\n"
+                           "constraint c1 scheme (1,3) tuples {(0,0),(1,0)}\n"
+                           "constraint c2 scheme (2,3) tuples {(0,0)}\n"),
+    ])
+    def test_directional_goals_honour_the_step_cap(self, tmp_path, capsys, goal, text):
+        p = tmp_path / "dir.csp"
+        p.write_text(text)
+        assert main(["run", str(p), "--goal", goal, "--max-steps", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: step cap must be at least 0, got -1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert main(["run", str(p), "--goal", goal, "--max-steps", "0"]) == 2
+        assert "# outcome: step-limit applications=0" in capsys.readouterr().out
+        assert main(["run", str(p), "--goal", goal]) == 0
+        assert "# outcome: converged" in capsys.readouterr().out
+
+    def test_directional_arc_early_exit(self, tmp_path, capsys):
+        p = tmp_path / "wipe.csp"
+        p.write_text(
+            "domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+            "constraint c1 scheme (1,2) tuples {}\n"
+            "constraint c2 scheme (1,2) tuples {(0,0)}\n")
+        code = main(["run", str(p), "--goal", "dir-arc:1,2", "--early-exit"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "# outcome: empty-component applications=1" in out
+        assert main(["run", str(p), "--goal", "dir-arc:1,2"]) == 0
+        assert "# outcome: converged applications=2" in capsys.readouterr().out
+
+    def test_directional_arc_needs_set_domains(self, tmp_path, capsys):
+        p = tmp_path / "int.csp"
+        p.write_text(
+            "domain 1 set {0,1}\ndomain 2 int [0..1]\ndomain 3 set {0,1}\n"
+            "constraint c scheme (1,2) tuples {(0,0)}\n")
+        for cap in ("0", "1000"):
+            code = main(["run", str(p), "--goal", "dir-arc:1,2,3", "--max-steps", cap])
+            captured = capsys.readouterr()
+            assert code == 1, cap
+            assert "error: constraint 'c' is not over finite set domains" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_inequality_group_join_member_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "ineq.csp"
         p.write_text(

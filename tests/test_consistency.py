@@ -241,11 +241,28 @@ class TestDirectionalArc:
                         {t for t in space if rng.random() < 0.7}))
             csp = CSP((D01,) * n, tuple(constraints))
             order = tuple(rng.sample(range(1, n + 1), n))
-            out, _ = achieve(csp, ConsistencyGoal("dir-arc", order=order))
+            goal = ConsistencyGoal("dir-arc", order=order)
+            rank = {v: r for r, v in enumerate(order)}
+            out, _ = achieve(csp, goal)
             # a second pass finds nothing left to do
-            _, trace2 = achieve(out, ConsistencyGoal("dir-arc", order=order))
+            _, trace2 = achieve(out, goal)
             assert all(not s.changed for s in trace2.steps)
             assert equivalent(csp, out)
+            # one pass: each constraint prunes its earlier variable once,
+            # later variables first, in every set mode; queue modes agree
+            later = {}
+            for c in constraints:
+                i, j = c.scheme.indices
+                fid = ("pi1@" if rank[i] < rank[j] else "pi2@") + c.cid
+                later[fid] = max(rank[i], rank[j])
+            for mode in MODES:
+                out_m, trace = achieve(csp, goal, mode=mode)
+                assert out_m == out, mode
+                if mode in ("ci", "cii"):
+                    fids = [s.fid for s in trace.steps]
+                    assert sorted(fids) == sorted(later), mode
+                    ranks = [later[f] for f in fids]
+                    assert ranks == sorted(ranks, reverse=True), mode
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ConfigError):
@@ -290,19 +307,35 @@ class TestDirectionalArc:
 class TestDirectionalPath:
     def test_single_pass_fixpoint_and_equivalence(self):
         rng = random.Random(83)
-        for _ in range(10):
+        for n in (3,) * 10 + (4,) * 10:
+            variables = range(1, n + 1)
             constraints = []
-            for k, (i, j) in enumerate(itertools.permutations((1, 2, 3), 2)):
+            for k, (i, j) in enumerate(itertools.permutations(variables, 2)):
                 if rng.random() < 0.7:
                     space = list(itertools.product((0, 1), (0, 1)))
                     constraints.append(ext(
                         f"c{k}", (i, j), {t for t in space if rng.random() < 0.75}))
-            csp = CSP((D01, D01, D01), tuple(constraints))
-            order = tuple(rng.sample((1, 2, 3), 3))
-            out, _ = achieve(csp, ConsistencyGoal("dir-path", order=order))
-            _, trace2 = achieve(out, ConsistencyGoal("dir-path", order=order))
+            csp = CSP((D01,) * n, tuple(constraints))
+            order = tuple(rng.sample(variables, n))
+            goal = ConsistencyGoal("dir-path", order=order)
+            rank = {v: r for r, v in enumerate(order)}
+            out, _ = achieve(csp, goal)
+            _, trace2 = achieve(out, goal)
             assert all(not s.changed for s in trace2.steps)
             assert equivalent(csp, out)
+            # one pass: path@k,l,m once for each m later than k and l, the
+            # latest m first, in every set mode; queue modes agree
+            later = {f"path@{k},{l},{m}": rank[m]
+                     for k, l, m in itertools.permutations(variables, 3)
+                     if rank[m] > max(rank[k], rank[l])}
+            for mode in MODES:
+                out_m, trace = achieve(csp, goal, mode=mode)
+                assert out_m == out, mode
+                if mode in ("ci", "cii"):
+                    fids = [s.fid for s in trace.steps]
+                    assert sorted(fids) == sorted(later), mode
+                    ranks = [later[f] for f in fids]
+                    assert ranks == sorted(ranks, reverse=True), mode
 
 
 class TestEquivalencePreservation:

@@ -1,6 +1,7 @@
 """The generic iteration machinery: extension, the four loop disciplines,
 probes, closure, and limit comparison."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -149,6 +150,28 @@ class TestRun:
         # the change to component 1 re-queues only its own dependents
         assert [s.fid for s in res.trace.steps] == ["a", "a", "b"]
 
+    def test_wakeup_follows_declared_reads(self):
+        base = frozenset({0, 1})
+        reader = ReductionFunction("a", Scheme((1, 2)), lambda args: args, reads=(2,))
+        shrink = ReductionFunction(
+            "b", Scheme((1,)),
+            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+        start = ProductValue((PowersetValue.bottom(base),
+                              PowersetValue.bottom(base)))
+        # a has component 1 in its scheme but does not read it: b's change
+        # to component 1 does not wake it
+        res = run([reader, shrink], start, mode="cii", validate=False)
+        assert [s.fid for s in res.trace.steps] == ["a", "b"]
+        res = run([dataclasses.replace(reader, reads=None), shrink], start,
+                  mode="cii", validate=False)
+        assert [s.fid for s in res.trace.steps] == ["a", "b", "a"]
+
+    def test_reads_outside_the_scheme_rejected(self):
+        f = ReductionFunction("f", Scheme((1,)), lambda args: args, reads=(2,))
+        start = ProductValue((pv({1}, {1}), pv({1}, {1})))
+        with pytest.raises(ConfigError, match="reads"):
+            run([f], start)
+
     def test_duplicate_ids_rejected(self):
         f = ReductionFunction("f", Scheme((1,)), lambda args: args)
         g = ReductionFunction("f", Scheme((1,)), lambda args: args)
@@ -194,20 +217,69 @@ PINNED_TRACES = {
 }
 
 
+# The same chain with the projections' declared reads: each side reads only
+# the other, so no projection wakes itself, and ci realizes the order of cii.
+PINNED_TRACES_READS = {
+    ("det", 0): {
+        "ci": "pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c2 pi1@c2",
+        "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c1 pi2@c2 "
+               "pi1@c2 pi2@c1",
+    },
+    ("block", 0): {
+        "ci": "pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi2@c2 pi1@c2",
+        "ciq": "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c1 pi2@c2 "
+               "pi1@c2 pi2@c1",
+    },
+    ("lifo", 0): {
+        "ci": "pi1@c1 pi2@c1 pi1@c1 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi2@c2",
+        "ciq": "pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi1@c2 pi2@c2 pi1@c1 pi2@c2 pi1@c1 "
+               "pi2@c1 pi1@c2",
+    },
+    ("roundrobin", 0): {
+        "ci": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1",
+        "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c1 pi2@c2 "
+               "pi1@c2 pi2@c1",
+    },
+    ("seeded", 1): {
+        "ci": "pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1",
+        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi2@c2 "
+               "pi1@c1 pi2@c1 pi1@c2",
+    },
+}
+
+
+def chain_projections():
+    """x1 < x2 < x3 over {0,1,2}: a small chain whose projections keep
+    re-waking each other."""
+    d = SetDomain(frozenset({0, 1, 2}))
+    lt = frozenset((a, b) for a in range(3) for b in range(3) if a < b)
+    cs = [Constraint("c1", Scheme((1, 2)), ExtensionalBody(lt)),
+          Constraint("c2", Scheme((2, 3)), ExtensionalBody(lt))]
+    csp = CSP((d, d, d), tuple(cs))
+    return [f for c in cs for f in make_binary_projections(c)], domain_bottom(csp)
+
+
 class TestScheduling:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES))
     def test_pinned_step_order(self, name, seed):
-        # x1 < x2 < x3 over {0,1,2}: a small chain whose projections keep
-        # re-waking each other.  ciiq realizes the same order as ciq here.
-        d = SetDomain(frozenset({0, 1, 2}))
-        lt = frozenset((a, b) for a in range(3) for b in range(3) if a < b)
-        cs = [Constraint("c1", Scheme((1, 2)), ExtensionalBody(lt)),
-              Constraint("c2", Scheme((2, 3)), ExtensionalBody(lt))]
-        csp = CSP((d, d, d), tuple(cs))
-        fns = [f for c in cs for f in make_binary_projections(c)]
+        # the scheme-wide wake rule: the projections as if they read both
+        # sides.  ciiq realizes the same order as ciq here.
+        fns, start = chain_projections()
+        fns = [dataclasses.replace(f, reads=None) for f in fns]
         want = dict(PINNED_TRACES[name, seed], ciiq=PINNED_TRACES[name, seed]["ciq"])
         for mode in MODES:
-            res = run(fns, domain_bottom(csp), mode=mode,
+            res = run(fns, start, mode=mode,
+                      strategy=make_strategy(name, seed), validate=False)
+            assert " ".join(s.fid for s in res.trace.steps) == want[mode], mode
+            assert [sorted(v.elements) for v in res.value.components] == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES_READS))
+    def test_pinned_step_order_with_declared_reads(self, name, seed):
+        fns, start = chain_projections()
+        pins = PINNED_TRACES_READS[name, seed]
+        want = dict(pins, cii=pins["ci"], ciiq=pins["ciq"])
+        for mode in MODES:
+            res = run(fns, start, mode=mode,
                       strategy=make_strategy(name, seed), validate=False)
             assert " ".join(s.fid for s in res.trace.steps) == want[mode], mode
             assert [sorted(v.elements) for v in res.value.components] == [[0], [1], [2]]

@@ -603,6 +603,37 @@ class TestConstraintReducerLaws:
                     assert strongest[k].elements <= after.component(p).elements
 
 
+class TestDeclaredReads:
+    def test_shrinking_an_unread_component_keeps_the_function_stable(self):
+        # x := x & h(y) is stable once x <= h(y); any x' <= x still is.  The
+        # functions declaring reads are idempotent: one application is stable.
+        rng = random.Random(61)
+        shrunk_any = 0
+        for _ in range(30):
+            cases = [(f, box_for(csp, rng)) for csp, f in domain_reducer_zoo(rng)]
+            cases += [(g, random_constraint_state(space, rng))
+                      for space, g in constraint_reducer_zoo(rng)]
+            for f, state in cases:
+                if f.reads is None:
+                    continue
+                stable, _ = apply_step(f, state)
+                unread = [i for i in f.scheme if i not in f.reads]
+                shrunk = stable.replace({i: stable.component(i).with_elements(
+                    a for a in stable.component(i).elements if rng.random() < 0.5)
+                    for i in unread})
+                assert apply_step(f, shrunk)[1] == (), f.fid
+                shrunk_any += shrunk != stable
+        assert shrunk_any > 0
+
+    def test_declared_reads(self):
+        pi1, pi2 = make_binary_projections(ext("c", (2, 1), {(0, 0)}))
+        assert (pi1.reads, pi2.reads) == ((1,), (2,))
+        space = path_space()
+        f = make_path_reducer(space, 1, 2, 3)
+        assert f.reads == f.scheme.indices[1:]
+        assert make_solution_projection(space, ["c13", "c32"]).reads is None
+
+
 class TestIdempotenceFlags:
     def test_declared_idempotent_reducers_verified(self):
         rng = random.Random(59)
