@@ -1,0 +1,113 @@
+"""Check that the working tree's ``propeng run`` prints what a git revision prints.
+
+    python scripts/compare_outputs.py <git-rev>
+
+Every call of the four benchmark workloads (``bench/workloads.make_calls(w, 1)``)
+runs under each of the 4 modes and 5 strategies with
+``--trace --format json --seed 1``: 200 runs per tree.  The revision's
+``src/`` is exported with ``git archive`` into a temporary directory; each
+tree runs all its calls in one subprocess, through ``propeng.cli.main``.  The
+exit codes, stdout and stderr of the two trees are compared run by run.
+Prints ``N of 200 identical`` and the ids of the runs that differ; exits 1
+if any differ.  Run it from anywhere inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = ("ci", "cii", "ciq", "ciiq")
+STRATEGIES = ("det", "seeded", "lifo", "roundrobin", "block")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_all(src: Path) -> dict[str, list]:
+    """Every workload run against the ``propeng`` under ``src``: run id ->
+    [exit code, stdout digest, stderr digest]."""
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import workloads
+    from propeng import cli
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for w in workloads.WORKLOADS:
+            for call in workloads.make_calls(w, 1):
+                path = Path(tmp) / f"{call.name}.csp"
+                path.write_text(call.text, encoding="utf-8")
+                args = list(call.args)
+                if "--mode" in args:
+                    k = args.index("--mode")
+                    del args[k:k + 2]
+                for mode in MODES:
+                    for strategy in STRATEGIES:
+                        argv = ["run", str(path), *args, "--mode", mode,
+                                "--strategy", strategy, "--trace",
+                                "--format", "json", "--seed", "1"]
+                        out, err = io.StringIO(), io.StringIO()
+                        with redirect_stdout(out), redirect_stderr(err):
+                            try:
+                                code = cli.main(argv)
+                            except SystemExit as exc:
+                                code = exc.code
+                            except Exception:
+                                # only the exception line: the two trees'
+                                # tracebacks name different file paths
+                                code = "exception"
+                                traceback.print_exc(limit=0)
+                        results[f"{w}/{call.name}/{mode}/{strategy}"] = [
+                            code, _digest(out.getvalue()), _digest(err.getvalue())]
+    return results
+
+
+def results_of(src: Path) -> dict[str, list]:
+    proc = subprocess.run([sys.executable, __file__, "--run", str(src)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    data = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(dest, **safe)
+    return dest / "src"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument("--run", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run:
+        print(json.dumps(run_all(Path(args.run))))
+        return 0
+    if not args.rev:
+        parser.error("a git revision is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        old = results_of(export_src(args.rev, Path(tmp)))
+    new = results_of(ROOT / "src")
+    ids = old.keys() | new.keys()
+    differ = sorted(k for k in ids if old.get(k) != new.get(k))
+    print(f"{len(ids) - len(differ)} of {len(ids)} identical")
+    for k in differ:
+        print(f"differs: {k}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -154,8 +154,12 @@ class IntDomain:
             object.__setattr__(self, "lo", 1)
             object.__setattr__(self, "hi", 0)
 
+    @property
+    def values(self) -> range:
+        return range(self.lo, self.hi + 1)
+
     def members(self) -> list:
-        return list(range(self.lo, self.hi + 1))
+        return list(self.values)
 
     @property
     def is_empty(self) -> bool:
@@ -206,8 +210,7 @@ def validate(csp: CSP) -> list[str]:
             problems.append(f"{where}: scheme {c.scheme.indices} outside domains 1..{n}")
             continue
         if isinstance(c.body, ExtensionalBody):
-            members = [d.values if isinstance(d, SetDomain) else range(d.lo, d.hi + 1)
-                       for d in (csp.domains[i - 1] for i in c.scheme)]
+            members = [csp.domains[i - 1].values for i in c.scheme]
             bad = [t for t in c.body.tuples
                    if len(t) != len(c.scheme) or any(v not in m for v, m in zip(t, members))]
             for t in sorted(bad, key=atom_key):

@@ -84,8 +84,11 @@ class Outcome(enum.Enum):
 @dataclass(frozen=True)
 class TraceStep:
     fid: str
-    changed: bool
     changed_components: tuple[int, ...]
+
+    @property
+    def changed(self) -> bool:
+        return bool(self.changed_components)
 
 
 @dataclass
@@ -324,7 +327,7 @@ def probe_function(f: ReductionFunction, start: ProductValue,
 def run(functions: Iterable[ReductionFunction], start: ProductValue,
         mode: str = "ci", strategy: Strategy | None = None,
         step_cap: int = DEFAULT_STEP_CAP, early_exit: bool = False,
-        validate: bool = True, probe_samples: int = 6) -> FixpointResult:
+        validate: bool = True) -> FixpointResult:
     """Iterate ``functions`` from ``start`` until no application changes the
     state (a common fixpoint) or a limit is hit.
 
@@ -344,7 +347,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         _check_scheme(f, n)
     if validate:
         for f in functions:
-            probe_function(f, start, samples=probe_samples)
+            probe_function(f, start)
 
     strategy = strategy or Strategy()
     strategy.reset(functions)
@@ -402,7 +405,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
             remove(g)
         d2, changed = apply_step(g, d)
         trace.total_applications += 1
-        trace.steps.append(TraceStep(g.fid, bool(changed), changed))
+        trace.steps.append(TraceStep(g.fid, changed))
         if changed:
             for f in strategy.batch(woken(changed)):
                 push(f)

@@ -66,6 +66,9 @@ class PowersetValue:
     def is_empty(self) -> bool:
         return not self.elements
 
+    def __contains__(self, x) -> bool:
+        return x in self.elements
+
     def with_elements(self, elements: Iterable) -> "PowersetValue":
         return PowersetValue(self.base, frozenset(elements))
 

@@ -2,27 +2,32 @@
 
 Two state spaces are used.  The *domain space* has one component per
 variable, holding either a powerset of the declared atoms or a grid interval;
-domain reducers (projections, interval hulls, linear-equality narrowing)
-shrink variables there.  The *constraint space* has one component per
-constraint, holding the constraint's current tuple set (or a growing set of
-linear inequalities for cutting planes); constraint reducers shrink those.
-Domain reducers can be embedded into the constraint space by treating the
-domains as extra unary constraints.
+domain reducers (projections, linear-equality narrowing) shrink variables
+there.  A projection fits each coordinate of the tuples inside the current
+box into the component's family, so ``hull`` is ``piC`` on intervals.  The
+*constraint space* has one component per constraint, holding the
+constraint's current tuple set (or a growing set of linear inequalities for
+cutting planes); constraint reducers shrink those.  Domain reducers can be
+embedded into the constraint space by treating the domains as extra unary
+constraints.  Both spaces fold a reached state back into a problem alike:
+domains into the declared families, extensional constraints restricted to
+them.
 
 Every constructor returns an engine ``ReductionFunction``; all of them
-preserve the solution set of the problem they were built from.
+preserve the solution set of the problem they were built from.  Reducer
+names read ``kind@head[;tail]`` (``build_named_reducers``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .csp import (
-    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, IntDomain,
+    CSP, Constraint, DEFAULT_ENUM_CAP, Domain, ExtensionalBody, IntDomain,
     LinearEqBody, LinearIneqBody, Relation, Scheme, SetDomain,
     join_constraints, reselect, scheme_union,
 )
@@ -52,12 +57,27 @@ def domain_bottom(csp: CSP) -> ProductValue:
     return ProductValue(tuple(comps))
 
 
-def _value_contains(v, atom) -> bool:
-    if isinstance(v, PowersetValue):
-        return atom in v.elements
-    if isinstance(v, GridInterval):
-        return atom in v
-    raise ConfigError(f"component kind {type(v).__name__} has no membership test")
+def _fold_domain(value, declared: Domain) -> Domain:
+    """The domain a reduced component denotes.  A subset of a declared
+    integer range stays an ``IntDomain`` while it is contiguous (or empty)."""
+    if isinstance(value, GridInterval):
+        return IntDomain(1, 0) if value.is_empty else IntDomain(value.lo, value.hi)
+    if not isinstance(value, PowersetValue):
+        raise ConfigError(f"unexpected component kind {type(value).__name__}")
+    elements = value.elements
+    if isinstance(declared, IntDomain):
+        if not elements:
+            return IntDomain(1, 0)
+        lo, hi = min(elements), max(elements)
+        if len(elements) == hi - lo + 1:
+            return IntDomain(lo, hi)
+    return SetDomain(elements)
+
+
+def _restrict(scheme: Scheme, tuples, domains: Sequence[Domain]) -> frozenset:
+    """The tuples over ``scheme`` whose every coordinate lies in its domain."""
+    allowed = [domains[i - 1].values for i in scheme]
+    return frozenset(t for t in tuples if all(x in a for x, a in zip(t, allowed)))
 
 
 def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
@@ -65,26 +85,11 @@ def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
     domains, with every extensional constraint restricted to them."""
     if len(state) != csp.arity:
         raise ConfigError("domain state arity does not match the problem")
-    domains = []
-    for comp in state.components:
-        if isinstance(comp, PowersetValue):
-            domains.append(SetDomain(comp.elements))
-        elif isinstance(comp, GridInterval):
-            domains.append(IntDomain(1, 0) if comp.is_empty
-                           else IntDomain(comp.lo, comp.hi))
-        else:
-            raise ConfigError(f"unexpected component kind {type(comp).__name__}")
-    constraints = []
-    for c in csp.constraints:
-        if c.is_extensional:
-            comps = [state.component(i) for i in c.scheme]
-            kept = frozenset(
-                t for t in c.tuples
-                if all(_value_contains(v, x) for v, x in zip(comps, t)))
-            constraints.append(Constraint(c.cid, c.scheme, ExtensionalBody(kept)))
-        else:
-            constraints.append(c)
-    return CSP(tuple(domains), tuple(constraints))
+    domains = tuple(_fold_domain(v, d) for v, d in zip(state.components, csp.domains))
+    constraints = tuple(
+        Constraint(c.cid, c.scheme, ExtensionalBody(_restrict(c.scheme, c.tuples, domains)))
+        if c.is_extensional else c for c in csp.constraints)
+    return CSP(domains, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +143,7 @@ def make_full_projection(c: Constraint) -> ReductionFunction:
     tuples = c.tuples
 
     def apply(args):
-        live = [t for t in tuples
-                if all(_value_contains(v, x) for v, x in zip(args, t))]
+        live = [t for t in tuples if all(x in v for v, x in zip(args, t))]
         return tuple(_fit_projection(v, {t[k] for t in live})
                      for k, v in enumerate(args))
 
@@ -150,10 +154,10 @@ def make_interval_hull_projection(c: Constraint,
                                   grids: Sequence[IntGrid | PointGrid] | None = None
                                   ) -> ReductionFunction:
     """Projection followed by the smallest enclosing grid interval, per
-    coordinate.  ``grids``, when given, lets construction reject tuples that
-    fall outside the representable range."""
-    if not c.is_extensional:
-        raise ConfigError(f"constraint {c.cid!r} is not extensional")
+    coordinate: ``make_full_projection`` under its own name.  ``grids``, when
+    given, lets construction reject tuples that fall outside the
+    representable range."""
+    f = make_full_projection(c)
     if grids is not None:
         if len(grids) != len(c.scheme):
             raise ConfigError("one grid per scheme position is required")
@@ -162,16 +166,7 @@ def make_interval_hull_projection(c: Constraint,
                 if not (g.min <= x <= g.max):
                     raise DataError(
                         f"constraint {c.cid!r} has point {x!r} outside the grid range")
-    tuples = c.tuples
-
-    def apply(args):
-        if not all(isinstance(v, GridInterval) for v in args):
-            raise ConfigError("interval hull projection needs interval components")
-        live = [t for t in tuples if all(x in v for v, x in zip(args, t))]
-        return tuple(interval_hull({t[k] for t in live}, v.grid)
-                     for k, v in enumerate(args))
-
-    return ReductionFunction(f"hull@{c.cid}", c.scheme, apply, idempotent=True, group=c.cid)
+    return replace(f, fid=f"hull@{c.cid}")
 
 
 def linear_eq_narrow(eq: LinearEqBody, box: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -370,64 +365,38 @@ class ConstraintSpace:
         domains = list(self.csp.domains)
         for pos, comp in enumerate(self.components, start=1):
             if isinstance(comp, DomainComponent):
-                elements = state.component(pos).elements
-                old = domains[comp.var - 1]
-                if isinstance(old, IntDomain) and elements:
-                    lo, hi = min(elements), max(elements)
-                    if len(elements) == hi - lo + 1:
-                        domains[comp.var - 1] = IntDomain(lo, hi)
-                        continue
-                if isinstance(old, IntDomain) and not elements:
-                    domains[comp.var - 1] = IntDomain(1, 0)
-                    continue
-                domains[comp.var - 1] = SetDomain(elements)
-        allowed = [d.values if isinstance(d, SetDomain) else range(d.lo, d.hi + 1)
-                   for d in domains]
-
-        def in_domains(scheme, t):
-            return all(x in allowed[i - 1] for i, x in zip(scheme, t))
-
-        constraints: list[Constraint] = []
-        handled: set[str] = set()
+                domains[comp.var - 1] = _fold_domain(state.component(pos),
+                                                     domains[comp.var - 1])
+        # (base position, constraint): constraints that never became
+        # components pass through, inequality group members among them;
+        # new constraints follow the base ones
+        base = {c.cid: k for k, c in enumerate(self.csp.constraints)}
+        last = len(base)
+        out = [(k, c) for k, c in enumerate(self.csp.constraints)
+               if c.cid not in self._by_key]
         for pos, comp in enumerate(self.components, start=1):
             value = state.component(pos)
             if isinstance(comp, ExtComponent):
-                handled.add(comp.constraint.cid)
-                kept = frozenset(t for t in value.elements
-                                 if in_domains(comp.scheme, t))
-                if comp.synthetic:
-                    full = frozenset(t for t in comp.constraint.tuples
-                                     if in_domains(comp.scheme, t))
-                    if kept == full:
-                        continue
-                constraints.append(Constraint(comp.constraint.cid, comp.scheme,
-                                              ExtensionalBody(kept)))
+                kept = _restrict(comp.scheme, value.elements, domains)
+                if comp.synthetic and kept == _restrict(
+                        comp.scheme, comp.constraint.tuples, domains):
+                    continue
+                out.append((base.get(comp.key, last), Constraint(
+                    comp.key, comp.scheme, ExtensionalBody(kept))))
             elif isinstance(comp, IneqComponent):
-                base = set()
-                for m in comp.members:
-                    handled.add(m.cid)
-                    constraints.append(m)
-                    base.add(_ineq_record(m))
-                extras = sorted(state.component(pos).items - base)
+                members = {_ineq_record(m) for m in comp.members}
+                extras = sorted(value.items - members)
                 for k, rec in enumerate(extras, start=1):
                     if rec[0]:
-                        constraints.append(_record_constraint(rec, f"{comp.gid}#cut{k}"))
+                        cut = _record_constraint(rec, f"{comp.gid}#cut{k}")
                     else:
                         # a variable-free infeasible cut: no tuple satisfies it
                         v = comp.members[0].scheme.indices[0]
-                        constraints.append(Constraint(
-                            f"{comp.gid}#cut{k}", Scheme((v,)),
-                            ExtensionalBody(frozenset())))
-        # constraints that never became components pass through unchanged
-        out = []
-        for c in self.csp.constraints:
-            if c.cid in handled:
-                out.extend(x for x in constraints if x.cid == c.cid)
-                constraints = [x for x in constraints if x.cid != c.cid]
-            elif c.cid not in self._by_key:
-                out.append(c)
-        out.extend(constraints)
-        return CSP(tuple(domains), tuple(out))
+                        cut = Constraint(f"{comp.gid}#cut{k}", Scheme((v,)),
+                                         ExtensionalBody(frozenset()))
+                    out.append((last, cut))
+        out.sort(key=lambda kc: kc[0])
+        return CSP(tuple(domains), tuple(c for _, c in out))
 
 
 def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) -> Constraint:
@@ -622,13 +591,32 @@ class RunSetup:
         return self.space.rebuild(state)
 
 
-def _parse_name(text: str) -> tuple[str, str]:
-    if "@" not in text:
+def _parse_name(text: str) -> tuple[str, str, tuple, tuple]:
+    """Split a name ``kind@head[;tail]`` once.  Returns the kind, the text
+    after ``@`` (a domain reducer's constraint id), and the head and tail
+    comma lists, empty items dropped, converted to what the kind takes:
+    indices for ``path`` and the ``rel`` target, multipliers for ``cut``.
+    Only ``rel`` and ``cut`` have a tail."""
+    kind, at, rest = text.partition("@")
+    if not at:
         raise ConfigError(f"malformed reducer name {text!r} (expected kind@args)")
-    kind, _, rest = text.partition("@")
     if kind not in _DOMAIN_KINDS + _CONSTRAINT_KINDS:
         raise ConfigError(f"unknown reducer kind {kind!r}")
-    return kind, rest
+    head, _, tail = rest.partition(";") if kind in ("rel", "cut") else (rest, "", "")
+    head = tuple(x.strip() for x in head.split(",") if x.strip())
+    tail = tuple(x.strip() for x in tail.split(",") if x.strip())
+    try:
+        if kind in ("path", "rel"):
+            head = tuple(int(x) for x in head)
+        if kind == "cut":
+            tail = tuple(Fraction(x) for x in tail)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"malformed reducer name {text!r}") from None
+    if kind == "path" and len(head) != 3:
+        raise ConfigError(f"malformed reducer name {text!r} (expected path@k,l,m)")
+    if kind == "cut" and (not head or len(head) != len(tail)):
+        raise ConfigError(f"cut@{rest}: need the same number of ids and multipliers")
+    return kind, rest, head, tail
 
 
 def _domain_function(kind: str, cid: str, csp: CSP) -> ReductionFunction:
@@ -648,18 +636,17 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                          cap: int = DEFAULT_ENUM_CAP) -> RunSetup:
     """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
     ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2`` against a problem."""
-    parsed = [(s,) + _parse_name(s) for s in names]
+    parsed = [_parse_name(s) for s in names]
     if not parsed:
         raise ConfigError("no reducers given")
-    constraint_side = [p for p in parsed if p[1] in _CONSTRAINT_KINDS]
 
-    if not constraint_side:
-        fns = [_domain_function(kind, rest, csp) for _, kind, rest in parsed]
+    if not any(kind in _CONSTRAINT_KINDS for kind, *_ in parsed):
+        fns = [_domain_function(kind, rest, csp) for kind, rest, _, _ in parsed]
         _check_unique([f.fid for f in fns])
         return RunSetup("domain", domain_bottom(csp), fns, None)
 
     # constraint space: interval narrowing cannot be embedded there
-    for _, kind, rest in parsed:
+    for kind, rest, _, _ in parsed:
         if kind in ("hull", "lineq"):
             raise ConfigError(
                 f"{kind}@{rest} runs on interval domains and cannot be mixed "
@@ -670,16 +657,7 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                     raise ConfigError(
                         f"{kind}@{rest} can only be embedded over finite set domains")
 
-    cut_groups: dict[tuple, list] = {}
-    for _, kind, rest in parsed:
-        if kind != "cut":
-            continue
-        cids_txt, _, mults_txt = rest.partition(";")
-        cids = tuple(x.strip() for x in cids_txt.split(",") if x.strip())
-        mults = [Fraction(x.strip()) for x in mults_txt.split(",") if x.strip()]
-        if not cids or len(cids) != len(mults):
-            raise ConfigError(f"cut@{rest}: need the same number of ids and multipliers")
-        cut_groups.setdefault(cids, []).append(mults)
+    cut_groups = list(dict.fromkeys(cids for kind, _, cids, _ in parsed if kind == "cut"))
     grouped_cids: set[str] = set()
     for cids in cut_groups:
         for cid in cids:
@@ -687,53 +665,36 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                 raise ConfigError(f"constraint {cid!r} appears in two cut groups")
             grouped_cids.add(cid)
 
-    components: list = []
-    for c in csp.constraints:
-        if c.is_extensional:
-            components.append(ExtComponent(c))
+    components: list = [ExtComponent(c) for c in csp.constraints if c.is_extensional]
     for cids in sorted(cut_groups):
         members = tuple(csp.constraint(cid) for cid in cids)
         components.append(IneqComponent("cutset(" + ",".join(cids) + ")", members))
 
     # relational targets may need a universal constraint materialized
     have_schemes = {c.scheme.indices for c in csp.constraints if c.is_extensional}
-    for _, kind, rest in parsed:
-        if kind != "rel":
-            continue
-        t_txt, _, _ = rest.partition(";")
-        t = Scheme(tuple(int(x) for x in t_txt.split(",") if x.strip()))
-        if t.indices not in have_schemes:
+    for kind, _, t, _ in parsed:
+        if kind == "rel" and t not in have_schemes:
             components.append(ExtComponent(
-                universal_constraint(csp, t, cap=cap), synthetic=True))
-            have_schemes.add(t.indices)
+                universal_constraint(csp, Scheme(t), cap=cap), synthetic=True))
+            have_schemes.add(t)
 
-    needs_domains = any(kind in ("pi1", "pi2", "piC") for _, kind, _ in parsed)
-    if needs_domains:
-        for i in range(1, csp.arity + 1):
-            components.append(DomainComponent(i))
+    if any(kind in ("pi1", "pi2", "piC") for kind, *_ in parsed):
+        components.extend(DomainComponent(i) for i in range(1, csp.arity + 1))
 
     space = ConstraintSpace(csp, components, cap=cap)
     fns: list[ReductionFunction] = []
-    for _, kind, rest in parsed:
+    for kind, rest, head, tail in parsed:
         if kind in ("pi1", "pi2", "piC"):
             fns.append(embed_domain_as_constraint(
                 space, _domain_function(kind, rest, csp), rest))
         elif kind == "rho":
-            cids = [x.strip() for x in rest.split(",") if x.strip()]
-            fns.append(make_solution_projection(space, cids))
+            fns.append(make_solution_projection(space, head))
         elif kind == "path":
-            k, l, m = (int(x) for x in rest.split(","))
-            fns.append(make_path_reducer(space, k, l, m))
+            fns.append(make_path_reducer(space, *head))
         elif kind == "rel":
-            t_txt, _, cids_txt = rest.partition(";")
-            t = Scheme(tuple(int(x) for x in t_txt.split(",") if x.strip()))
-            cids = [x.strip() for x in cids_txt.split(",") if x.strip()]
-            fns.append(make_relational_reducer(space, t, cids))
+            fns.append(make_relational_reducer(space, Scheme(head), tail))
         else:
-            cids_txt, _, mults_txt = rest.partition(";")
-            cids = tuple(x.strip() for x in cids_txt.split(",") if x.strip())
-            mults = [Fraction(x.strip()) for x in mults_txt.split(",")]
-            fns.append(make_cut_reducer(space, "cutset(" + ",".join(cids) + ")", mults))
+            fns.append(make_cut_reducer(space, "cutset(" + ",".join(head) + ")", tail))
     _check_unique([f.fid for f in fns])
     return RunSetup("constraint", space.bottom(), fns, space)
 

@@ -274,6 +274,28 @@ class TestRunCommand:
             assert "error: component 'cutset(i1)' is not joinable" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("names", [
+        "cut@i1;abc", "cut@i1;1/0", "path@1,2", "path@a,b,c", "rel@x;c",
+        "cut@i1;1,"])
+    def test_malformed_reducer_argument(self, tmp_path, capsys, names):
+        p = tmp_path / "ineq.csp"
+        p.write_text(
+            "domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+            "constraint c scheme (1,2) tuples {(0,0)}\n"
+            "constraint i1 scheme (1,2) leq 1*x1 + 1*x2 <= 3\n")
+        code = main(["run", str(p), "--reducers", names])
+        captured = capsys.readouterr()
+        if names.endswith(","):
+            # a trailing comma is ignored, as in every comma list
+            assert code == 0
+            assert main(["run", str(p), "--reducers", names[:-1]]) == 0
+            assert capsys.readouterr().out == captured.out
+        else:
+            assert code == 1
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
     def test_cut_only_run_over_huge_int_domain(self, tmp_path, capsys):
         # rebuilding a space with no extensional component must not
         # enumerate the int domains

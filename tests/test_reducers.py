@@ -21,7 +21,7 @@ from propeng.lattice import (
 )
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, IneqComponent,
-    build_named_reducers, csp_from_domain_state, cutting_plane,
+    build_named_reducers, csp_from_domain_state, cutting_plane, domain_bottom,
     embed_domain_as_constraint, linear_eq_narrow, make_binary_projections,
     make_cut_reducer, make_full_projection, make_interval_hull_projection,
     make_linear_eq_narrowing, make_path_reducer, make_relational_reducer,
@@ -115,6 +115,33 @@ class TestIntervalHullProjection:
         small = PointGrid((0, 1))
         with pytest.raises(DataError):
             make_interval_hull_projection(ext("c", (1,), {(7,)}), grids=(small,))
+
+    def test_agrees_with_full_projection_on_int_domains(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            domains = []
+            for _ in range(n):
+                lo = rng.randint(-2, 2)
+                domains.append(IntDomain(lo, lo + rng.randint(0, 3)))
+            scheme = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            space = itertools.product(*(domains[i - 1].members() for i in scheme))
+            c = ext("c", scheme, {t for t in space if rng.random() < 0.4})
+            csp = CSP(tuple(domains), (c,))
+            hull = build_named_reducers(csp, ["hull@c"])
+            full = build_named_reducers(csp, ["piC@c"])
+            assert (run(hull.functions, hull.start).value
+                    == run(full.functions, full.start).value)
+            box = tuple(
+                GridInterval(v.grid, *sorted(rng.choices(range(v.lo, v.hi + 1), k=2)))
+                for v in (hull.start.component(i) for i in scheme))
+            assert hull.functions[0].apply(box) == full.functions[0].apply(box)
+
+    def test_powerset_components_project_like_the_full_projection(self):
+        c = ext("c", (1, 2, 3), {(0, 0, 1), (1, 0, 0)})
+        box = tuple(pv({0, 1}, {0, 1}) for _ in range(3))
+        assert (make_interval_hull_projection(c).apply(box)
+                == make_full_projection(c).apply(box))
 
 
 class TestLinearEqNarrow:
@@ -359,6 +386,34 @@ class TestConstraintSpaceRebuild:
         rebuilt = space.rebuild(state)
         assert [c.cid for c in rebuilt.constraints] == [
             "a", "i1", "q", "i2", "b", "u(1)", "g#cut1"]
+
+
+class TestFoldBackToAProblem:
+    def test_rebuild_folds_an_embedded_int_domain(self):
+        # a contiguous value stays an int range, a gapped one becomes a set,
+        # an emptied one is the empty range; constraints follow the domains
+        d = IntDomain(0, 4)
+        c = ext("c", (1, 2), {(0, 0), (1, 1), (3, 3), (4, 4)})
+        space = ConstraintSpace(CSP((d, d), (c,)), (
+            ExtComponent(c), DomainComponent(1), DomainComponent(2)))
+        start = space.bottom()
+        for kept, folded in [({1, 2, 3}, IntDomain(1, 3)),
+                             ({0, 3, 4}, SetDomain(frozenset({0, 3, 4}))),
+                             (set(), IntDomain(1, 0))]:
+            state = start.replace({2: start.component(2).with_elements(kept)})
+            rebuilt = space.rebuild(state)
+            assert rebuilt.domains == (folded, d)
+            assert rebuilt.constraint("c").tuples == frozenset(
+                t for t in c.tuples if t[0] in kept)
+
+    def test_domain_state_with_an_emptied_interval(self):
+        c = ext("c", (1, 2), {(0, 1), (2, 2)})
+        csp = CSP((IntDomain(0, 2), IntDomain(0, 2)), (c,))
+        start = domain_bottom(csp)
+        state = start.replace({1: GridInterval.empty(start.component(1).grid)})
+        rebuilt = csp_from_domain_state(csp, state)
+        assert rebuilt.domains == (IntDomain(1, 0), IntDomain(0, 2))
+        assert rebuilt.constraint("c").tuples == frozenset()
 
 
 class TestNamedReducerRegistry:
