@@ -160,7 +160,7 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     and the realized run trace.  A directional goal lists its functions in
     pass order and runs them in that order, whatever ``strategy`` says."""
     if goal.kind == "arc":
-        setup = RunSetup("domain", domain_bottom(csp),
+        setup = RunSetup(domain_bottom(csp),
                          [make_full_projection(c) for c in csp.constraints], None)
     elif goal.kind == "path":
         setup = _path_setup(csp, cap)
@@ -211,7 +211,7 @@ def _path_setup(csp, cap):
     n = csp.arity
     fns = [make_path_reducer(space, k, l, m)
            for k, l, m in itertools.permutations(range(1, n + 1), 3)]
-    return RunSetup("constraint", space.bottom(), fns, space)
+    return RunSetup(space.bottom(), fns, space)
 
 
 def _relational_setup(csp, m, cap, fn_cap):
@@ -245,7 +245,7 @@ def _relational_setup(csp, m, cap, fn_cap):
             if len(fns) > fn_cap:
                 raise ResourceLimitError(
                     f"relational goal needs more than {fn_cap} functions")
-    return RunSetup("constraint", space.bottom(), fns, space)
+    return RunSetup(space.bottom(), fns, space)
 
 
 class _PassOrder(Strategy):
@@ -279,7 +279,7 @@ def _directional_arc_setup(csp, order):
         chosen.append((-rank[later], c.cid, make_binary_projections(c)[k]))
     # later variables first, so one pass suffices
     chosen.sort(key=lambda entry: entry[:2])
-    return RunSetup("domain", domain_bottom(csp), [f for _, _, f in chosen], None)
+    return RunSetup(domain_bottom(csp), [f for _, _, f in chosen], None)
 
 
 def _directional_path_setup(csp, order, cap):
@@ -291,4 +291,4 @@ def _directional_path_setup(csp, order, cap):
         if rank[k] < rank[m] and rank[l] < rank[m]:
             fns.append((m, make_path_reducer(space, k, l, m)))
     fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
-    return RunSetup("constraint", space.bottom(), [f for _, f in fns], space)
+    return RunSetup(space.bottom(), [f for _, f in fns], space)

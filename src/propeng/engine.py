@@ -340,9 +340,11 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if step_cap < 0:
         raise ConfigError(f"step cap must be at least 0, got {step_cap}")
     n = len(start)
-    fids = [f.fid for f in functions]
-    if len(set(fids)) != len(fids):
-        raise ConfigError("duplicate function ids in one run")
+    seen: set[str] = set()
+    for f in functions:
+        if f.fid in seen:
+            raise ConfigError(f"function {f.fid!r} listed twice in one run")
+        seen.add(f.fid)
     for f in functions:
         _check_scheme(f, n)
     if validate:

@@ -7,11 +7,13 @@ there.  A projection fits each coordinate of the tuples inside the current
 box into the component's family, so ``hull`` is ``piC`` on intervals.  The
 *constraint space* has one component per constraint, holding the
 constraint's current tuple set (or a growing set of linear inequalities for
-cutting planes); constraint reducers shrink those.  Domain reducers can be
-embedded into the constraint space by treating the domains as extra unary
-constraints.  Both spaces fold a reached state back into a problem alike:
-domains into the declared families, extensional constraints restricted to
-them.
+cutting planes); constraint reducers shrink those.  ``rho``, path and
+relational reduction share one body: intersect each target with the
+projection of the join of the members.  Domain reducers can be embedded into
+the constraint space by treating the domains as extra unary constraints;
+only ``ConstraintSpace.join`` and its inverse ``project`` know how they are
+encoded.  Both spaces fold a reached state back into a problem alike: domains
+into the declared families, extensional constraints restricted to them.
 
 Every constructor returns an engine ``ReductionFunction``; all of them
 preserve the solution set of the problem they were built from.  Reducer
@@ -297,7 +299,7 @@ class ConstraintSpace:
         self._by_scheme: dict[tuple, list[int]] = {}
         self._join_schemes: dict[int, Scheme] = {}
         # embedded domains: their atoms join as 1-tuples
-        self.unary_positions: set[int] = set()
+        self._unary_positions: set[int] = set()
         for pos, comp in enumerate(self.components, start=1):
             if comp.key in self._by_key:
                 raise ConfigError(f"duplicate constraint-space component {comp.key!r}")
@@ -307,8 +309,7 @@ class ConstraintSpace:
                 self._join_schemes[pos] = comp.scheme
             elif isinstance(comp, DomainComponent):
                 self._join_schemes[pos] = Scheme((comp.var,))
-                self.unary_positions.add(pos)
-        self.domains_nonempty = all(not d.is_empty for d in csp.domains)
+                self._unary_positions.add(pos)
 
     def position(self, key: str) -> int:
         if key not in self._by_key:
@@ -353,8 +354,14 @@ class ConstraintSpace:
         return join_constraints([
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
-                     if p in self.unary_positions else v.elements)
+                     if p in self._unary_positions else v.elements)
             for p, v in zip(positions, values)], cap=self.cap)
+
+    def project(self, joined: Relation, pos: int) -> frozenset:
+        """The inverse of ``join`` for the component at ``pos``: the joined
+        tuples reselected onto its scheme; an embedded domain's as atoms."""
+        proj = reselect(joined.scheme, joined.tuples, self._join_schemes[pos])
+        return frozenset(a for (a,) in proj) if pos in self._unary_positions else proj
 
     def rebuild(self, state: ProductValue) -> CSP:
         """The problem determined by the base problem and ``state``: reduced
@@ -415,56 +422,46 @@ def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) 
 # Constraint reduction functions
 
 
+def _join_projection(space: ConstraintSpace, targets: Sequence[int],
+                     members: Sequence[int], fid: str, group: str) -> ReductionFunction:
+    """Intersect each target component with the projection, onto its scheme,
+    of the join of the member components (the one constraint-reducer shape:
+    ``rho``, path and relational reduction).  It reads only its members:
+    shrinking a target that is not a member leaves it stable."""
+    members = tuple(members)
+    union = scheme_union(space.join_schemes(members))
+    for s in space.join_schemes(targets):
+        if not all(i in union for i in s):
+            raise ConfigError(
+                f"target scheme {s.indices} is not covered by the members' scheme {union.indices}")
+    positions = tuple(targets) + tuple(p for p in members if p not in targets)
+    slots = tuple(positions.index(p) for p in members)
+    reads = None if set(targets) <= set(members) else members
+
+    def apply(args):
+        joined = space.join(members, [args[k] for k in slots])
+        out = list(args)
+        for k, p in enumerate(targets):
+            v = args[k]
+            out[k] = v.with_elements(v.elements & space.project(joined, p))
+        return tuple(out)
+
+    return ReductionFunction(fid, Scheme(positions), apply,
+                             idempotent=True, group=group, reads=reads)
+
+
 def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
                              fid: str | None = None) -> ReductionFunction:
     """Replace every member constraint by the projection, onto its scheme, of
     the joint solutions of all the members (the strongest constraint reducer
     over those components)."""
-    positions = [space.position(k) for k in member_keys]
-    schemes = space.join_schemes(positions)
-    unary = [p in space.unary_positions for p in positions]
+    positions = tuple(space.position(k) for k in member_keys)
     name = fid or ("rho@" + ",".join(member_keys))
-
-    def apply(args):
-        if not space.domains_nonempty:
-            return tuple(v.with_elements(()) for v in args)
-        joined = space.join(positions, args)
-        out = []
-        for v, s, is_domain in zip(args, schemes, unary):
-            proj = reselect(joined.scheme, joined.tuples, s)
-            out.append(v.with_elements({t[0] for t in proj} if is_domain else proj))
-        return tuple(out)
-
-    return ReductionFunction(name, Scheme(tuple(positions)), apply,
-                             idempotent=True, group=name)
-
-
-def _make_join_intersection(space: ConstraintSpace, target_pos: int,
-                            member_positions: Sequence[int], t: Scheme,
-                            fid: str, group: str | None) -> ReductionFunction:
-    """Intersect the target component with the projection onto ``t`` of the
-    join of the member components (shared core of the path-style and
-    relational reducers).  It reads only its members: shrinking the target
-    alone leaves it stable."""
-    target = space.components[target_pos - 1]
-    if not isinstance(target, ExtComponent):
-        raise ConfigError(f"component {target.key!r} cannot be a reduction target")
-    members = list(member_positions)
-    union = scheme_union(space.join_schemes(members))
-    if not all(i in union for i in t):
-        raise ConfigError(
-            f"target scheme {t.indices} is not covered by the members' scheme {union.indices}")
-    scheme_positions = (target_pos,) + tuple(p for p in members if p != target_pos)
-    member_slots = [scheme_positions.index(p) for p in members]
-
-    def apply(args):
-        joined = space.join(members, [args[k] for k in member_slots])
-        proj = reselect(joined.scheme, joined.tuples, t)
-        tgt = args[0]
-        return (tgt.with_elements(tgt.elements & proj),) + tuple(args[1:])
-
-    return ReductionFunction(fid, Scheme(scheme_positions), apply,
-                             idempotent=True, group=group, reads=tuple(members))
+    f = _join_projection(space, positions, positions, name, name)
+    if any(d.is_empty for d in space.csp.domains):
+        # the problem has no solutions, so neither have the members jointly
+        f = replace(f, apply=lambda args: tuple(v.with_elements(()) for v in args))
+    return f
 
 
 def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> ReductionFunction:
@@ -475,9 +472,8 @@ def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> Reducti
     target = space.position_of_scheme(Scheme((k, l)))
     via1 = space.position_of_scheme(Scheme((k, m)))
     via2 = space.position_of_scheme(Scheme((m, l)))
-    return _make_join_intersection(
-        space, target, [via1, via2], Scheme((k, l)),
-        fid=f"path@{k},{l},{m}", group=space.components[target - 1].key)
+    return _join_projection(space, (target,), (via1, via2), f"path@{k},{l},{m}",
+                            space.components[target - 1].key)
 
 
 def make_relational_reducer(space: ConstraintSpace, t: Scheme,
@@ -488,8 +484,8 @@ def make_relational_reducer(space: ConstraintSpace, t: Scheme,
     target = space.position_of_scheme(t)
     members = [space.position(k) for k in member_keys]
     name = fid or ("rel@" + ",".join(map(str, t)) + ";" + ",".join(member_keys))
-    return _make_join_intersection(space, target, members, t, fid=name,
-                                   group=space.components[target - 1].key)
+    return _join_projection(space, (target,), members, name,
+                            space.components[target - 1].key)
 
 
 def embed_domain_as_constraint(space: ConstraintSpace, f: ReductionFunction,
@@ -580,13 +576,12 @@ class RunSetup:
     """Everything needed to run a reducer list: the start state, the
     functions, and how to turn a reached state back into a problem."""
 
-    kind: str                       # "domain" | "constraint"
     start: ProductValue
     functions: list[ReductionFunction]
-    space: ConstraintSpace | None
+    space: ConstraintSpace | None   # None: the domain space
 
     def rebuild(self, csp: CSP, state: ProductValue) -> CSP:
-        if self.kind == "domain":
+        if self.space is None:
             return csp_from_domain_state(csp, state)
         return self.space.rebuild(state)
 
@@ -614,6 +609,8 @@ def _parse_name(text: str) -> tuple[str, str, tuple, tuple]:
         raise ConfigError(f"malformed reducer name {text!r}") from None
     if kind == "path" and len(head) != 3:
         raise ConfigError(f"malformed reducer name {text!r} (expected path@k,l,m)")
+    if kind == "rel" and not head:
+        raise ConfigError(f"malformed reducer name {text!r} (expected rel@t;c1,...)")
     if kind == "cut" and (not head or len(head) != len(tail)):
         raise ConfigError(f"cut@{rest}: need the same number of ids and multipliers")
     return kind, rest, head, tail
@@ -642,8 +639,7 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
 
     if not any(kind in _CONSTRAINT_KINDS for kind, *_ in parsed):
         fns = [_domain_function(kind, rest, csp) for kind, rest, _, _ in parsed]
-        _check_unique([f.fid for f in fns])
-        return RunSetup("domain", domain_bottom(csp), fns, None)
+        return RunSetup(domain_bottom(csp), fns, None)
 
     # constraint space: interval narrowing cannot be embedded there
     for kind, rest, _, _ in parsed:
@@ -695,13 +691,4 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
             fns.append(make_relational_reducer(space, Scheme(head), tail))
         else:
             fns.append(make_cut_reducer(space, "cutset(" + ",".join(head) + ")", tail))
-    _check_unique([f.fid for f in fns])
-    return RunSetup("constraint", space.bottom(), fns, space)
-
-
-def _check_unique(fids: Sequence[str]) -> None:
-    seen = set()
-    for fid in fids:
-        if fid in seen:
-            raise ConfigError(f"reducer {fid!r} listed twice")
-        seen.add(fid)
+    return RunSetup(space.bottom(), fns, space)

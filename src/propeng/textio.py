@@ -39,10 +39,6 @@ def _parse_atom(tok: str, where: str):
     raise DataError(f"{where}: bad atom {tok!r}")
 
 
-def _atom_text(a) -> str:
-    return str(a)
-
-
 def _parse_atom_set(text: str, where: str) -> frozenset:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -172,9 +168,9 @@ def parse_csp(text: str) -> CSP:
     return CSP(tuple(domains[i] for i in range(1, n + 1)), tuple(constraints))
 
 
-def _linear_text(scheme: Scheme, coeffs: tuple[int, ...]) -> str:
+def _linear_text(variables: list[int], coeffs: list[int]) -> str:
     parts = []
-    for k, (i, a) in enumerate(zip(scheme, coeffs)):
+    for k, (i, a) in enumerate(zip(variables, coeffs)):
         mag = f"{abs(a)}*x{i}"
         if k == 0:
             parts.append(mag if a >= 0 else f"-{mag}")
@@ -183,28 +179,28 @@ def _linear_text(scheme: Scheme, coeffs: tuple[int, ...]) -> str:
     return " ".join(parts)
 
 
+def _items_text(items: list) -> str:
+    return ",".join(map(str, items))
+
+
 def serialize_csp(csp: CSP) -> str:
-    """Canonical text form: domains ascending, atoms and tuples sorted."""
+    """Canonical text form of ``csp_to_obj``: domains ascending, atoms and
+    tuples sorted."""
+    obj = csp_to_obj(csp)
     lines = []
-    for i, d in enumerate(csp.domains, start=1):
-        if isinstance(d, SetDomain):
-            atoms = ",".join(_atom_text(a) for a in sorted(d.values, key=atom_key))
-            lines.append(f"domain {i} set {{{atoms}}}")
+    for d in obj["domains"]:
+        if d["kind"] == "set":
+            lines.append(f"domain {d['index']} set {{{_items_text(d['values'])}}}")
         else:
-            lines.append(f"domain {i} int [{d.lo}..{d.hi}]")
-    for c in csp.constraints:
-        scheme = "(" + ",".join(map(str, c.scheme)) + ")"
-        if isinstance(c.body, ExtensionalBody):
-            tuples = ",".join(
-                "(" + ",".join(_atom_text(a) for a in t) + ")"
-                for t in sorted(c.body.tuples, key=atom_key))
-            lines.append(f"constraint {c.cid} scheme {scheme} tuples {{{tuples}}}")
-        elif isinstance(c.body, LinearEqBody):
-            lines.append(f"constraint {c.cid} scheme {scheme} lineq "
-                         f"{_linear_text(c.scheme, c.body.coeffs)} = {c.body.constant}")
+            lines.append(f"domain {d['index']} int [{d['lo']}..{d['hi']}]")
+    for c in obj["constraints"]:
+        head = f"constraint {c['id']} scheme ({_items_text(c['scheme'])}) {c['kind']}"
+        if c["kind"] == "tuples":
+            tuples = ",".join(f"({_items_text(t)})" for t in c["tuples"])
+            lines.append(f"{head} {{{tuples}}}")
         else:
-            lines.append(f"constraint {c.cid} scheme {scheme} leq "
-                         f"{_linear_text(c.scheme, c.body.coeffs)} <= {c.body.constant}")
+            op = "=" if c["kind"] == "lineq" else "<="
+            lines.append(f"{head} {_linear_text(c['scheme'], c['coeffs'])} {op} {c['constant']}")
     return "\n".join(lines) + "\n"
 
 

@@ -56,6 +56,22 @@ class TestParsing:
         with pytest.raises(DataError, match="line 2"):
             parse_csp("domain 1 set {0}\nconstraint c scheme 1,2 tuples {}\n")
 
+    def test_canonical_text(self):
+        csp = parse_csp(
+            "domain 3 int [5..2]\n"
+            "domain 1 set {b, -2, a, 10, -10}\n"
+            "domain 2 int [0..3]\n"
+            "constraint t scheme (2,1) tuples {(3,a), (0,-2), (3,-10), (0,b)}\n"
+            "constraint e scheme (2,3) lineq -2*x2 + 3*x3 = -4\n"
+            "constraint l scheme (3,2) leq x3 - 1*x2 <= 0\n")
+        assert serialize_csp(csp) == (
+            "domain 1 set {-10,-2,10,a,b}\n"
+            "domain 2 int [0..3]\n"
+            "domain 3 int [1..0]\n"
+            "constraint t scheme (2,1) tuples {(0,-2),(0,b),(3,-10),(3,a)}\n"
+            "constraint e scheme (2,3) lineq -2*x2 + 3*x3 = -4\n"
+            "constraint l scheme (3,2) leq 1*x3 - 1*x2 <= 0\n")
+
     def test_json_mirror(self):
         obj = csp_to_obj(parse_csp(LINEQ))
         assert obj["domains"][0] == {"index": 1, "kind": "int", "lo": 0, "hi": 9}
@@ -274,9 +290,23 @@ class TestRunCommand:
             assert "error: component 'cutset(i1)' is not joinable" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("names, fid", [
+        ("pi1@c,pi1@c", "pi1@c"), ("rho@c,pi1@c,rho@c", "rho@c")])
+    def test_reducer_listed_twice_is_input_error(self, tmp_path, capsys, names, fid):
+        p = tmp_path / "c.csp"
+        p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+                     "constraint c scheme (1,2) tuples {(0,1)}\n")
+        assert main(["run", str(p), "--reducers", names]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert repr(fid) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("names", [
         "cut@i1;abc", "cut@i1;1/0", "path@1,2", "path@a,b,c", "rel@x;c",
-        "cut@i1;1,"])
+        "cut@i1;1,", "rel@;c"])
     def test_malformed_reducer_argument(self, tmp_path, capsys, names):
         p = tmp_path / "ineq.csp"
         p.write_text(

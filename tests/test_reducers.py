@@ -423,7 +423,7 @@ class TestNamedReducerRegistry:
         e = Constraint("e", Scheme((1, 2)), LinearEqBody((3, -5), 4))
         csp = CSP((IntDomain(0, 9), IntDomain(1, 8)), (c, h, e))
         setup = build_named_reducers(csp, ["hull@h", "lineq@e", "piC@b"])
-        assert setup.kind == "domain"
+        assert setup.space is None
         assert [f.fid for f in setup.functions] == ["hull@h", "lineq@e", "piC@b"]
         res = run(setup.functions, setup.start, validate=False)
         rebuilt = setup.rebuild(csp, res.value)
@@ -440,11 +440,29 @@ class TestNamedReducerRegistry:
     def test_constraint_space_names(self, chain_csp):
         setup = build_named_reducers(
             chain_csp, ["rel@1,3;c1,c2", "rho@c1,c2"])
-        assert setup.kind == "constraint"
+        assert setup.space is not None
         res = run(setup.functions, setup.start, validate=False)
         rebuilt = setup.rebuild(chain_csp, res.value)
         assert rebuilt.constraint("u(1,3)").tuples == frozenset({(0, 1)})
         assert equivalent(chain_csp, rebuilt)
+
+    @pytest.mark.parametrize("names", [
+        ["rho@c13,c32"], ["path@1,2,3"], ["rel@1,2;c13,c32"]])
+    def test_empty_domain_empties_only_rho_members(self, names):
+        # an empty domain leaves no solutions, so rho empties its members;
+        # path and relational reduction compose what their members allow
+        c12 = ext("c12", (1, 2), {(0, 0), (0, 1), (1, 1)})
+        c13 = ext("c13", (1, 3), {(0, 1), (1, 1)})
+        c32 = ext("c32", (3, 2), {(1, 1)})
+        csp = CSP((D01, D01, D01, SetDomain(frozenset())), (c12, c13, c32))
+        setup = build_named_reducers(csp, names)
+        res = run(setup.functions, setup.start, validate=False)
+        rebuilt = setup.rebuild(csp, res.value)
+        if names[0].startswith("rho"):
+            expected = {"c12": c12.tuples, "c13": set(), "c32": set()}
+        else:
+            expected = {"c12": {(0, 1), (1, 1)}, "c13": c13.tuples, "c32": c32.tuples}
+        assert {c.cid: c.tuples for c in rebuilt.constraints} == expected
 
     def test_path_names(self):
         space = path_space()
