@@ -79,13 +79,14 @@ def results_of(src: Path) -> dict[str, list]:
     return json.loads(proc.stdout)
 
 
-def export_src(rev: str, dest: Path) -> Path:
-    data = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+def export(rev: str, dest: Path, *paths: str) -> Path:
+    """Extract ``paths`` of revision ``rev`` under ``dest``; returns ``dest``."""
+    data = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT,
                           capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tar.extractall(dest, **safe)
-    return dest / "src"
+    return dest
 
 
 def main(argv=None) -> int:
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     if not args.rev:
         parser.error("a git revision is required")
     with tempfile.TemporaryDirectory() as tmp:
-        old = results_of(export_src(args.rev, Path(tmp)))
+        old = results_of(export(args.rev, Path(tmp), "src") / "src")
     new = results_of(ROOT / "src")
     ids = old.keys() | new.keys()
     differ = sorted(k for k in ids if old.get(k) != new.get(k))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, ResourceLimitError
@@ -48,6 +50,8 @@ class Scheme:
 
 def scheme_union(schemes: Sequence[Scheme]) -> Scheme:
     """Concatenate schemes left to right, dropping indices already seen."""
+    if len(schemes) == 1:
+        return schemes[0]
     out: list[int] = []
     seen: set[int] = set()
     for s in schemes:
@@ -240,24 +244,6 @@ def tuple_restrict(d: tuple, scheme: Scheme) -> tuple:
     return tuple(d[i - 1] for i in scheme)
 
 
-def _join2(sa: Scheme, ta: frozenset, sb: Scheme, tb: frozenset, cap: int | None):
-    shared = [i for i in sb if i in sa]
-    pos_b = {i: k for k, i in enumerate(sb.indices)}
-    extra_b = [k for k, i in enumerate(sb.indices) if i not in sa]
-    buckets: dict[tuple, list] = {}
-    for u in tb:
-        buckets.setdefault(tuple(u[pos_b[i]] for i in shared), []).append(u)
-    pos_a = {i: k for k, i in enumerate(sa.indices)}
-    out = set()
-    for t in ta:
-        key = tuple(t[pos_a[i]] for i in shared)
-        for u in buckets.get(key, ()):
-            out.add(t + tuple(u[k] for k in extra_b))
-            if cap is not None and len(out) > cap:
-                raise ResourceLimitError(f"join exceeds {cap} tuples")
-    return scheme_union([sa, sb]), frozenset(out)
-
-
 class Relation(NamedTuple):
     """A plain relation: a scheme and the set of tuples over it."""
 
@@ -265,16 +251,78 @@ class Relation(NamedTuple):
     tuples: frozenset
 
 
-def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP) -> Relation:
+def _key_getter(positions: list[int]):
+    """The join key of a tuple: its coordinates at ``positions`` (one bare
+    value for one position; both sides of a join use the same shape)."""
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
+def _tuple_getter(positions: list[int]):
+    """The coordinates of a tuple at ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        (k,) = positions
+        return itemgetter(slice(k, k + 1))
+    return _key_getter(positions)
+
+
+@lru_cache(maxsize=4096)
+def _join_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...] | None):
+    """How to join relations over ``schemes``, left to right: per step the
+    left key getter, the right key getter and the getter of the right side's
+    new coordinates; then the pick onto ``onto`` (``None`` when the joined
+    tuples are kept whole) and the scheme of the result."""
+    union = list(schemes[0])
+    steps = []
+    for s in schemes[1:]:
+        shared = [i for i in s if i in union]
+        steps.append((_key_getter([union.index(i) for i in shared]),
+                      _key_getter([s.index(i) for i in shared]),
+                      _tuple_getter([k for k, i in enumerate(s) if i not in union])))
+        union += [i for i in s if i not in union]
+    if onto is None or onto == tuple(union):
+        return tuple(steps), None, Scheme(tuple(union))
+    if not all(i in union for i in onto):
+        raise ConfigError(f"indices {onto} not all present in {tuple(union)}")
+    return tuple(steps), _tuple_getter([union.index(i) for i in onto]), Scheme(onto)
+
+
+def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
+                     onto: Scheme | None = None) -> Relation:
     """Relational join of relations or extensional constraints (anything with
     ``.scheme`` and ``.tuples``): a tuple belongs iff its restriction to every
-    member scheme belongs to that member."""
+    member scheme belongs to that member.
+
+    With ``onto``, the result is the join reselected onto ``onto``: the last
+    join step emits only those coordinates, so the joined tuples are never
+    held.  ``cap`` bounds the tuples each step holds (the projected ones at
+    the last step)."""
     if not cs:
         raise ConfigError("cannot join an empty sequence of constraints")
-    s, ts = cs[0].scheme, cs[0].tuples
-    for c in cs[1:]:
-        s, ts = _join2(s, ts, c.scheme, c.tuples, cap)
-    return Relation(s, ts)
+    steps, pick, scheme = _join_plan(tuple(c.scheme.indices for c in cs),
+                                     None if onto is None else onto.indices)
+    tuples = cs[0].tuples
+    if not steps:
+        return Relation(scheme, tuples if pick is None else frozenset(map(pick, tuples)))
+    last = len(steps) - 1
+    for n, ((left_key, right_key, new), c) in enumerate(zip(steps, cs[1:])):
+        buckets: dict = {}
+        for u in c.tuples:
+            buckets.setdefault(right_key(u), []).append(new(u))
+        get = buckets.get
+        out: set = set()
+        add = out.add
+        emit = pick if n == last else None
+        for t in tuples:
+            if emit is None:
+                for v in get(left_key(t), ()):
+                    add(t + v)
+            else:
+                for v in get(left_key(t), ()):
+                    add(emit(t + v))
+            if cap is not None and len(out) > cap:
+                raise ResourceLimitError(f"join exceeds {cap} tuples")
+        tuples = out
+    return Relation(scheme, frozenset(tuples))
 
 
 def reselect(scheme_from: Scheme, tuples: Iterable[tuple], scheme_to: Scheme) -> frozenset:

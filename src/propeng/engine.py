@@ -252,7 +252,7 @@ def apply_step(f: ReductionFunction, d: ProductValue):
     changed = []
     updates = {}
     for i, old, new in zip(f.scheme.indices, args, out):
-        if new != old:
+        if new is not old and new != old:
             if not lattice.leq(old, new):
                 raise ProbeRejectionError(f.fid, "produced a non-inflationary step")
             changed.append(i)

@@ -9,10 +9,14 @@ box into the component's family, so ``hull`` is ``piC`` on intervals.  The
 constraint's current tuple set (or a growing set of linear inequalities for
 cutting planes); constraint reducers shrink those.  ``rho``, path and
 relational reduction share one body: intersect each target with the
-projection of the join of the members.  Domain reducers can be embedded into
-the constraint space by treating the domains as extra unary constraints;
-only ``ConstraintSpace.join`` and its inverse ``project`` know how they are
-encoded.  Both spaces fold a reached state back into a problem alike: domains
+projection of the join of the members.  The projection is fused into the
+join (``join_constraints(..., onto=...)``): the last join step emits only the
+targets' coordinates, so path reduction composes ``C_km`` and ``C_ml``
+without building ``(k,m,l)`` triples, and an application that removes
+nothing returns its arguments as they were.  Domain reducers can be embedded
+into the constraint space by treating the domains as extra unary
+constraints; only ``ConstraintSpace.join`` and its inverse ``project`` know
+how they are encoded.  Both spaces fold a reached state back into a problem alike: domains
 into the declared families, extensional constraints restricted to them.
 
 Every constructor returns an engine ``ReductionFunction``; all of them
@@ -348,19 +352,24 @@ class ConstraintSpace:
                 raise ConfigError(f"component {self.components[p - 1].key!r} is not joinable")
         return [self._join_schemes[p] for p in positions]
 
-    def join(self, positions: Sequence[int], values: Sequence) -> Relation:
+    def join(self, positions: Sequence[int], values: Sequence,
+             onto: Scheme | None = None) -> Relation:
         """The join of the current tuple sets ``values`` of the components at
-        ``positions``; an embedded domain's atoms join as 1-tuples."""
+        ``positions``, reselected onto ``onto`` when given; an embedded
+        domain's atoms join as 1-tuples."""
         return join_constraints([
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
                      if p in self._unary_positions else v.elements)
-            for p, v in zip(positions, values)], cap=self.cap)
+            for p, v in zip(positions, values)], cap=self.cap, onto=onto)
 
     def project(self, joined: Relation, pos: int) -> frozenset:
         """The inverse of ``join`` for the component at ``pos``: the joined
-        tuples reselected onto its scheme; an embedded domain's as atoms."""
-        proj = reselect(joined.scheme, joined.tuples, self._join_schemes[pos])
+        tuples reselected onto its scheme (as they are when the join already
+        has that scheme); an embedded domain's as atoms."""
+        scheme = self._join_schemes[pos]
+        proj = (joined.tuples if joined.scheme == scheme
+                else reselect(joined.scheme, joined.tuples, scheme))
         return frozenset(a for (a,) in proj) if pos in self._unary_positions else proj
 
     def rebuild(self, state: ProductValue) -> CSP:
@@ -426,24 +435,30 @@ def _join_projection(space: ConstraintSpace, targets: Sequence[int],
                      members: Sequence[int], fid: str, group: str) -> ReductionFunction:
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
-    ``rho``, path and relational reduction).  It reads only its members:
-    shrinking a target that is not a member leaves it stable."""
+    ``rho``, path and relational reduction).  The join is taken straight onto
+    the union of the targets' schemes, and a target it removes nothing from
+    is returned as it was.  It reads only its members: shrinking a target
+    that is not a member leaves it stable."""
     members = tuple(members)
     union = scheme_union(space.join_schemes(members))
-    for s in space.join_schemes(targets):
+    target_schemes = space.join_schemes(targets)
+    for s in target_schemes:
         if not all(i in union for i in s):
             raise ConfigError(
                 f"target scheme {s.indices} is not covered by the members' scheme {union.indices}")
+    onto = scheme_union(target_schemes)
     positions = tuple(targets) + tuple(p for p in members if p not in targets)
     slots = tuple(positions.index(p) for p in members)
     reads = None if set(targets) <= set(members) else members
 
     def apply(args):
-        joined = space.join(members, [args[k] for k in slots])
+        joined = space.join(members, [args[k] for k in slots], onto)
         out = list(args)
         for k, p in enumerate(targets):
             v = args[k]
-            out[k] = v.with_elements(v.elements & space.project(joined, p))
+            proj = space.project(joined, p)
+            if not v.elements <= proj:
+                out[k] = v.with_elements(v.elements & proj)
         return tuple(out)
 
     return ReductionFunction(fid, Scheme(positions), apply,

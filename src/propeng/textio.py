@@ -119,6 +119,8 @@ def parse_csp(text: str) -> CSP:
                 index = int(fields[1])
             except ValueError:
                 raise DataError(f"{where}: bad domain index {fields[1]!r}")
+            if index < 1:
+                raise DataError(f"{where}: domain index {index} is below 1")
             if index in domains:
                 raise DataError(f"{where}: domain {index} declared twice")
             kind, _, rest = fields[2].partition(" ")

@@ -340,3 +340,14 @@ class TestRunCommand:
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.csp", "--goal", "arc"]) == 1
+
+    @pytest.mark.parametrize("command", [["run", "--goal", "arc"], ["validate"]])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_domain_index_below_one_is_input_error(self, tmp_path, capsys,
+                                                   command, index):
+        p = tmp_path / "low.csp"
+        p.write_text(f"domain {index} set {{a,b}}\ndomain 1 set {{1,2}}\n")
+        assert main([command[0], str(p), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 1: domain index {index} is below 1\n"
+        assert captured.out == ""

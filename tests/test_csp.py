@@ -73,6 +73,73 @@ class TestJoin:
             for c in csp.constraints:
                 assert reselect(joined.scheme, joined.tuples, c.scheme) <= c.tuples
 
+    def test_onto_matches_enumeration_oracle(self):
+        # onto: a random selection of the union in random order (so it
+        # interleaves the members' coordinates), each member's scheme, the
+        # whole union
+        rng = random.Random(17)
+        for _ in range(60):
+            csp = random_set_csp(rng, max_vars=4, max_atoms=3, max_constraints=3)
+            cs = csp.constraints
+            union = scheme_union([c.scheme for c in cs])
+            full = brute_force_join(csp, cs)
+            picks = [tuple(rng.sample(union.indices, rng.randint(1, len(union))))
+                     for _ in range(3)]
+            picks += [c.scheme.indices for c in cs] + [union.indices]
+            for onto in map(Scheme, picks):
+                got = join_constraints(cs, onto=onto)
+                assert got.scheme == onto
+                assert got.tuples == reselect(union, full, onto)
+
+    def test_onto_interleaving_members(self):
+        c1 = ext("c1", (1, 2), {(0, 0), (0, 1), (1, 1)})
+        c2 = ext("c2", (2, 3), {(0, 1), (1, 0)})
+        c3 = ext("c3", (3, 4), {(0, 0), (1, 1)})
+        csp = CSP((D01,) * 4, (c1, c2, c3))
+        onto = Scheme((4, 1, 3))
+        want = reselect(Scheme((1, 2, 3, 4)), brute_force_join(csp, [c1, c2, c3]), onto)
+        assert want == frozenset({(1, 0, 1), (0, 0, 0), (0, 1, 0)})
+        assert join_constraints([c1, c2, c3], onto=onto).tuples == want
+
+    def test_onto_single_member_is_reselected(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            csp = random_set_csp(rng, max_vars=3, max_atoms=3, max_constraints=1)
+            (c,) = csp.constraints
+            full = brute_force_join(csp, [c])
+            for perm in itertools.permutations(c.scheme.indices):
+                onto = Scheme(perm[:rng.randint(1, len(perm))])
+                got = join_constraints([c], onto=onto)
+                assert got.scheme == onto
+                assert got.tuples == reselect(c.scheme, full, onto)
+
+    @pytest.mark.parametrize("members", [[(1, 2)], [(1, 2), (2, 3)]])
+    def test_onto_outside_the_union_rejected(self, members):
+        cs = [ext(f"c{k}", s, {(0, 0)}) for k, s in enumerate(members)]
+        with pytest.raises(ConfigError):
+            join_constraints(cs, onto=Scheme((1, 4)))
+
+    def test_cap_counts_intermediate_steps(self):
+        # the first step holds all 8 triples; the full join holds one
+        c1 = ext("c1", (1, 2), itertools.product((0, 1), repeat=2))
+        c2 = ext("c2", (3,), {(0,), (1,)})
+        c3 = ext("c3", (1, 2, 3), {(0, 0, 0)})
+        assert join_constraints([c1, c2, c3], cap=8).tuples == {(0, 0, 0)}
+        for onto in (None, Scheme((1,))):
+            with pytest.raises(ResourceLimitError):
+                join_constraints([c1, c2, c3], cap=7, onto=onto)
+
+    def test_cap_counts_the_projected_tuples_at_the_last_step(self):
+        # the full join has 8 tuples; onto (1,) holds 2, onto (1,3) holds 4
+        c1 = ext("c1", (1, 2), itertools.product((0, 1), repeat=2))
+        c2 = ext("c2", (2, 3), itertools.product((0, 1), repeat=2))
+        with pytest.raises(ResourceLimitError):
+            join_constraints([c1, c2], cap=7)
+        assert join_constraints([c1, c2], cap=2, onto=Scheme((1,))).tuples == {(0,), (1,)}
+        assert len(join_constraints([c1, c2], cap=4, onto=Scheme((1, 3))).tuples) == 4
+        with pytest.raises(ResourceLimitError):
+            join_constraints([c1, c2], cap=3, onto=Scheme((1, 3)))
+
 
 class TestProject:
     def test_worked_example(self):

@@ -313,6 +313,24 @@ class TestRelationalReducer:
             make_relational_reducer(space, Scheme((1, 2)), ["c2"])
 
 
+class TestNoChangeApplication:
+    @pytest.mark.parametrize("name", [
+        "path@1,2,3", "rel@1,2;c13,c32", "rel@1,2;c12,c13,c32", "rho@c13,c32",
+        "rho@c12,c13,c32"])
+    def test_application_that_removes_nothing_keeps_its_arguments(self, name):
+        csp = CSP((D01, D01, D01), (
+            ext("c12", (1, 2), {(0, 0), (0, 1)}),
+            ext("c13", (1, 3), {(0, 0), (0, 1)}),
+            ext("c32", (3, 2), set(itertools.product((0, 1), repeat=2)))))
+        setup = build_named_reducers(csp, [name])
+        (f,) = setup.functions
+        args = tuple(setup.start.component(i) for i in f.scheme)
+        out = f.apply(args)
+        assert all(o is a for o, a in zip(out, args))
+        state, changed = apply_step(f, setup.start)
+        assert changed == () and state is setup.start
+
+
 class TestCuttingPlane:
     def test_halved_single_inequality(self):
         c = Constraint("a", Scheme((1,)), LinearIneqBody((2,), 1))
