@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .reducers import (
     ConstraintSpace, cutting_plane, domain_bottom, embed_domain_as_constraint,
-    linear_eq_narrow, make_binary_projections, make_cut_reducer,
+    join_projection, linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection,
     make_linear_eq_narrowing, make_path_reducer, make_relational_reducer,
     make_solution_projection,

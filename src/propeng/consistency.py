@@ -5,6 +5,17 @@ them on the generic engine and returns the problem determined by the
 fixpoint.  A directional goal is the same run under a schedule that follows
 its variable order: each of its functions wakes only functions later in the
 pass, so the run applies every function once.
+
+The relational goal ``rel:<m>`` (Dechter and van Beek) runs on a constraint
+space with one component per merged input constraint, in its own
+orientation and under its id, plus a synthetic universal constraint
+``u(i,j,...)``, in sorted orientation, for each nonempty variable set that no
+input constraint covers.  Each m-subset S of the components gets one
+reducer, ``rel(<member ids>)`` (a comma or backslash in an id is escaped
+with a backslash): every component whose variables lie inside S's scopes is
+intersected with the projection of the join of S.  With k components that
+is C(k, m) functions: 15 for ``rel:1`` and 105 for ``rel:2`` on four
+variables whose constraints cover distinct variable sets.
 """
 
 from __future__ import annotations
@@ -14,17 +25,15 @@ import math
 from dataclasses import dataclass
 
 from .csp import (
-    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Relation, Scheme,
-    SetDomain, join_constraints, reselect, scheme_union,
+    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Scheme, SetDomain,
+    join_constraints, reselect,
 )
-from .engine import (
-    DEFAULT_STEP_CAP, ReductionFunction, RunTrace, Strategy, run,
-)
+from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, ExtComponent, RunSetup, domain_bottom,
+    ConstraintSpace, ExtComponent, RunSetup, domain_bottom, join_projection,
     make_binary_projections, make_full_projection, make_path_reducer,
-    make_relational_reducer, universal_constraint,
+    universal_constraint,
 )
 # not called here: the benchmark's tracer (bench/tracing.py) patches these names
 from .engine import apply_step  # noqa: F401
@@ -81,11 +90,6 @@ def is_arc_consistent(csp: CSP) -> bool:
     return True
 
 
-def _subsequence_positions(length: int):
-    for r in range(1, length + 1):
-        yield from itertools.combinations(range(length), r)
-
-
 def _merge_same_scheme(csp: CSP) -> list[Constraint]:
     """Replace the constraints sharing a scheme by their intersection."""
     order: list[tuple] = []
@@ -109,40 +113,36 @@ def _merge_same_scheme(csp: CSP) -> list[Constraint]:
 
 
 def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Exhaustively check that every consistent tuple over a subscheme of any
-    ``m`` distinct constraints extends into their joint solutions."""
+    """Dechter and van Beek's relational m-consistency, checked exhaustively:
+    for any ``m`` distinct constraints and any set ``x`` of variables in their
+    scopes, every instantiation of ``x`` that satisfies each constraint whose
+    scope lies inside ``x`` extends to a joint solution of the ``m``.
+    Constraints sharing a scheme count as their intersection; orientation
+    does not matter."""
     if m < 1:
         raise ConfigError("relational consistency needs m >= 1")
     merged = _merge_same_scheme(csp)
-    by_scheme = {c.scheme.indices: c for c in merged}
-    join_cache: dict[frozenset, Relation] = {}
+    scopes = [frozenset(c.scheme.indices) for c in merged]
     work = 0
-    for sel in itertools.permutations(range(len(merged)), m):
-        members = [merged[i] for i in sel]
-        key = frozenset(sel)
-        if key not in join_cache:
-            join_cache[key] = join_constraints(members, cap=cap)
-        joined = join_cache[key]
-        u = scheme_union([c.scheme for c in members])
-        for positions in _subsequence_positions(len(u)):
-            t = Scheme(tuple(u.indices[p] for p in positions))
-            proj = reselect(joined.scheme, joined.tuples, t)
-            filters = []
-            for sub in _subsequence_positions(len(t)):
-                s = tuple(t.indices[p] for p in sub)
-                c = by_scheme.get(s)
-                if c is not None:
-                    filters.append((sub, c.tuples))
+    for chosen in itertools.combinations(merged, m):
+        joined = join_constraints(chosen, cap=cap)
+        u = joined.scheme.indices
+        for x in itertools.chain.from_iterable(
+                itertools.combinations(u, r) for r in range(1, len(u) + 1)):
+            proj = reselect(joined.scheme, joined.tuples, Scheme(x))
+            inside = set(x)
+            filters = [(tuple(x.index(i) for i in c.scheme), c.tuples)
+                       for c, scope in zip(merged, scopes) if scope <= inside]
             size = 1
-            for i in t:
+            for i in x:
                 size *= len(csp.domain_members(i))
             work += size
             if work > cap:
                 raise ResourceLimitError(
                     f"relational consistency check exceeds the {cap}-tuple cap")
-            for d in itertools.product(*(csp.domain_members(i) for i in t)):
-                consistent = all(tuple(d[p] for p in sub) in tuples
-                                 for sub, tuples in filters)
+            for d in itertools.product(*(csp.domain_members(i) for i in x)):
+                consistent = all(tuple(d[p] for p in pos) in tuples
+                                 for pos, tuples in filters)
                 if consistent and d not in proj:
                     return False
     return True
@@ -218,33 +218,29 @@ def _relational_setup(csp, m, cap, fn_cap):
     if m is None or m < 1:
         raise ConfigError("relational goal needs an arity m >= 1")
     n = csp.arity
-    schemes = sum(math.perm(n, length) for length in range(1, n + 1))
-    if schemes > fn_cap:
-        raise ResourceLimitError(f"{schemes} schemes over {n} variables exceed the cap {fn_cap}")
-    space = _merged_space(csp, itertools.chain.from_iterable(
-        itertools.permutations(range(1, n + 1), length) for length in range(1, n + 1)), cap)
+    # k components: the merged constraints (one per ordered scheme) and a
+    # universal one per variable set that none of them covers
+    schemes = {c.scheme.indices for c in csp.constraints}
+    covered = {frozenset(s) for s in schemes}
+    sets = 2 ** n - 1
+    k = len(schemes) + sets - len(covered)
+    if sets > fn_cap or math.comb(k, m) > fn_cap:
+        raise ResourceLimitError(
+            f"relational goal over {n} variables ({sets} variable sets) needs "
+            f"C({k},{m}) functions; the cap is {fn_cap}")
+    space = _merged_space(csp, (
+        s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)
+        if frozenset(s) not in covered), cap)
     comps = space.components
-
-    fns: list[ReductionFunction] = []
-    seen_fids: set[str] = set()
-    k = len(comps)
-    subsets = itertools.combinations(range(k), m) if m <= k else iter(())
-    for subset in subsets:
-        member_keys = [comps[i].key for i in subset]
-        targets: set[tuple] = set()
-        for perm in itertools.permutations(subset):
-            u = scheme_union([comps[i].scheme for i in perm])
-            for positions in _subsequence_positions(len(u)):
-                targets.add(tuple(u.indices[p] for p in positions))
-        for t in sorted(targets):
-            fid = "rel@" + ",".join(map(str, t)) + ";" + ",".join(member_keys)
-            if fid in seen_fids:
-                continue
-            seen_fids.add(fid)
-            fns.append(make_relational_reducer(space, Scheme(t), member_keys, fid=fid))
-            if len(fns) > fn_cap:
-                raise ResourceLimitError(
-                    f"relational goal needs more than {fn_cap} functions")
+    scopes = [frozenset(c.scheme.indices) for c in comps]
+    # escaped, so that ids with commas in them cannot make two function ids equal
+    names = [c.key.replace("\\", "\\\\").replace(",", "\\,") for c in comps]
+    fns = []
+    for subset in itertools.combinations(range(1, len(comps) + 1), m):
+        union = frozenset().union(*(scopes[p - 1] for p in subset))
+        targets = [p for p, scope in enumerate(scopes, start=1) if scope <= union]
+        fid = "rel(" + ",".join(names[p - 1] for p in subset) + ")"
+        fns.append(join_projection(space, targets, subset, fid, fid))
     return RunSetup(space.bottom(), fns, space)
 
 

@@ -404,11 +404,11 @@ class ConstraintSpace:
                 extras = sorted(value.items - members)
                 for k, rec in enumerate(extras, start=1):
                     if rec[0]:
-                        cut = _record_constraint(rec, f"{comp.gid}#cut{k}")
+                        cut = _record_constraint(rec, f"{comp.gid}/cut{k}")
                     else:
                         # a variable-free infeasible cut: no tuple satisfies it
                         v = comp.members[0].scheme.indices[0]
-                        cut = Constraint(f"{comp.gid}#cut{k}", Scheme((v,)),
+                        cut = Constraint(f"{comp.gid}/cut{k}", Scheme((v,)),
                                          ExtensionalBody(frozenset()))
                     out.append((last, cut))
         out.sort(key=lambda kc: kc[0])
@@ -431,8 +431,8 @@ def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) 
 # Constraint reduction functions
 
 
-def _join_projection(space: ConstraintSpace, targets: Sequence[int],
-                     members: Sequence[int], fid: str, group: str) -> ReductionFunction:
+def join_projection(space: ConstraintSpace, targets: Sequence[int],
+                    members: Sequence[int], fid: str, group: str) -> ReductionFunction:
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
     ``rho``, path and relational reduction).  The join is taken straight onto
@@ -472,7 +472,7 @@ def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
     over those components)."""
     positions = tuple(space.position(k) for k in member_keys)
     name = fid or ("rho@" + ",".join(member_keys))
-    f = _join_projection(space, positions, positions, name, name)
+    f = join_projection(space, positions, positions, name, name)
     if any(d.is_empty for d in space.csp.domains):
         # the problem has no solutions, so neither have the members jointly
         f = replace(f, apply=lambda args: tuple(v.with_elements(()) for v in args))
@@ -487,20 +487,19 @@ def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> Reducti
     target = space.position_of_scheme(Scheme((k, l)))
     via1 = space.position_of_scheme(Scheme((k, m)))
     via2 = space.position_of_scheme(Scheme((m, l)))
-    return _join_projection(space, (target,), (via1, via2), f"path@{k},{l},{m}",
-                            space.components[target - 1].key)
+    return join_projection(space, (target,), (via1, via2), f"path@{k},{l},{m}",
+                           space.components[target - 1].key)
 
 
 def make_relational_reducer(space: ConstraintSpace, t: Scheme,
-                            member_keys: Sequence[str],
-                            fid: str | None = None) -> ReductionFunction:
+                            member_keys: Sequence[str]) -> ReductionFunction:
     """Intersect the constraint with scheme ``t`` with the projection of the
     join of the named member constraints."""
     target = space.position_of_scheme(t)
     members = [space.position(k) for k in member_keys]
-    name = fid or ("rel@" + ",".join(map(str, t)) + ";" + ",".join(member_keys))
-    return _join_projection(space, (target,), members, name,
-                            space.components[target - 1].key)
+    name = "rel@" + ",".join(map(str, t)) + ";" + ",".join(member_keys)
+    return join_projection(space, (target,), members, name,
+                           space.components[target - 1].key)
 
 
 def embed_domain_as_constraint(space: ConstraintSpace, f: ReductionFunction,

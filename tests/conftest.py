@@ -47,6 +47,33 @@ def brute_force_join(csp: CSP, members) -> frozenset:
     return frozenset(out)
 
 
+def brute_force_relationally_consistent(csp: CSP, m: int) -> bool:
+    """Dechter and van Beek's relational m-consistency by plain search: for
+    any m distinct constraints and any set x of variables in their scopes,
+    every assignment to x that satisfies each constraint whose scope lies
+    inside x agrees with some assignment to the whole union of the scopes
+    that satisfies the m."""
+    def satisfies(a, c):
+        return tuple(a[i] for i in c.scheme) in c.tuples
+
+    def assignments(variables):
+        for combo in itertools.product(*(csp.domain_members(i) for i in variables)):
+            yield dict(zip(variables, combo))
+
+    for chosen in itertools.combinations(csp.constraints, m):
+        union = sorted(set().union(*(c.scheme.indices for c in chosen)))
+        for r in range(1, len(union) + 1):
+            for x in itertools.combinations(union, r):
+                inside = [c for c in csp.constraints if set(c.scheme) <= set(x)]
+                for a in assignments(x):
+                    if all(satisfies(a, c) for c in inside) and not any(
+                            all(b[i] == a[i] for i in x)
+                            and all(satisfies(b, c) for c in chosen)
+                            for b in assignments(union)):
+                        return False
+    return True
+
+
 def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from propeng.cli import main
+from propeng.consistency import is_relationally_m_consistent
 from propeng.csp import CSP, IntDomain, LinearIneqBody
 from propeng.errors import DataError
 from propeng.textio import csp_to_obj, parse_csp, serialize_csp
@@ -221,6 +222,37 @@ class TestRunCommand:
         assert "constraint c1 scheme (1,2) tuples {(0,0)}" in out
         assert "# equivalence: PASS" in out
 
+    def test_relational_goal_on_four_variables(self, tmp_path, capsys):
+        # 15 variable sets, C(15,2) = 105 functions
+        p = tmp_path / "four.csp"
+        p.write_text(
+            "".join(f"domain {i} set {{0,1}}\n" for i in range(1, 5))
+            + "constraint c1 scheme (1,2) tuples {(0,0),(1,1)}\n"
+            "constraint c2 scheme (3,2) tuples {(0,1),(1,0),(1,1)}\n"
+            "constraint c3 scheme (4,2,3) tuples {(0,1,0),(1,0,1),(1,1,1)}\n")
+        code = main(["run", str(p), "--goal", "rel:2", "--check-equivalence"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "# equivalence: PASS" in out
+        assert is_relationally_m_consistent(parse_csp(out), 2)
+
+    def test_relational_goal_with_commas_in_ids(self, tmp_path, capsys):
+        # joined with plain commas, {a, "b,c"} and {"a,b", c} would share an id
+        p = tmp_path / "commas.csp"
+        p.write_text(
+            "domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+            "constraint a scheme (1) tuples {(0),(1)}\n"
+            "constraint b,c scheme (2) tuples {(0),(1)}\n"
+            "constraint a,b scheme (1,2) tuples {(0,0),(0,1),(1,1)}\n"
+            "constraint c scheme (2,1) tuples {(0,0),(1,1)}\n")
+        code = main(["run", str(p), "--goal", "rel:2", "--trace", "--check-equivalence"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fn=rel(a,b\\,c) " in out and "fn=rel(a\\,b,c) " in out
+        assert "# equivalence: PASS" in out
+        text = "".join(line for line in out.splitlines(True) if not line.startswith("step="))
+        assert is_relationally_m_consistent(parse_csp(text), 2)
+
     def test_directional_arc_goal(self, tmp_path, capsys):
         p = tmp_path / "dir.csp"
         p.write_text(
@@ -337,6 +369,17 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "domain 1 int [0..1000000000]" in out
         assert "# outcome: converged" in out
+
+    def test_cut_run_output_parses_back(self, tmp_path, capsys):
+        p = tmp_path / "cut.csp"
+        p.write_text("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+                     "constraint i1 scheme (1,2) leq 2*x1 + 2*x2 <= 3\n")
+        assert main(["run", str(p), "--reducers", "cut@i1;1/2"]) == 0
+        text = "".join(line for line in capsys.readouterr().out.splitlines(True)
+                       if not line.startswith("#"))
+        out = parse_csp(text)
+        assert [c.cid for c in out.constraints] == ["i1", "cutset(i1)/cut1"]
+        assert serialize_csp(out) == text
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.csp", "--goal", "arc"]) == 1

@@ -1,27 +1,67 @@
 """Consistency predicates and the achieve drivers."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from conftest import random_set_csp, union_of_arc_consistent_boxes
+from conftest import (
+    brute_force_relationally_consistent, random_set_csp,
+    union_of_arc_consistent_boxes,
+)
+from propeng import consistency
 from propeng.consistency import (
-    ConsistencyGoal, achieve, is_arc_consistent, is_relationally_m_consistent,
-    parse_goal,
+    DEFAULT_FN_CAP, ConsistencyGoal, achieve, is_arc_consistent,
+    is_relationally_m_consistent, parse_goal,
 )
 from propeng.csp import (
-    CSP, Constraint, ExtensionalBody, LinearEqBody, Scheme, SetDomain,
-    equivalent, solutions,
+    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, LinearEqBody, Scheme,
+    SetDomain, equivalent, solutions,
 )
 from propeng.engine import MODES, Outcome
-from propeng.errors import ConfigError
+from propeng.errors import ConfigError, ResourceLimitError
 
 D01 = SetDomain(frozenset({0, 1}))
 
 
 def ext(cid, scheme, tuples):
     return Constraint(cid, Scheme(scheme), ExtensionalBody(frozenset(tuples)))
+
+
+def one_per_scheme(csp):
+    """``csp`` with only the first constraint on each ordered scheme (the
+    relational predicate and goal count those sharing one as one)."""
+    first = {}
+    for c in csp.constraints:
+        first.setdefault(c.scheme.indices, c)
+    return CSP(csp.domains, tuple(first.values()))
+
+
+# two real constraints on {1,2}, in opposite orientations
+OPPOSITE = CSP(
+    (D01, D01, D01),
+    (ext("a", (1, 2), {(0, 0), (0, 1), (1, 1)}),
+     ext("b", (2, 1), {(0, 0), (1, 0), (1, 1)}),
+     ext("c", (3, 2), {(0, 1), (1, 0)})))
+
+
+def relational_problems(seed, count):
+    """``OPPOSITE``, then random problems over 2-4 variables with constraints
+    in random orientations; every other one also constrains the variables of
+    a multi-variable constraint in the opposite orientation."""
+    yield OPPOSITE
+    rng = random.Random(seed)
+    for k in range(count):
+        csp = one_per_scheme(random_set_csp(rng, max_constraints=3))
+        multi = [c.scheme.indices for c in csp.constraints if len(c.scheme) > 1]
+        if k % 2 and multi:
+            flipped = rng.choice(multi)[::-1]
+            if flipped not in {c.scheme.indices for c in csp.constraints}:
+                product = itertools.product(*(csp.domain_members(i) for i in flipped))
+                flip = ext("t", flipped, {t for t in product if rng.random() < 0.7})
+                csp = CSP(csp.domains, csp.constraints + (flip,))
+        yield csp
 
 
 class TestGoalParsing:
@@ -75,6 +115,30 @@ class TestRelationalConsistencyCheck:
 
     def test_m_larger_than_constraint_count(self, chain_csp):
         assert is_relationally_m_consistent(chain_csp, 5)
+
+    @pytest.mark.parametrize("r_scheme", [(1, 2), (2, 1)])
+    def test_orientation_does_not_matter(self, r_scheme):
+        # every constraint says "equal", so R reads the same either way round
+        same = {(0, 0), (1, 1)}
+        csp = CSP((D01, D01, D01),
+                  (ext("C", (1, 2, 3), {(0, 0, 0), (1, 1, 1)}),
+                   ext("S", (1, 3), same), ext("T", (2, 3), same),
+                   ext("R", r_scheme, same)))
+        assert is_relationally_m_consistent(csp, 1)
+
+    def test_agrees_with_brute_force_oracle(self):
+        rng = random.Random(97)
+        verdicts = []
+        for _ in range(25):
+            csp = one_per_scheme(random_set_csp(rng, max_vars=3, max_constraints=4))
+            for m in (1, 2):
+                # the goal's output is consistent, the input seldom
+                out, _ = achieve(csp, ConsistencyGoal("rel", m=m))
+                for p in (csp, out):
+                    want = brute_force_relationally_consistent(p, m)
+                    assert is_relationally_m_consistent(p, m) == want
+                    verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
 
 class TestAchieveArc:
@@ -142,6 +206,51 @@ class TestAchieveRelational:
         out, _ = achieve(chain_csp, ConsistencyGoal("rel", m=2))
         _, trace2 = achieve(out, ConsistencyGoal("rel", m=2))
         assert all(not s.changed for s in trace2.steps)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_output_is_equivalent_and_consistent(self, m):
+        for csp in relational_problems(101, 16):
+            out, trace = achieve(csp, ConsistencyGoal("rel", m=m))
+            assert trace.outcome is Outcome.CONVERGED
+            assert equivalent(csp, out)
+            assert is_relationally_m_consistent(out, m)
+            # input constraints keep their ids, schemes and places; the
+            # synthetic ones that follow are in sorted orientation
+            n = len(csp.constraints)
+            assert ([(c.cid, c.scheme) for c in out.constraints[:n]]
+                    == [(c.cid, c.scheme) for c in csp.constraints])
+            assert all(list(c.scheme) == sorted(c.scheme) for c in out.constraints[n:])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_output_is_mode_independent_and_stable(self, m):
+        goal = ConsistencyGoal("rel", m=m)
+        for csp in relational_problems(103, 8):
+            out, _ = achieve(csp, goal)
+            assert all(achieve(csp, goal, mode=mode)[0] == out for mode in MODES)
+            again, trace = achieve(out, goal)
+            assert again == out
+            assert all(not s.changed for s in trace.steps)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_function_per_m_subset(self, m):
+        for csp in relational_problems(107, 8):
+            setup = consistency._relational_setup(csp, m, DEFAULT_ENUM_CAP, DEFAULT_FN_CAP)
+            assert len(setup.functions) == math.comb(len(setup.space.components), m)
+
+    def test_function_cap_checked_before_building(self, monkeypatch):
+        # four variables, every variable set but {1,2} and {2,3,4} synthetic:
+        # 15 components, C(15,2) = 105 functions at m = 2
+        csp = CSP((D01,) * 4, (ext("c1", (1, 2), {(0, 0), (1, 1)}),
+                               ext("c2", (4, 2, 3), {(0, 1, 0), (1, 0, 1)})))
+        goal = ConsistencyGoal("rel", m=2)
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(consistency, "_merged_space", lambda *args: built.append(args))
+            with pytest.raises(ResourceLimitError):
+                achieve(csp, goal, fn_cap=104)
+        assert built == []
+        _, trace = achieve(csp, goal, fn_cap=105)
+        assert trace.outcome is Outcome.CONVERGED
 
     def test_same_scheme_constraints_merged(self):
         csp = CSP((D01, D01),

@@ -376,7 +376,7 @@ class TestCuttingPlane:
         _, changed = apply_step(trivial, state)
         assert changed == ()
         rebuilt = space.rebuild(state)
-        assert [c.cid for c in rebuilt.constraints] == ["i1", "i2", "g#cut1"]
+        assert [c.cid for c in rebuilt.constraints] == ["i1", "i2", "g/cut1"]
         assert equivalent(csp, rebuilt)
 
 
@@ -403,7 +403,7 @@ class TestConstraintSpaceRebuild:
         state = state.replace({2: state.component(2).with_elements({(0,), (1,)})})
         rebuilt = space.rebuild(state)
         assert [c.cid for c in rebuilt.constraints] == [
-            "a", "i1", "q", "i2", "b", "u(1)", "g#cut1"]
+            "a", "i1", "q", "i2", "b", "u(1)", "g/cut1"]
 
 
 class TestFoldBackToAProblem:
@@ -497,7 +497,7 @@ class TestNamedReducerRegistry:
         res = run(setup.functions, setup.start, validate=False)
         rebuilt = setup.rebuild(csp, res.value)
         cids = [c.cid for c in rebuilt.constraints]
-        assert cids == ["i1", "i2", "cutset(i1,i2)#cut1"]
+        assert cids == ["i1", "i2", "cutset(i1,i2)/cut1"]
         assert equivalent(csp, rebuilt)
 
     def test_mixing_interval_reducers_with_constraint_space_rejected(self):
