@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, DataError, ResourceLimitError
 from .lattice import atom_key
 
 DEFAULT_ENUM_CAP = 10**6
@@ -76,6 +76,26 @@ class ExtensionalBody:
         object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
 
 
+def _integral(x) -> int:
+    """``x`` as an ``int``; ``DataError`` unless its value is an integer."""
+    if type(x) is int:
+        return x
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{x!r} is not an integer") from None
+    if n != x:
+        raise DataError(f"{x!r} is not an integer")
+    return n
+
+
+def _store_integral(body) -> None:
+    """Store a linear body's coefficients and constant as ``int``s, rejecting
+    a non-integral one rather than truncating it."""
+    object.__setattr__(body, "coeffs", tuple(map(_integral, body.coeffs)))
+    object.__setattr__(body, "constant", _integral(body.constant))
+
+
 @dataclass(frozen=True)
 class LinearEqBody:
     """``sum coeffs[k] * x_{scheme[k]} = constant`` with integer coefficients."""
@@ -84,7 +104,7 @@ class LinearEqBody:
     constant: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        _store_integral(self)
 
 
 @dataclass(frozen=True)
@@ -95,7 +115,7 @@ class LinearIneqBody:
     constant: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        _store_integral(self)
 
 
 Body = ExtensionalBody | LinearEqBody | LinearIneqBody

@@ -65,6 +65,11 @@ class ReductionFunction:
     appropriate for idempotent functions).  ``group`` keys block scheduling.
     ``reads`` names the components of the scheme whose change can make the
     function unstable again (``None``: the whole scheme).
+
+    For a component it leaves unchanged, ``apply`` returns the argument
+    object itself: ``apply_step`` takes an identical object as unchanged
+    without comparing it, and compares only a new object structurally (a new
+    but equal object costs that comparison, not a wrong result).
     """
 
     fid: str

@@ -180,8 +180,10 @@ def linear_eq_narrow(eq: LinearEqBody, box: Sequence[tuple[int, int]]) -> list[t
     integer interval bounds.
 
     Returns one ``(lo, hi)`` pair per position; a pair with ``hi < lo``
-    denotes an emptied interval.  The function is deliberately a single
-    application: iterating it can tighten further.
+    denotes an emptied interval.  Each new bound is the exact integer floor
+    (``p // a``) or ceiling (``-(-p // a)``) of an integer numerator ``p``
+    over the coefficient's magnitude ``a > 0``.  The function is deliberately
+    a single application: iterating it can tighten further.
     """
     if len(box) != len(eq.coeffs):
         raise ConfigError("one interval per coefficient is required")
@@ -198,19 +200,20 @@ def linear_eq_narrow(eq: LinearEqBody, box: Sequence[tuple[int, int]]) -> list[t
     sum_neg_h = sum(a * hs[k] for k, a in neg)
     out = list(box)
     for k, a in pos:
-        alpha = Fraction(b - (sum_pos_l - a * ls[k]) + sum_neg_h, a)
-        gamma = Fraction(b - (sum_pos_h - a * hs[k]) + sum_neg_l, a)
-        out[k] = (max(ls[k], math.ceil(gamma)), min(hs[k], math.floor(alpha)))
+        alpha = b - (sum_pos_l - a * ls[k]) + sum_neg_h
+        gamma = b - (sum_pos_h - a * hs[k]) + sum_neg_l
+        out[k] = (max(ls[k], -(-gamma // a)), min(hs[k], alpha // a))
     for k, a in neg:
-        beta = Fraction(-b + sum_pos_l - (sum_neg_h - a * hs[k]), a)
-        delta = Fraction(-b + sum_pos_h - (sum_neg_l - a * ls[k]), a)
-        out[k] = (max(ls[k], math.ceil(beta)), min(hs[k], math.floor(delta)))
+        beta = -b + sum_pos_l - (sum_neg_h - a * hs[k])
+        delta = -b + sum_pos_h - (sum_neg_l - a * ls[k])
+        out[k] = (max(ls[k], -(-beta // a)), min(hs[k], delta // a))
     return out
 
 
 def make_linear_eq_narrowing(c: Constraint) -> ReductionFunction:
     """Package the equality narrowing as a (non-idempotent) reduction function
-    over integer grid intervals."""
+    over integer grid intervals.  A coordinate whose bounds do not move comes
+    back as the argument object itself."""
     if not isinstance(c.body, LinearEqBody):
         raise ConfigError(f"constraint {c.cid!r} is not a linear equality")
     body = c.body
@@ -221,10 +224,11 @@ def make_linear_eq_narrowing(c: Constraint) -> ReductionFunction:
             raise ConfigError("equality narrowing needs integer interval components")
         if any(v.is_empty for v in args):
             # an emptied coordinate means the whole box denotes no points
-            return tuple(GridInterval.empty(v.grid) for v in args)
+            return tuple(v if v.is_empty else GridInterval.empty(v.grid) for v in args)
         narrowed = linear_eq_narrow(body, [(v.lo, v.hi) for v in args])
         return tuple(
-            GridInterval(v.grid, lo, hi) if lo <= hi else GridInterval.empty(v.grid)
+            v if lo == v.lo and hi == v.hi
+            else GridInterval(v.grid, lo, hi) if lo <= hi else GridInterval.empty(v.grid)
             for v, (lo, hi) in zip(args, narrowed))
 
     return ReductionFunction(f"lineq@{c.cid}", c.scheme, apply,

@@ -3,16 +3,17 @@ oracle and equivalence."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import brute_force_join, random_set_csp
 from propeng.csp import (
-    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Relation,
-    Scheme, SetDomain, equivalent, join_constraints, project, reselect,
-    scheme_union, solutions, tuple_restrict, validate,
+    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
+    Relation, Scheme, SetDomain, equivalent, join_constraints, project,
+    reselect, scheme_union, solutions, tuple_restrict, validate,
 )
-from propeng.errors import ConfigError, ResourceLimitError
+from propeng.errors import ConfigError, DataError, ResourceLimitError
 
 
 def ext(cid, scheme, tuples):
@@ -211,6 +212,22 @@ class TestSolutions:
                     joint = brute_force_join(csp, list(sub))
                     for d in sols:
                         assert tuple_restrict(d, u) in joint
+
+
+@pytest.mark.parametrize("body", [LinearEqBody, LinearIneqBody])
+class TestLinearBodies:
+    @pytest.mark.parametrize("coeffs, constant", [
+        ((1.5, 1), 3), ((1, Fraction(1, 2)), 3), ((1, 1), 2.5), ((1, 1), Fraction(7, 2)),
+        ((1, 1), "3"), (("1", 1), 3), ((1, 1), float("nan")), ((1, 1), None),
+    ])
+    def test_non_integral_input_rejected(self, body, coeffs, constant):
+        with pytest.raises(DataError):
+            body(coeffs, constant)
+
+    def test_integral_values_stored_as_int(self, body):
+        b = body((Fraction(4, 2), -3.0), Fraction(4, 2))
+        assert b == body((2, -3), 2)
+        assert all(type(x) is int for x in (*b.coeffs, b.constant))
 
 
 class TestEquivalent:

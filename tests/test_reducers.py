@@ -166,14 +166,86 @@ class TestLinearEqNarrow:
         c = Constraint("e", Scheme((1, 2)), self.EQ)
         f = make_linear_eq_narrowing(c)
         grid = IntGrid(0, 9)
-        out = f.apply((GridInterval.empty(grid), GridInterval(grid, 1, 8)))
+        empty = GridInterval.empty(grid)
+        out = f.apply((empty, GridInterval(grid, 1, 8)))
         assert all(v.is_empty for v in out)
+        assert out[0] is empty
+
+    def test_unmoved_coordinates_come_back_as_themselves(self):
+        f = make_linear_eq_narrowing(Constraint("e", Scheme((1, 2)), self.EQ))
+        x, y = GridInterval(IntGrid(0, 9), 3, 9), GridInterval(IntGrid(1, 8), 1, 4)
+        out = f.apply((x, y))
+        assert out[0] == GridInterval(IntGrid(0, 9), 3, 8) and out[1] is y
+        fixed = f.apply(out)
+        assert fixed[0] is out[0] and fixed[1] is out[1]
+
+    def test_identity_exactly_when_bounds_unmoved(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            coeffs = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n))
+            c = Constraint("e", Scheme(tuple(range(1, n + 1))),
+                           LinearEqBody(coeffs, rng.randint(-6, 6)))
+            grid = IntGrid(-5, 5)
+            args = tuple(GridInterval(grid, *sorted((rng.randint(-5, 5), rng.randint(-5, 5))))
+                         for _ in range(n))
+            out = make_linear_eq_narrowing(c).apply(args)
+            for old, new in zip(args, out):
+                assert (new is old) == (new == old)
+
+    def test_apply_step_at_fixpoint_returns_the_same_product(self):
+        f = make_linear_eq_narrowing(Constraint("e", Scheme((1, 2)), self.EQ))
+        d = ProductValue((GridInterval(IntGrid(0, 9), 3, 8), GridInterval(IntGrid(1, 8), 1, 4)))
+        out, changed = apply_step(f, d)
+        assert out is d and changed == ()
+
+    @pytest.mark.parametrize("other", [
+        GridInterval(PointGrid((0, 1, 2)), 0, 2),
+        pv({0, 1, 2}, {0, 1}),
+    ], ids=["point-grid", "powerset"])
+    def test_non_integer_interval_rejected_before_empty_shortcut(self, other):
+        f = make_linear_eq_narrowing(Constraint("e", Scheme((1, 2)), self.EQ))
+        with pytest.raises(ConfigError):
+            f.apply((GridInterval.empty(IntGrid(0, 9)), other))
 
     def test_emptied_output_is_legal(self):
         # x - y = 5 over [0..1] x [0..1] has no solutions
         eq = LinearEqBody((1, -1), 5)
         out = linear_eq_narrow(eq, [(0, 1), (0, 1)])
         assert all(hi < lo for lo, hi in out)
+
+    def test_negative_numerators_floor_and_ceil(self):
+        # 2x = -3 has no integer solution: ceil(-3/2) = -1 > floor(-3/2) = -2
+        assert linear_eq_narrow(LinearEqBody((2,), -3), [(-5, 5)]) == [(-1, -2)]
+        # 3x - 2y = -7 over [-4..4]^2:
+        # x in [ceil(-15/3), floor(1/3)], y in [ceil(-5/2), floor(19/2)]
+        out = linear_eq_narrow(LinearEqBody((3, -2), -7), [(-4, 4), (-4, 4)])
+        assert out == [(-4, 0), (-2, 4)]
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2024)
+        coeff_range = [a for a in range(-7, 8) if a]
+        for _ in range(5000):
+            n = rng.randint(1, 4)
+            eq = LinearEqBody(tuple(rng.choice(coeff_range) for _ in range(n)),
+                              rng.randint(-60, 60))
+            box = [tuple(sorted((rng.randint(-20, 20), rng.randint(-20, 20))))
+                   for _ in range(n)]
+            assert linear_eq_narrow(eq, box) == reference_narrow(eq, box), (eq, box)
+
+
+def reference_narrow(eq, box):
+    """One narrowing application in exact rationals: for each ``k``,
+    ``a_k x_k = b - sum_{j != k} a_j x_j``, whose right side ranges over
+    ``[b - U, b - L]`` with ``L``/``U`` summing each term's extreme over the box."""
+    out = []
+    for k, (a, (lo, hi)) in enumerate(zip(eq.coeffs, box)):
+        terms = [(c * l, c * h) for j, (c, (l, h)) in enumerate(zip(eq.coeffs, box)) if j != k]
+        low = sum(min(t) for t in terms)
+        high = sum(max(t) for t in terms)
+        ends = (Fraction(eq.constant - high, a), Fraction(eq.constant - low, a))
+        out.append((max(lo, math.ceil(min(ends))), min(hi, math.floor(max(ends)))))
+    return out
 
 
 class TestSolutionProjection:
