@@ -1,15 +1,17 @@
 """Time the working tree against a git revision on one benchmark workload.
 
-    python scripts/bench_pairs.py <git-rev> --workload path --pairs 10 --seconds 25
+    python scripts/bench_pairs.py <git-rev> --workload path --pairs 10 --seconds 25 --seed 1
 
 The revision's ``src/`` and ``bench/`` are exported with ``git archive`` into
 a temporary directory.  Each pair runs that tree's
-``bench/run.py --workload W --seconds S --trace 0`` and the working tree's,
-each in its own process; odd pairs run the revision first, even pairs the
-working tree.  Prints each pair's ``run_s.p50``, ``setup_s`` and ``peak_mb``
-for both trees with the change/parent ratios; then, per metric, both
-medians, their ratio and the quartile spread of the revision's runs; then
-the number of pairs in which the working tree's ``run_s.p50`` is lower.
+``bench/run.py --workload W --seed N --seconds S --trace 0`` and the working
+tree's, each in its own process; odd pairs run the revision first, even
+pairs the working tree.  ``--seed`` (default 1) picks the instance family
+member both trees run, so a claim can be checked on a seed other than the
+one it was tuned on.  Prints each pair's ``run_s.p50``, ``setup_s`` and
+``peak_mb`` for both trees with the change/parent ratios; then, per metric,
+both medians, their ratio and the quartile spread of the revision's runs;
+then the number of pairs in which the working tree's ``run_s.p50`` is lower.
 Exits 1 if any run fails a call or is incorrect.  Run it from anywhere
 inside the repository.
 """
@@ -29,11 +31,11 @@ from compare_outputs import ROOT, export
 METRICS = ("run_s.p50", "setup_s", "peak_mb")
 
 
-def bench(tree: Path, workload: str, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run of ``tree``: its last stdout line, parsed."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -46,6 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="instance seed passed to both trees' runs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -59,7 +63,8 @@ def main(argv=None) -> int:
         parent = export(args.rev, Path(tmp), "src", "bench")
         for k in range(1, args.pairs + 1):
             trees = (parent, ROOT) if k % 2 else (ROOT, parent)
-            runs = {tree: bench(tree, args.workload, args.seconds) for tree in trees}
+            runs = {tree: bench(tree, args.workload, args.seed, args.seconds)
+                    for tree in trees}
             ok = ok and all(r["correct"] and r["failed"] == 0 for r in runs.values())
             cells = []
             for m in METRICS:

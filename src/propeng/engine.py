@@ -16,11 +16,13 @@ applied function leaves the worklist before or after the change test:
 
 On a change, exactly the functions that *read* a changed component are woken
 up, found through a component -> functions index built once per run; they
-enter the worklist in the order of the strategy's ``batch``.  A function
-reads its whole scheme unless it declares ``reads``.  An intersection
-``x := x & h(y)`` stays stable when only ``x`` shrinks, so it may leave ``x``
-out and still keep the invariant of generic iteration: every function
-outside the worklist is stable at the current state.  A set mode
+enter the worklist in the order of the strategy's ``batch``.  The wake
+list of each changed-component tuple is computed once per run and memoised,
+so a step's bookkeeping does not rescan the index for a change it has seen.
+A function reads its whole scheme unless it declares ``reads``.  An
+intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
+may leave ``x`` out and still keep the invariant of generic iteration: every
+function outside the worklist is stable at the current state.  A set mode
 keeps its pending functions in a list sorted by the strategy's ``key``, which
 it maintains by bisection, and hands that list to the strategy's ``choose``;
 so one step costs O(log F + wake degree) key evaluations for F functions,
@@ -41,7 +43,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .csp import Scheme
 from .errors import ConfigError, ProbeRejectionError, ResourceLimitError
@@ -86,8 +88,7 @@ class Outcome(enum.Enum):
     EMPTY_COMPONENT = "empty-component"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     fid: str
     changed_components: tuple[int, ...]
 
@@ -137,8 +138,10 @@ class Strategy:
     The base class is the deterministic policy: lowest ``key`` first.
     ``key`` must give distinct functions distinct, comparable values.  A set
     mode passes ``choose`` its pending functions as a ``Pending`` list,
-    already sorted by ``key``, which ``choose`` must not modify.  Every
-    strategy is built from the run's seed; only ``seeded`` draws from it.
+    already sorted by ``key``, which ``choose`` must not modify.  ``batch``
+    receives an immutable tuple of functions (all of them, or a woken batch,
+    in registration order) and returns a new list.  Every strategy is built
+    from the run's seed; only ``seeded`` draws from it.
     """
 
     key = operator.attrgetter("fid")
@@ -249,7 +252,8 @@ def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], Product
 
 def apply_step(f: ReductionFunction, d: ProductValue):
     """Apply ``f`` in place of its scheme; returns (new product, changed idxs)."""
-    args = tuple(d.component(i) for i in f.scheme)
+    comps = d.components
+    args = tuple([comps[i - 1] for i in f.scheme.indices])
     out = tuple(f.apply(args))
     if len(out) != len(args):
         raise ConfigError(f"function {f.fid!r} returned {len(out)} components "
@@ -338,8 +342,12 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
 
     Started from the bottom product, a converged run yields the least common
     fixpoint of the extended functions, independent of mode and strategy.
+
+    The wake lists are memoised per changed-component tuple in a dict local
+    to the run; it grows with the number of distinct changed-component sets,
+    never with the step count.
     """
-    functions = list(functions)
+    functions = tuple(functions)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if step_cap < 0:
@@ -377,22 +385,30 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         for i in set(f.scheme.indices if f.reads is None else f.reads):
             dependents[i].append(pos)
 
-    def woken(changed) -> list[ReductionFunction]:
-        positions = {p for i in changed for p in dependents[i]}
-        return [functions[p] for p in sorted(positions)]
+    # changed-component tuple -> the functions reading any of them, in
+    # registration order
+    wake_lists: dict[tuple[int, ...], tuple[ReductionFunction, ...]] = {}
+
+    def woken(changed) -> tuple[ReductionFunction, ...]:
+        fs = wake_lists.get(changed)
+        if fs is None:
+            positions = {p for i in changed for p in dependents[i]}
+            fs = wake_lists[changed] = tuple(functions[p] for p in sorted(positions))
+        return fs
 
     queue = mode in ("ciq", "ciiq")
     remove_before = mode in ("ci", "ciq")
     pending = deque() if queue else Pending()
     key = strategy.key
 
-    def push(f: ReductionFunction) -> None:
+    def push(batch: list[ReductionFunction]) -> None:
         if queue:
-            pending.append(f)
+            pending.extend(batch)
             return
-        if pending.recent.pop(f.fid, None) is None:
-            bisect.insort(pending, f, key=key)
-        pending.recent[f.fid] = f    # a re-woken function moves to the back
+        for f in batch:
+            if pending.recent.pop(f.fid, None) is None:
+                bisect.insort(pending, f, key=key)
+            pending.recent[f.fid] = f    # a re-woken function moves to the back
 
     def remove(g: ReductionFunction) -> None:
         if queue:
@@ -401,8 +417,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
             del pending.recent[g.fid]
             del pending[bisect.bisect_left(pending, key(g), key=key)]
 
-    for f in strategy.batch(functions):
-        push(f)
+    push(strategy.batch(functions))
     while pending:
         if trace.total_applications >= step_cap:
             trace.outcome = Outcome.STEP_LIMIT
@@ -414,8 +429,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         trace.total_applications += 1
         trace.steps.append(TraceStep(g.fid, changed))
         if changed:
-            for f in strategy.batch(woken(changed)):
-                push(f)
+            push(strategy.batch(woken(changed)))
             d = d2
         if not remove_before:
             remove(g)

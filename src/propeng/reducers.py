@@ -114,14 +114,14 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
         if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
             raise ConfigError("support projections need powerset components")
         kept = {a for a, b in tuples if a in x.elements and b in y.elements}
-        return (x.with_elements(kept), y)
+        return (x if len(kept) == len(x.elements) else x.with_elements(kept), y)
 
     def second(args):
         x, y = args
         if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
             raise ConfigError("support projections need powerset components")
         kept = {b for a, b in tuples if a in x.elements and b in y.elements}
-        return (x, y.with_elements(kept))
+        return (x, y if len(kept) == len(y.elements) else y.with_elements(kept))
 
     # each side is intersected with the support of the other: it reads only that
     i, j = c.scheme.indices
@@ -133,11 +133,14 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
 
 
 def _fit_projection(value, points):
-    """Fit a projected coordinate set back into the component's family."""
+    """Fit a projected coordinate set back into the component's family;
+    ``value`` itself when that leaves it unchanged.  ``points`` lie in
+    ``value``, so on a powerset the same size means the same set."""
     if isinstance(value, PowersetValue):
-        return value.with_elements(points)
+        return value if len(points) == len(value.elements) else value.with_elements(points)
     if isinstance(value, GridInterval):
-        return interval_hull(points, value.grid)
+        hull = interval_hull(points, value.grid)
+        return value if hull == value else hull
     raise ConfigError(f"cannot project onto component kind {type(value).__name__}")
 
 
@@ -180,33 +183,35 @@ def linear_eq_narrow(eq: LinearEqBody, box: Sequence[tuple[int, int]]) -> list[t
     integer interval bounds.
 
     Returns one ``(lo, hi)`` pair per position; a pair with ``hi < lo``
-    denotes an emptied interval.  Each new bound is the exact integer floor
-    (``p // a``) or ceiling (``-(-p // a)``) of an integer numerator ``p``
-    over the coefficient's magnitude ``a > 0``.  The function is deliberately
-    a single application: iterating it can tighten further.
+    denotes an emptied interval.  For ``sum_k a_k x_k = b``, each term
+    ``a_k x_k`` ranges over ``[min_k, max_k]`` on the box, and ``lo`` and
+    ``hi`` are the sums of those ends over all terms.  The other terms then
+    leave ``least = b - (hi - max_k) <= a_k x_k <= b - (lo - min_k) = most``,
+    with ``least`` and ``most`` swapped when ``a_k < 0``, so ``x_k`` lies
+    between the exact integer ceiling ``-(-least // a_k)`` and floor
+    ``most // a_k``: one pass over the terms, for both signs.  The function
+    is deliberately a single application: iterating it can tighten further.
     """
-    if len(box) != len(eq.coeffs):
+    coeffs = eq.coeffs
+    if len(box) != len(coeffs):
         raise ConfigError("one interval per coefficient is required")
-    if any(a == 0 for a in eq.coeffs):
+    if 0 in coeffs:
         raise ConfigError("zero coefficient in linear equality")
-    pos = [(k, a) for k, a in enumerate(eq.coeffs) if a > 0]
-    neg = [(k, -a) for k, a in enumerate(eq.coeffs) if a < 0]
-    ls = [lo for lo, _ in box]
-    hs = [hi for _, hi in box]
+    terms = [(a * l, a * h) if a > 0 else (a * h, a * l) for a, (l, h) in zip(coeffs, box)]
+    lo = hi = 0
+    for t_min, t_max in terms:
+        lo += t_min
+        hi += t_max
     b = eq.constant
-    sum_pos_l = sum(a * ls[k] for k, a in pos)
-    sum_pos_h = sum(a * hs[k] for k, a in pos)
-    sum_neg_l = sum(a * ls[k] for k, a in neg)
-    sum_neg_h = sum(a * hs[k] for k, a in neg)
-    out = list(box)
-    for k, a in pos:
-        alpha = b - (sum_pos_l - a * ls[k]) + sum_neg_h
-        gamma = b - (sum_pos_h - a * hs[k]) + sum_neg_l
-        out[k] = (max(ls[k], -(-gamma // a)), min(hs[k], alpha // a))
-    for k, a in neg:
-        beta = -b + sum_pos_l - (sum_neg_h - a * hs[k])
-        delta = -b + sum_pos_h - (sum_neg_l - a * ls[k])
-        out[k] = (max(ls[k], -(-beta // a)), min(hs[k], delta // a))
+    out = []
+    for a, (l, h), (t_min, t_max) in zip(coeffs, box, terms):
+        least = b - (hi - t_max)
+        most = b - (lo - t_min)
+        if a < 0:
+            least, most = most, least
+        new_lo, new_hi = -(-least // a), most // a
+        # max(l, new_lo) and min(h, new_hi) without the builtin calls
+        out.append((new_lo if new_lo > l else l, new_hi if new_hi < h else h))
     return out
 
 
@@ -219,17 +224,19 @@ def make_linear_eq_narrowing(c: Constraint) -> ReductionFunction:
     body = c.body
 
     def apply(args):
-        if not all(isinstance(v, GridInterval) and isinstance(v.grid, IntGrid)
-                   for v in args):
-            raise ConfigError("equality narrowing needs integer interval components")
-        if any(v.is_empty for v in args):
+        emptied = False
+        for v in args:
+            if not (isinstance(v, GridInterval) and isinstance(v.grid, IntGrid)):
+                raise ConfigError("equality narrowing needs integer interval components")
+            emptied = emptied or v.is_empty
+        if emptied:
             # an emptied coordinate means the whole box denotes no points
             return tuple(v if v.is_empty else GridInterval.empty(v.grid) for v in args)
         narrowed = linear_eq_narrow(body, [(v.lo, v.hi) for v in args])
-        return tuple(
+        return tuple([
             v if lo == v.lo and hi == v.hi
             else GridInterval(v.grid, lo, hi) if lo <= hi else GridInterval.empty(v.grid)
-            for v, (lo, hi) in zip(args, narrowed))
+            for v, (lo, hi) in zip(args, narrowed)])
 
     return ReductionFunction(f"lineq@{c.cid}", c.scheme, apply,
                              idempotent=False, group=c.cid)

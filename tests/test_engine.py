@@ -16,8 +16,8 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
 )
 from propeng.engine import (
-    MODES, STRATEGIES, Outcome, ReductionFunction, closure_star, compare_limits,
-    extend, make_strategy, probe_function, run,
+    MODES, STRATEGIES, Outcome, ReductionFunction, Strategy, TraceStep,
+    closure_star, compare_limits, extend, make_strategy, probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from propeng.lattice import PowersetValue, ProductValue, leq
@@ -137,6 +137,9 @@ class TestRun:
         assert res.trace.total_applications == len(res.trace.steps)
         for step in res.trace.steps:
             assert step.changed == bool(step.changed_components)
+        step = TraceStep(fid="f", changed_components=(1, 3))
+        assert (step.fid, step.changed_components, step.changed) == ("f", (1, 3), True)
+        assert not TraceStep("f", ()).changed
 
     def test_wakeup_only_touches_dependent_functions(self):
         base = frozenset({0, 1})
@@ -351,6 +354,55 @@ class TestScheduling:
             assert res.converged
             per_step = strategy.calls / res.trace.total_applications
             assert per_step <= 4 * math.log2(n), (mode, per_step)
+
+    def test_two_changed_components_wake_each_reader_once(self):
+        # g shrinks components 1 and 2 together, twice: each wake-up hands
+        # batch the readers of either component once each, in registration
+        # order; the second wake-up reuses the first one's memoised tuple
+        def shrink_both(args):
+            if min(len(x.elements) for x in args) == 1:
+                return args
+            return tuple(x.with_elements(x.elements - {max(x.elements)}) for x in args)
+
+        def identity(fid, *scheme):
+            return ReductionFunction(fid, Scheme(scheme), lambda args: args)
+
+        g = ReductionFunction("g", Scheme((1, 2)), shrink_both)
+        fns = [identity("rb", 2), g, identity("ra", 1, 2), identity("rc", 1),
+               identity("rd", 3)]
+        start = ProductValue(tuple(PowersetValue.bottom({0, 1, 2}) for _ in range(3)))
+
+        class Recording(Strategy):
+            def reset(self, functions):
+                self.batches = []
+
+            def batch(self, functions):
+                self.batches.append(functions)
+                return list(functions)
+
+        for mode in ("ci", "ciq", "ciiq"):    # cii never re-applies g
+            strategy = Recording()
+            res = run(fns, start, mode=mode, strategy=strategy, validate=False)
+            first, *woken = strategy.batches
+            assert first == tuple(fns)
+            assert [[f.fid for f in w] for w in woken] == [["rb", "g", "ra", "rc"]] * 2
+            assert all(isinstance(w, tuple) for w in woken) and woken[0] is woken[1]
+            if mode == "ciq":
+                assert " ".join(s.fid for s in res.trace.steps) == (
+                    "rb g ra rc rd rb g ra rc rb g ra rc")
+
+    def test_seeded_runs_repeat_their_step_sequence(self):
+        rng = random.Random(71)
+        for _ in range(10):
+            csp = random_set_csp(rng, max_vars=5, max_constraints=5)
+            fns = [f for c in csp.constraints if len(c.scheme) == 2
+                   for f in make_binary_projections(c)]
+            fns += [make_full_projection(c) for c in csp.constraints]
+            for mode in MODES:
+                steps = [run(fns, domain_bottom(csp), mode=mode,
+                             strategy=make_strategy("seeded", 5), validate=False
+                             ).trace.steps for _ in range(2)]
+                assert steps[0] == steps[1], mode
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):

@@ -715,6 +715,20 @@ class TestDomainReducerLaws:
                     assert leq(box.component(i), after.component(i))
                     assert exact[k] <= members_of(after.component(i))
 
+    def test_identity_exactly_when_unchanged(self):
+        # ReductionFunction's contract: an unchanged coordinate comes back as
+        # the argument object itself, a changed one as a new object
+        rng = random.Random(67)
+        unchanged = set()
+        for _ in range(40):
+            for csp, f in domain_reducer_zoo(rng):
+                args = tuple(box_for(csp, rng).component(i) for i in f.scheme)
+                for old, new in zip(args, f.apply(args)):
+                    assert (new is old) == (new == old), f.fid
+                    if new is old:
+                        unchanged.add(f.fid.split("@")[0])
+        assert unchanged == {"pi1", "pi2", "piC", "hull", "lineq"}
+
 
 def constraint_reducer_zoo(rng):
     """(space, reducer) pairs covering the constraint-reducer kinds."""
