@@ -2,23 +2,23 @@
 
 A ``ReductionFunction`` is an inflationary, monotonic transformer on the
 components named by its scheme.  ``run`` drives a set of such functions to a
-common fixpoint with one worklist loop.  The mode fixes two things: whether
-the worklist is a set (a function is pending at most once, and the strategy
-chooses the next one) or a FIFO queue with duplicates, and whether the
-applied function leaves the worklist before or after the change test:
+common fixpoint with one worklist loop and Apt's one update rule: the
+applied function leaves the worklist when it is picked, and on a change the
+functions that *read* a changed component are woken up.  The mode fixes two
+things: whether the worklist is a set (a function is pending at most once,
+and the strategy chooses the next one) or a FIFO queue with duplicates, and
+whether an idempotent applied function is left out of its own wake-up:
 
-* ``ci``   -- set, removed before the change test (so it re-enters when it
-              changed a component it reads);
-* ``cii``  -- set, removed after the change test (appropriate for
-              idempotent functions: never immediately re-applied);
-* ``ciq``  -- FIFO queue, dequeued before the change test;
-* ``ciiq`` -- FIFO queue, dequeued after the change test.
+* ``ci``, ``ciq``   -- set, queue; every reader is woken, the applied
+                       function too;
+* ``cii``, ``ciiq`` -- set, queue; an idempotent applied function is not
+                       woken by its own change (it is stable there).
 
-On a change, exactly the functions that *read* a changed component are woken
-up, found through a component -> functions index built once per run; they
-enter the worklist in the order of the strategy's ``batch``.  The wake
-list of each changed-component tuple is computed once per run and memoised,
-so a step's bookkeeping does not rescan the index for a change it has seen.
+The readers are found through a component -> functions index built once
+per run; they enter the worklist in the order of the strategy's ``batch``.
+The wake list of each changed-component tuple is computed once per run and
+memoised, so a step's bookkeeping does not rescan the index for a change it
+has seen.
 A function reads its whole scheme unless it declares ``reads``.  An
 intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
 may leave ``x`` out and still keep the invariant of generic iteration: every
@@ -62,9 +62,9 @@ class ReductionFunction:
     """A named, scheme-tagged transformer on the product of its components.
 
     ``apply`` takes and returns one value per scheme position.  ``idempotent``
-    is a declared property (the engine can verify it by sampling but never
-    assumes it except in the ``cii``/``ciiq`` disciplines, which are only
-    appropriate for idempotent functions).  ``group`` keys block scheduling.
+    is a declared property: the ``cii``/``ciiq`` disciplines trust it to
+    leave a function out of its own wake-up, and every other discipline
+    ignores it.  ``group`` keys block scheduling.
     ``reads`` names the components of the scheme whose change can make the
     function unstable again (``None``: the whole scheme).
 
@@ -341,7 +341,8 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     state (a common fixpoint) or a limit is hit.
 
     Started from the bottom product, a converged run yields the least common
-    fixpoint of the extended functions, independent of mode and strategy.
+    fixpoint of the extended functions, independent of the mode (any of the
+    four, for any mix of idempotent and other functions) and the strategy.
 
     The wake lists are memoised per changed-component tuple in a dict local
     to the run; it grows with the number of distinct changed-component sets,
@@ -397,7 +398,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         return fs
 
     queue = mode in ("ciq", "ciiq")
-    remove_before = mode in ("ci", "ciq")
+    keep_out = mode in ("cii", "ciiq")
     pending = deque() if queue else Pending()
     key = strategy.key
 
@@ -410,29 +411,26 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
                 bisect.insort(pending, f, key=key)
             pending.recent[f.fid] = f    # a re-woken function moves to the back
 
-    def remove(g: ReductionFunction) -> None:
-        if queue:
-            pending.popleft()
-        else:
-            del pending.recent[g.fid]
-            del pending[bisect.bisect_left(pending, key(g), key=key)]
-
     push(strategy.batch(functions))
     while pending:
         if trace.total_applications >= step_cap:
             trace.outcome = Outcome.STEP_LIMIT
             return FixpointResult(d, trace)
-        g = pending[0] if queue else strategy.choose(pending)
-        if remove_before:
-            remove(g)
+        if queue:
+            g = pending.popleft()
+        else:
+            g = strategy.choose(pending)
+            del pending.recent[g.fid]
+            del pending[bisect.bisect_left(pending, key(g), key=key)]
         d2, changed = apply_step(g, d)
         trace.total_applications += 1
         trace.steps.append(TraceStep(g.fid, changed))
         if changed:
-            push(strategy.batch(woken(changed)))
+            batch = strategy.batch(woken(changed))
+            # an idempotent g is stable at d2: cii/ciiq need not wake it
+            push([f for f in batch if f is not g] if keep_out and g.idempotent
+                 else batch)
             d = d2
-        if not remove_before:
-            remove(g)
         if early_exit and changed and emptied(changed) is not None:
             trace.outcome = Outcome.EMPTY_COMPONENT
             return FixpointResult(d, trace)

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from propeng.csp import CSP, Constraint, ExtensionalBody, Scheme, SetDomain
+from propeng.csp import (
+    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
+)
 from propeng.engine import ReductionFunction, Strategy
 from propeng.lattice import GridInterval, IntGrid, PowersetValue, ProductValue
 
@@ -25,6 +27,29 @@ def random_set_csp(rng: random.Random, max_vars=4, max_atoms=3, max_constraints=
         tuples = frozenset(t for t in space if rng.random() < 0.6)
         constraints.append(Constraint(f"c{ci + 1}", scheme, ExtensionalBody(tuples)))
     return CSP(domains, tuple(constraints))
+
+
+def random_lineq_csp(rng: random.Random, max_vars=4, max_width=6,
+                     max_constraints=3) -> CSP:
+    """A random system of linear equalities over 2..max_vars small integer
+    intervals, each equality over at least two of the variables with
+    nonzero coefficients in -3..3.  Every equality holds at one random point
+    of the box, except that one in ten is moved off it by one."""
+    n = rng.randint(2, max_vars)
+    domains = []
+    for _ in range(n):
+        lo = rng.randint(-3, 3)
+        domains.append(IntDomain(lo, lo + rng.randint(0, max_width)))
+    point = [rng.randint(d.lo, d.hi) for d in domains]
+    constraints = []
+    for ci in range(rng.randint(1, max_constraints)):
+        scheme = tuple(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in scheme)
+        constant = sum(a * point[i - 1] for a, i in zip(coeffs, scheme))
+        constant += rng.random() < 0.1
+        constraints.append(
+            Constraint(f"e{ci + 1}", Scheme(scheme), LinearEqBody(coeffs, constant)))
+    return CSP(tuple(domains), tuple(constraints))
 
 
 def random_binary_constraint(rng: random.Random, left, right, cid="c1",

@@ -24,6 +24,14 @@ domain 2 int [1..8]
 constraint c1 scheme (1,2) lineq 3*x1 - 5*x2 = 4
 """
 
+# one narrowing step is not enough: the first gives x1 in [4..9] and x2 in
+# [1..12]; only the second, from x1 <= 9, raises x2's lower bound to 2
+E1 = """\
+domain 1 int [4..23]
+domain 2 int [1..17]
+constraint e1 scheme (1,2) lineq 2*x1 + 1*x2 = 20
+"""
+
 
 class TestParsing:
     def test_parse_domains_and_bodies(self):
@@ -140,6 +148,18 @@ class TestRunCommand:
         assert code == 0
         assert "domain 1 int [3..8]" in out
         assert "domain 2 int [1..4]" in out
+
+    @pytest.mark.parametrize("mode", ["ci", "cii", "ciq", "ciiq"])
+    def test_narrowing_converges_in_every_mode(self, tmp_path, capsys, mode):
+        # lineq is not idempotent, so cii re-applies it after a change too
+        path = tmp_path / "e1.csp"
+        path.write_text(E1)
+        code = main(["run", str(path), "--reducers", "lineq@e1", "--mode", mode])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "domain 2 int [2..12]" in out
+        if mode == "cii":
+            assert "# outcome: converged applications=3" in out
 
     def test_single_step_shows_first_iterate(self, lineq_file, capsys):
         main(["run", lineq_file, "--reducers", "lineq@c1", "--max-steps", "1"])

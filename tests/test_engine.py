@@ -10,26 +10,79 @@ import pytest
 
 from conftest import (
     AlternatingStrategy, brute_force_least_fixpoint, powerset_states,
-    random_binary_constraint, random_set_csp,
+    random_binary_constraint, random_lineq_csp, random_set_csp,
 )
 from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
 )
 from propeng.engine import (
     MODES, STRATEGIES, Outcome, ReductionFunction, Strategy, TraceStep,
-    closure_star, compare_limits, extend, make_strategy, probe_function, run,
+    apply_step, closure_star, compare_limits, extend, make_strategy,
+    probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from propeng.lattice import PowersetValue, ProductValue, leq
 from propeng.reducers import (
-    domain_bottom, csp_from_domain_state, make_binary_projections,
-    make_full_projection, make_linear_eq_narrowing,
+    build_named_reducers, domain_bottom, csp_from_domain_state,
+    make_binary_projections, make_full_projection, make_linear_eq_narrowing,
 )
 from propeng.csp import solutions
+
+# every strategy, the seeded one under two seeds
+STRATEGY_SETTINGS = [("det", 0), ("seeded", 1), ("seeded", 2),
+                     ("lifo", 0), ("roundrobin", 0), ("block", 0)]
 
 
 def pv(base, elements):
     return PowersetValue(frozenset(base), frozenset(elements))
+
+
+def runs_everywhere(fns, start):
+    """The converged results of ``fns`` under every mode and strategy
+    setting, as (mode, strategy name, result) triples."""
+    for mode in MODES:
+        for name, seed in STRATEGY_SETTINGS:
+            res = run(fns, start, mode=mode, strategy=make_strategy(name, seed),
+                      validate=False)
+            assert res.converged, (mode, name, seed)
+            yield mode, name, res
+
+
+def lineq_lists(rng, count):
+    """(lineq reducers, interval start) for random equality systems."""
+    for _ in range(count):
+        csp = random_lineq_csp(rng)
+        yield [make_linear_eq_narrowing(c) for c in csp.constraints], domain_bottom(csp)
+
+
+def projection_lists(rng, count):
+    """(pi1/pi2 reducers, set start) for random problems with at least one
+    binary constraint."""
+    while count:
+        csp = random_set_csp(rng)
+        fns = [f for c in csp.constraints if len(c.scheme) == 2
+               for f in make_binary_projections(c)]
+        if fns:
+            count -= 1
+            yield fns, domain_bottom(csp)
+
+
+NAMED_POOL = ("path@1,2,3", "path@1,3,2", "rho@c12,c23", "rho@c13,c32",
+              "rel@2,3;c12,c13", "rel@1,2,3;c12,c32", "pi1@c13", "pi2@c12")
+
+
+def named_lists(rng, count):
+    """(named constraint-space reducers, start) over random constraints on
+    (1,2), (1,3), (3,2) and (2,3), each list a random part of ``NAMED_POOL``."""
+    for _ in range(count):
+        domains = [frozenset(range(rng.randint(2, 3))) for _ in range(3)]
+        cs = tuple(random_binary_constraint(
+            rng, domains[i - 1], domains[j - 1], f"c{i}{j}", (i, j))
+            for i, j in ((1, 2), (1, 3), (3, 2), (2, 3)))
+        csp = CSP(tuple(SetDomain(d) for d in domains), cs)
+        setup = build_named_reducers(
+            csp, rng.sample(NAMED_POOL, rng.randint(2, len(NAMED_POOL))))
+        yield setup.functions, setup.start
 
 
 def keep_only_one(args):
@@ -92,15 +145,18 @@ class TestRun:
             assert res.value.component(2).elements == expected
 
     def test_fixpoint_of_every_function(self):
+        # in every mode, also for functions that are not idempotent (lineq)
         rng = random.Random(31)
-        from propeng.engine import apply_step
+        inputs = []
         for _ in range(25):
             csp = random_set_csp(rng, max_vars=3, max_atoms=3, max_constraints=3)
-            fns = [make_full_projection(c) for c in csp.constraints]
-            res = run(fns, domain_bottom(csp), validate=False)
-            assert res.converged
-            for f in fns:
-                assert apply_step(f, res.value)[1] == ()
+            inputs.append(([make_full_projection(c) for c in csp.constraints],
+                           domain_bottom(csp)))
+        inputs += lineq_lists(random.Random(37), 25)
+        for fns, start in inputs:
+            for mode, name, res in runs_everywhere(fns, start):
+                for f in fns:
+                    assert apply_step(f, res.value)[1] == (), (mode, name, f.fid)
 
     def test_step_cap_returns_partial_value(self, counter_fixture):
         fns, start = counter_fixture
@@ -189,6 +245,8 @@ PINNED_TRACES = {
         "cii": "pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c2 pi1@c2",
         "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c1 "
                "pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+        "ciiq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi2@c1 pi1@c1 pi2@c1 pi2@c2 pi1@c1 "
+                "pi1@c2 pi2@c2 pi1@c2 pi2@c1",
     },
     ("block", 0): {
         "ci": "pi1@c1 pi1@c1 pi2@c1 pi1@c1 pi2@c1 pi1@c2 pi1@c1 pi1@c1 pi2@c1 "
@@ -196,6 +254,8 @@ PINNED_TRACES = {
         "cii": "pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi2@c2 pi1@c2",
         "ciq": "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c1 pi1@c2 "
                "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+        "ciiq": "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi2@c1 pi1@c1 pi1@c2 pi2@c2 pi1@c1 "
+                "pi2@c1 pi2@c2 pi1@c2 pi2@c1",
     },
     ("lifo", 0): {
         "ci": "pi1@c1 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi1@c1 pi2@c1 pi1@c2 "
@@ -203,12 +263,16 @@ PINNED_TRACES = {
         "cii": "pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi1@c1 pi2@c1 pi2@c2 pi1@c2",
         "ciq": "pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi2@c2 pi1@c2 pi2@c2 pi2@c1 pi1@c2 "
                "pi1@c1 pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c2 pi1@c2",
+        "ciiq": "pi2@c2 pi2@c1 pi1@c2 pi1@c1 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c2 "
+                "pi2@c1 pi1@c1 pi2@c1 pi1@c2",
     },
     ("roundrobin", 0): {
         "ci": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1",
         "cii": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 pi2@c1",
         "ciq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi2@c1 pi1@c1 pi1@c2 pi2@c1 "
                "pi2@c2 pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c1 pi2@c1",
+        "ciiq": "pi1@c1 pi1@c2 pi2@c1 pi2@c2 pi2@c1 pi1@c1 pi2@c1 pi2@c2 pi1@c1 "
+                "pi1@c2 pi2@c2 pi1@c2 pi2@c1",
     },
     ("seeded", 1): {
         "ci": "pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi1@c1",
@@ -216,6 +280,8 @@ PINNED_TRACES = {
         "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c2 pi2@c1 pi1@c1 pi1@c1 "
                "pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c2 pi2@c2 "
                "pi2@c1 pi1@c1",
+        "ciiq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi1@c1 pi1@c2 pi2@c2 "
+                "pi2@c1 pi1@c1 pi2@c2 pi2@c1 pi1@c2",
     },
 }
 
@@ -266,10 +332,11 @@ class TestScheduling:
     @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES))
     def test_pinned_step_order(self, name, seed):
         # the scheme-wide wake rule: the projections as if they read both
-        # sides.  ciiq realizes the same order as ciq here.
+        # sides.  A changing projection wakes itself in ci and ciq, and not
+        # in cii and ciiq, where it is declared idempotent.
         fns, start = chain_projections()
         fns = [dataclasses.replace(f, reads=None) for f in fns]
-        want = dict(PINNED_TRACES[name, seed], ciiq=PINNED_TRACES[name, seed]["ciq"])
+        want = PINNED_TRACES[name, seed]
         for mode in MODES:
             res = run(fns, start, mode=mode,
                       strategy=make_strategy(name, seed), validate=False)
@@ -356,9 +423,10 @@ class TestScheduling:
             assert per_step <= 4 * math.log2(n), (mode, per_step)
 
     def test_two_changed_components_wake_each_reader_once(self):
-        # g shrinks components 1 and 2 together, twice: each wake-up hands
-        # batch the readers of either component once each, in registration
-        # order; the second wake-up reuses the first one's memoised tuple
+        # g shrinks components 1 and 2 together, twice (so it is not
+        # idempotent): each wake-up hands batch the readers of either
+        # component once each, in registration order; the second wake-up
+        # reuses the first one's memoised tuple
         def shrink_both(args):
             if min(len(x.elements) for x in args) == 1:
                 return args
@@ -367,7 +435,7 @@ class TestScheduling:
         def identity(fid, *scheme):
             return ReductionFunction(fid, Scheme(scheme), lambda args: args)
 
-        g = ReductionFunction("g", Scheme((1, 2)), shrink_both)
+        g = ReductionFunction("g", Scheme((1, 2)), shrink_both, idempotent=False)
         fns = [identity("rb", 2), g, identity("ra", 1, 2), identity("rc", 1),
                identity("rd", 3)]
         start = ProductValue(tuple(PowersetValue.bottom({0, 1, 2}) for _ in range(3)))
@@ -380,7 +448,7 @@ class TestScheduling:
                 self.batches.append(functions)
                 return list(functions)
 
-        for mode in ("ci", "ciq", "ciiq"):    # cii never re-applies g
+        for mode in MODES:    # g is not idempotent: every mode re-applies it
             strategy = Recording()
             res = run(fns, start, mode=mode, strategy=strategy, validate=False)
             first, *woken = strategy.batches
@@ -526,20 +594,20 @@ class TestLeastFixpoint:
 
 class TestOrderIndependence:
     def test_modes_and_strategies_agree(self):
+        # Apt's chaotic iteration theorem: every fair run from the same start
+        # reaches the same least common fixpoint
         rng = random.Random(13)
-        strategies = [("det", 0), ("seeded", 1), ("seeded", 2),
-                      ("lifo", 0), ("roundrobin", 0), ("block", 0)]
+        inputs = []
         for _ in range(20):
             csp = random_set_csp(rng)
-            fns = [make_full_projection(c) for c in csp.constraints]
-            results = set()
-            for mode in MODES:
-                for name, seed in strategies:
-                    res = run(fns, domain_bottom(csp), mode=mode,
-                              strategy=make_strategy(name, seed), validate=False)
-                    assert res.converged
-                    results.add(res.value)
-            assert len(results) == 1
+            inputs.append(([make_full_projection(c) for c in csp.constraints],
+                           domain_bottom(csp)))
+        inputs += lineq_lists(random.Random(17), 20)
+        inputs += projection_lists(random.Random(19), 15)
+        inputs += named_lists(random.Random(23), 10)
+        for fns, start in inputs:
+            results = {res.value for _, _, res in runs_everywhere(fns, start)}
+            assert len(results) == 1, [f.fid for f in fns]
 
     def test_queue_modes_terminate_under_random_strategies(self):
         rng = random.Random(99)

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_binary_constraint, random_set_csp
+from propeng import consistency
+from propeng.consistency import DEFAULT_FN_CAP
 from propeng.csp import (
-    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
-    Scheme, SetDomain, equivalent, solutions,
+    CSP, DEFAULT_ENUM_CAP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
+    LinearIneqBody, Scheme, SetDomain, equivalent, solutions,
 )
 from propeng.engine import ReductionFunction, apply_step, make_strategy, run
 from propeng.errors import ConfigError, DataError
@@ -743,6 +745,14 @@ def constraint_reducer_zoo(rng):
     out.append((sp, make_path_reducer(sp, 1, 2, 3)))
     out.append((sp, make_solution_projection(sp, ["ckl", "cml"])))
     out.append((sp, make_relational_reducer(sp, Scheme((1, 2)), ["ckm", "cml"])))
+    # a relational-goal reducer whose targets strictly include its members
+    rel = consistency._relational_setup(csp, 2, DEFAULT_ENUM_CAP, DEFAULT_FN_CAP)
+    out.append((rel.space, rng.choice([f for f in rel.functions if f.reads])))
+    # a domain reducer embedded in the constraint space
+    emb = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints)
+                          + tuple(DomainComponent(i) for i in (1, 2, 3)))
+    pi = rng.choice(make_binary_projections(c_kl))
+    out.append((emb, embed_domain_as_constraint(emb, pi, "ckl")))
     return out
 
 
