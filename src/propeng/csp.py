@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import contains, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, ResourceLimitError
@@ -26,7 +26,7 @@ class Scheme:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
         if len(set(self.indices)) != len(self.indices):
             raise ConfigError(f"scheme {self.indices} repeats an index")
 
@@ -73,7 +73,7 @@ class ExtensionalBody:
     tuples: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
+        object.__setattr__(self, "tuples", frozenset(map(tuple, self.tuples)))
 
 
 def _integral(x) -> int:
@@ -236,7 +236,7 @@ def validate(csp: CSP) -> list[str]:
         if isinstance(c.body, ExtensionalBody):
             members = [csp.domains[i - 1].values for i in c.scheme]
             bad = [t for t in c.body.tuples
-                   if len(t) != len(c.scheme) or any(v not in m for v, m in zip(t, members))]
+                   if len(t) != len(c.scheme) or not all(map(contains, members, t))]
             for t in sorted(bad, key=atom_key):
                 if len(t) != len(c.scheme):
                     problems.append(f"{where}: tuple {t} has arity {len(t)}, scheme needs {len(c.scheme)}")

@@ -64,7 +64,9 @@ class ReductionFunction:
     ``apply`` takes and returns one value per scheme position.  ``idempotent``
     is a declared property: the ``cii``/``ciiq`` disciplines trust it to
     leave a function out of its own wake-up, and every other discipline
-    ignores it.  ``group`` keys block scheduling.
+    ignores it.  Nothing checks it, so it defaults to ``False``: a function
+    declares it only when ``f(f(d)) = f(d)`` holds.  ``group`` keys block
+    scheduling.
     ``reads`` names the components of the scheme whose change can make the
     function unstable again (``None``: the whole scheme).
 
@@ -77,7 +79,7 @@ class ReductionFunction:
     fid: str
     scheme: Scheme
     apply: Callable[[tuple], tuple]
-    idempotent: bool = True
+    idempotent: bool = False
     group: str | None = None
     reads: tuple[int, ...] | None = None
 

@@ -30,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import contains
 from typing import Sequence
 
 from .csp import (
@@ -83,7 +84,7 @@ def _fold_domain(value, declared: Domain) -> Domain:
 def _restrict(scheme: Scheme, tuples, domains: Sequence[Domain]) -> frozenset:
     """The tuples over ``scheme`` whose every coordinate lies in its domain."""
     allowed = [domains[i - 1].values for i in scheme]
-    return frozenset(t for t in tuples if all(x in a for x, a in zip(t, allowed)))
+    return frozenset(t for t in tuples if all(map(contains, allowed, t)))
 
 
 def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
@@ -152,7 +153,9 @@ def make_full_projection(c: Constraint) -> ReductionFunction:
     tuples = c.tuples
 
     def apply(args):
-        live = [t for t in tuples if all(x in v for v, x in zip(args, t))]
+        # the membership test per coordinate: a powerset's frozenset, an interval itself
+        sets = [v.elements if isinstance(v, PowersetValue) else v for v in args]
+        live = [t for t in tuples if all(map(contains, sets, t))]
         return tuple(_fit_projection(v, {t[k] for t in live})
                      for k, v in enumerate(args))
 

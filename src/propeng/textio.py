@@ -10,8 +10,14 @@ The format mirrors the data model one line per declaration::
     constraint c3 scheme (1,2) leq 1*x1 + 1*x2 <= 7
 
 Variables in linear forms are written ``x<i>`` with ``i`` the domain index;
-every scheme index must occur exactly once.  ``parse_csp`` of a serialized
-problem is the identity on the canonical form.
+every scheme index must occur exactly once.  A tuple set holds parenthesised
+tuples with exactly one comma between two tuples.  ``parse_csp`` of a
+serialized problem is the identity on the canonical form.
+
+Parsing costs one atom parse per distinct atom text per file: ``parse_csp``
+keeps a dict from atom text to atom for that one call (never across calls),
+and resolves every atom or tuple set through it with a C-level ``map``, so no
+Python function runs per atom.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ from .lattice import atom_key
 _INT = re.compile(r"-?\d+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?x(\d+)\s*")
+_GROUP = re.compile(r"\(([^()]*)\)")
+_INT_RANGE = re.compile(r"\s*\[\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*\]\s*")
+_CONSTRAINT = re.compile(r"scheme\s*(\([^)]*\))\s*(\w+)\s*(.*)")
 
 
 def _parse_atom(tok: str, where: str):
@@ -39,30 +48,65 @@ def _parse_atom(tok: str, where: str):
     raise DataError(f"{where}: bad atom {tok!r}")
 
 
-def _parse_atom_set(text: str, where: str) -> frozenset:
+def _learn(texts: list[str], where: str, atoms: dict) -> None:
+    """Add to ``atoms`` (atom text to atom) each atom text of the
+    comma-separated ``texts`` that it lacks, parsed once, in order, so the
+    first bad atom is the one reported.  A blank text holds no atom."""
+    for g in texts:
+        for t in g.split(",") if g.strip() else ():
+            if t not in atoms:
+                atoms[t] = _parse_atom(t, where)
+
+
+def _tuples(groups: list[str], atoms: dict) -> frozenset:
+    """The tuples written inside the parentheses ``groups`` (a blank group:
+    the empty tuple); ``KeyError`` on an atom text not in ``atoms``."""
+    get = atoms.__getitem__
+    return frozenset([tuple(map(get, g.split(","))) if g.strip() else () for g in groups])
+
+
+def _parse_atom_set(text: str, where: str, atoms: dict) -> frozenset:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise DataError(f"{where}: expected a {{...}} set")
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    return frozenset(_parse_atom(t, where) for t in inner.split(","))
+    try:
+        return frozenset(map(atoms.__getitem__, inner.split(",")))
+    except KeyError:
+        _learn([inner], where, atoms)
+        return frozenset(map(atoms.__getitem__, inner.split(",")))
 
 
-def _parse_tuple_set(text: str, where: str) -> frozenset:
+def _parse_tuple_set(text: str, where: str, atoms: dict) -> frozenset:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise DataError(f"{where}: expected a {{(..),(..)}} set")
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    groups = re.findall(r"\(([^()]*)\)", inner)
-    leftover = re.sub(r"\(([^()]*)\)", "", inner).replace(",", "").strip()
+    # split around the groups: separators at even positions, group texts at odd
+    parts = _GROUP.split(inner)
+    seps = parts[0::2]
+    leftover = "".join(seps).replace(",", "").strip()
     if leftover:
         raise DataError(f"{where}: unexpected text {leftover!r} in tuple set")
-    return frozenset(
-        tuple(_parse_atom(t, where) for t in g.split(",")) if g.strip() else ()
-        for g in groups)
+    groups = parts[1::2]
+    try:
+        tuples = _tuples(groups, atoms)
+    except KeyError:
+        _learn(groups, where, atoms)
+        tuples = _tuples(groups, atoms)
+    # exactly one comma between two tuples, none before the first or after
+    # the last: with whitespace dropped, the separators read "|,|,|...|"
+    if "".join("|".join(seps).split()) != "|" + ",|" * (len(seps) - 2):
+        last = len(seps) - 1
+        for k, sep in enumerate(seps):
+            if sep.count(",") != (1 if 0 < k < last else 0):
+                bad = sep.strip() or f"({parts[2 * k + 1]})"
+                raise DataError(f"{where}: unexpected text {bad!r} in tuple set")
+    return tuples
 
 
 def _parse_scheme(text: str, where: str) -> Scheme:
@@ -70,7 +114,7 @@ def _parse_scheme(text: str, where: str) -> Scheme:
     if not (text.startswith("(") and text.endswith(")")):
         raise DataError(f"{where}: expected a (i,j,...) scheme")
     try:
-        return Scheme(tuple(int(t) for t in text[1:-1].split(",") if t.strip()))
+        return Scheme(tuple(map(int, filter(str.strip, text[1:-1].split(",")))))
     except ValueError:
         raise DataError(f"{where}: bad scheme {text!r}")
     except ConfigError as exc:
@@ -106,6 +150,7 @@ def parse_csp(text: str) -> CSP:
     """Parse a problem file; raises ``DataError`` with the offending line."""
     domains: dict[int, object] = {}
     constraints: list[Constraint] = []
+    atoms: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,9 +170,9 @@ def parse_csp(text: str) -> CSP:
                 raise DataError(f"{where}: domain {index} declared twice")
             kind, _, rest = fields[2].partition(" ")
             if kind == "set":
-                domains[index] = SetDomain(_parse_atom_set(rest, where))
+                domains[index] = SetDomain(_parse_atom_set(rest, where, atoms))
             elif kind == "int":
-                m = re.fullmatch(r"\s*\[\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*\]\s*", rest)
+                m = _INT_RANGE.fullmatch(rest)
                 if not m:
                     raise DataError(f"{where}: expected int [l..h]")
                 domains[index] = IntDomain(int(m.group(1)), int(m.group(2)))
@@ -137,13 +182,13 @@ def parse_csp(text: str) -> CSP:
             if len(fields) < 3:
                 raise DataError(f"{where}: malformed constraint line")
             cid = fields[1]
-            m = re.match(r"scheme\s*(\([^)]*\))\s*(\w+)\s*(.*)", fields[2])
+            m = _CONSTRAINT.match(fields[2])
             if not m:
                 raise DataError(f"{where}: expected scheme (...) <kind> ...")
             scheme = _parse_scheme(m.group(1), where)
             kind, rest = m.group(2), m.group(3)
             if kind == "tuples":
-                body = ExtensionalBody(_parse_tuple_set(rest, where))
+                body = ExtensionalBody(_parse_tuple_set(rest, where, atoms))
             elif kind in ("lineq", "leq"):
                 op = "=" if kind == "lineq" else "<="
                 lhs, sep, rhs = rest.partition(op)

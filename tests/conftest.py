@@ -7,7 +7,8 @@ import random
 import pytest
 
 from propeng.csp import (
-    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
+    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
+    Scheme, SetDomain,
 )
 from propeng.engine import ReductionFunction, Strategy
 from propeng.lattice import GridInterval, IntGrid, PowersetValue, ProductValue
@@ -57,6 +58,91 @@ def random_binary_constraint(rng: random.Random, left, right, cid="c1",
     space = list(itertools.product(sorted(left), sorted(right)))
     tuples = frozenset(t for t in space if rng.random() < 0.6)
     return Constraint(cid, Scheme(scheme), ExtensionalBody(tuples))
+
+
+NAME_ATOMS = ("a", "b", "red", "x1", "_z", "Q9")
+
+
+def random_text_csp(rng: random.Random, max_vars=4, max_constraints=4) -> CSP:
+    """A random problem for the file format: set domains mixing negative
+    ints and name atoms, integer ranges (some empty), and tuple, ``lineq``
+    and ``leq`` constraints.  Tuples need not lie in the domains."""
+    n = rng.randint(1, max_vars)
+    domains = []
+    for _ in range(n):
+        if rng.random() < 0.6:
+            atoms = (rng.sample(range(-12, 13), rng.randint(0, 3))
+                     + rng.sample(NAME_ATOMS, rng.randint(0, 3)))
+            domains.append(SetDomain(frozenset(atoms)))
+        else:
+            lo = rng.randint(-9, 9)
+            domains.append(IntDomain(lo, lo + rng.randint(-1, 5)))
+    pool = (-10, -3, 0, 7, "a", "red", "_z")
+    constraints = []
+    for k in range(rng.randint(0, max_constraints)):
+        scheme = Scheme(tuple(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        kind = rng.choice(("tuples", "tuples", "lineq", "leq"))
+        if kind == "tuples":
+            body = ExtensionalBody(frozenset(
+                tuple(rng.choice(pool) for _ in scheme) for _ in range(rng.randint(0, 5))))
+        else:
+            coeffs = tuple(rng.choice((-1, 1)) * rng.randint(1, 12) for _ in scheme)
+            const = rng.randint(-20, 20)
+            body = (LinearEqBody if kind == "lineq" else LinearIneqBody)(coeffs, const)
+        constraints.append(Constraint(f"c{k + 1}", scheme, body))
+    return CSP(tuple(domains), tuple(constraints))
+
+
+def spaced_text(csp: CSP, rng: random.Random) -> str:
+    """``csp`` in the problem-file format, written independently of
+    ``serialize_csp``: domain lines, atoms and tuples in random order, random
+    blanks wherever the format allows them, a coefficient of 1 sometimes left
+    out, and comments and empty lines in between."""
+    def ws():        # optional blanks
+        return rng.choice(("", "", " ", "  ", "\t", " \t "))
+
+    def gap():       # required blanks between the leading words of a line
+        return rng.choice((" ", "  ", "\t", " \t"))
+
+    def listed(items, show):
+        items = list(items)
+        rng.shuffle(items)
+        return ws() + f"{ws()},{ws()}".join(map(show, items)) + ws()
+
+    def atom(x):
+        return ws() + str(x) + ws()
+
+    def tup(t):
+        return "(" + ",".join(map(atom, t)) + ")"
+
+    lines = []
+    for i, d in enumerate(csp.domains, start=1):
+        head = f"{ws()}domain{gap()}{i}{gap()}"
+        if isinstance(d, SetDomain):
+            lines.append(f"{head}set {ws()}{{{listed(d.values, str)}}}{ws()}")
+        else:
+            lines.append(f"{head}int {ws()}[{ws()}{d.lo}{ws()}..{ws()}{d.hi}{ws()}]{ws()}")
+    rng.shuffle(lines)
+    for c in csp.constraints:
+        scheme = ",".join(ws() + str(i) + ws() for i in c.scheme)
+        head = f"{ws()}constraint{gap()}{c.cid}{gap()}scheme{ws()}({scheme}){ws()}"
+        if isinstance(c.body, ExtensionalBody):
+            lines.append(f"{head}tuples{ws()}{{{listed(c.body.tuples, tup)}}}{ws()}")
+            continue
+        terms = []
+        for k, (a, i) in enumerate(zip(c.body.coeffs, c.scheme)):
+            sign = "-" if a < 0 else ("+" if k or rng.random() < 0.3 else "")
+            mag = "" if abs(a) == 1 and rng.random() < 0.5 else f"{abs(a)}{ws()}*{ws()}"
+            terms.append(f"{ws()}{sign}{ws()}{mag}x{i}{ws()}")
+        kind, op = (("lineq", "=") if isinstance(c.body, LinearEqBody)
+                    else ("leq", "<="))
+        lines.append(f"{head}{kind}{gap()}{''.join(terms)}{op}{ws()}{c.body.constant}{ws()}")
+    out = []
+    for line in lines:
+        if rng.random() < 0.2:
+            out.append(rng.choice(("", ws(), "# a comment", ws() + "#")))
+        out.append(line + (ws() + "# trailing" if rng.random() < 0.2 else ""))
+    return "\n".join(out) + rng.choice(("", "\n"))
 
 
 def brute_force_join(csp: CSP, members) -> frozenset:
@@ -175,7 +261,8 @@ class AlternatingStrategy(Strategy):
 @pytest.fixture
 def counter_fixture():
     """(functions, start): f1 bumps even counters, f2 bumps odd ones, f0
-    jumps to the sentinel; alternating f1,f2 never converges."""
+    jumps to the sentinel; alternating f1,f2 never converges.  Only the
+    constant f0 is idempotent."""
     grid = IntGrid(0, OMEGA)
 
     def bump(parity):
@@ -190,7 +277,7 @@ def counter_fixture():
         return (GridInterval(grid, OMEGA, OMEGA),)
 
     fns = [
-        ReductionFunction("f0", Scheme((1,)), jump),
+        ReductionFunction("f0", Scheme((1,)), jump, idempotent=True),
         ReductionFunction("f1", Scheme((1,)), bump(0)),
         ReductionFunction("f2", Scheme((1,)), bump(1)),
     ]

@@ -270,6 +270,18 @@ class TestValidate:
             "constraint 'c': tuple (5, 8) coordinate 8 outside domain 2",
         ]
 
+    def test_int_domains_test_membership_by_range(self):
+        csp = CSP((IntDomain(-2, 2), IntDomain(1, 0), D01),
+                  (ext("c", (1, 3), {(-2, 0), (2, 1), (3, 0), (-3, 5), ("a", 1)}),
+                   ext("d", (2,), {(0,)})))
+        assert validate(csp) == [
+            "constraint 'c': tuple (-3, 5) coordinate -3 outside domain 1",
+            "constraint 'c': tuple (-3, 5) coordinate 5 outside domain 3",
+            "constraint 'c': tuple (3, 0) coordinate 3 outside domain 1",
+            "constraint 'c': tuple ('a', 1) coordinate 'a' outside domain 1",
+            "constraint 'd': tuple (0,) coordinate 0 outside domain 2",
+        ]
+
     def test_scheme_outside_arity(self):
         csp = CSP((D01,), (ext("c", (1, 3), {(0, 0)}),))
         assert any("outside domains" in p for p in validate(csp))

@@ -92,7 +92,7 @@ def keep_only_one(args):
 
 class TestExtend:
     def test_worked_example(self):
-        f = ReductionFunction("f", Scheme((2,)), keep_only_one)
+        f = ReductionFunction("f", Scheme((2,)), keep_only_one, idempotent=True)
         lifted = extend(f, 3)
         start = ProductValue((pv({0}, {0}), pv({0, 1}, {0, 1}), pv({2}, {2})))
         got = lifted(start)
@@ -111,7 +111,7 @@ class TestExtend:
         f = ReductionFunction(
             "drop", Scheme((2,)),
             lambda args: (args[0].with_elements(
-                a for a in args[0].elements if a != 3),))
+                a for a in args[0].elements if a != 3),), idempotent=True)
         lifted = extend(f, 3)
         for _ in range(50):
             start = ProductValue(tuple(
@@ -201,7 +201,8 @@ class TestRun:
         base = frozenset({0, 1})
         shrink = ReductionFunction(
             "a", Scheme((1,)),
-            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+            lambda args: (args[0].with_elements(args[0].elements & {0}),),
+            idempotent=True)
         bystander = ReductionFunction("b", Scheme((2,)), lambda args: args)
         start = ProductValue((PowersetValue.bottom(base),
                               PowersetValue.bottom(base)))
@@ -214,7 +215,8 @@ class TestRun:
         reader = ReductionFunction("a", Scheme((1, 2)), lambda args: args, reads=(2,))
         shrink = ReductionFunction(
             "b", Scheme((1,)),
-            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+            lambda args: (args[0].with_elements(args[0].elements & {0}),),
+            idempotent=True)
         start = ProductValue((PowersetValue.bottom(base),
                               PowersetValue.bottom(base)))
         # a has component 1 in its scheme but does not read it: b's change
@@ -224,6 +226,25 @@ class TestRun:
         res = run([dataclasses.replace(reader, reads=None), shrink], start,
                   mode="cii", validate=False)
         assert [s.fid for s in res.trace.steps] == ["a", "b", "a"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_undeclared_function_is_not_taken_as_idempotent(self, mode):
+        # drop_max removes the largest of two or more values, so it is not
+        # idempotent and does not say so: every mode re-applies it after a
+        # change and reaches {0}
+        def drop_max(args):
+            (x,) = args
+            if len(x.elements) < 2:
+                return args
+            return (x.with_elements(x.elements - {max(x.elements)}),)
+
+        f = ReductionFunction("drop_max", Scheme((1,)), drop_max)
+        assert not f.idempotent
+        res = run([f], ProductValue((PowersetValue.bottom({0, 1, 2}),)),
+                  mode=mode, validate=False)
+        assert res.converged
+        assert res.value.component(1).elements == frozenset({0})
+        assert res.trace.total_applications == 3
 
     def test_reads_outside_the_scheme_rejected(self):
         f = ReductionFunction("f", Scheme((1,)), lambda args: args, reads=(2,))
@@ -358,7 +379,8 @@ class TestScheduling:
         base = frozenset({0, 1})
         x = ReductionFunction(
             "x", Scheme((2,)),
-            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+            lambda args: (args[0].with_elements(args[0].elements & {0}),),
+            idempotent=True)
         y = ReductionFunction("y", Scheme((1,)), lambda args: args)
         z = ReductionFunction("z", Scheme((2,)), lambda args: args)
         start = ProductValue((PowersetValue.bottom(base),
@@ -380,11 +402,12 @@ class TestScheduling:
             return (x1.with_elements(x1.elements - {2}), x2)
 
         a = ReductionFunction("a", Scheme((1,)), lambda args: args)
-        b = ReductionFunction("b", Scheme((1, 2)), narrow_x1)
+        b = ReductionFunction("b", Scheme((1, 2)), narrow_x1, idempotent=True)
         c = ReductionFunction("c", Scheme((3,)), lambda args: args)
         d = ReductionFunction(
             "d", Scheme((2,)),
-            lambda args: (args[0].with_elements(args[0].elements - {2}),))
+            lambda args: (args[0].with_elements(args[0].elements - {2}),),
+            idempotent=True)
         start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(3)))
         # d wakes b, and b wakes a; after b the cursor is at c, so in cii,
         # with neither c nor d pending, the pick wraps around to a.  In ci,
@@ -403,7 +426,8 @@ class TestScheduling:
         base = frozenset({0, 1})
         fns = [ReductionFunction(
             f"f{i:03d}", Scheme((i,)),
-            lambda args: (args[0].with_elements(args[0].elements & {0}),))
+            lambda args: (args[0].with_elements(args[0].elements & {0}),),
+            idempotent=True)
             for i in range(1, n + 1)]
         start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(n)))
         base_key = STRATEGIES[name].key
@@ -482,7 +506,7 @@ class TestProbes:
         base = frozenset({1, 2, 3})
         grow = ReductionFunction(
             "grow", Scheme((1,)),
-            lambda args: (args[0].with_elements(base),))
+            lambda args: (args[0].with_elements(base),), idempotent=True)
         start = ProductValue((PowersetValue.bottom(base),))
         with pytest.raises(ProbeRejectionError, match="grow"):
             run([grow], start)
@@ -496,7 +520,7 @@ class TestProbes:
                 return (x.with_elements({"b"}),)
             return (x,)
 
-        f = ReductionFunction("weird", Scheme((1,)), weird)
+        f = ReductionFunction("weird", Scheme((1,)), weird, idempotent=True)
         with pytest.raises(ProbeRejectionError, match="monotonicity"):
             probe_function(f, ProductValue((PowersetValue.bottom(base),)),
                            samples=50)

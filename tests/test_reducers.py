@@ -92,6 +92,50 @@ class TestFullProjection:
         out = f.apply((pv({0, 1}, {1}), pv({0, 1}, {0, 1})))
         assert all(v.elements == frozenset() for v in out)
 
+    @pytest.mark.parametrize("kind", ["piC", "hull"])
+    def test_interval_components_against_brute_force(self, kind):
+        # on GridInterval components a tuple is live when each coordinate
+        # lies between the interval's ends; each output is the hull of the
+        # live tuples' coordinates, a powerset component their set
+        rng = random.Random(41)
+        for _ in range(60):
+            # hull@ takes integer domains only; piC@ also mixes in a set domain
+            domains = [IntDomain(-3, 3), D012 if kind == "piC" else IntDomain(0, 2),
+                       IntDomain(0, 4)]
+            scheme = tuple(rng.sample((1, 2, 3), rng.randint(1, 3)))
+            space = itertools.product(*(domains[i - 1].members() for i in scheme))
+            c = ext("c", scheme, {t for t in space if rng.random() < 0.4})
+            setup = build_named_reducers(CSP(tuple(domains), (c,)), [f"{kind}@c"])
+            box = []
+            for i in scheme:
+                v = setup.start.component(i)
+                if isinstance(v, GridInterval):
+                    lo, hi = sorted(rng.choices(range(v.lo, v.hi + 1), k=2))
+                    box.append(GridInterval(v.grid, lo, hi))
+                else:
+                    box.append(v.with_elements(x for x in v.elements if rng.random() < 0.7))
+            live = [t for t in c.tuples
+                    if all(x in (v.members() if isinstance(v, GridInterval) else v.elements)
+                           for x, v in zip(t, box))]
+            out = setup.functions[0].apply(tuple(box))
+            for k, (v, got) in enumerate(zip(box, out)):
+                points = {t[k] for t in live}
+                if isinstance(v, GridInterval):
+                    want = ((None, None) if not points else (min(points), max(points)))
+                    assert (got.lo, got.hi) == want
+                else:
+                    assert got.elements == points
+
+    def test_int_domain_rebuild_keeps_tuples_in_range(self):
+        c = ext("c", (1, 2), {(-1, 0), (0, 2), (2, 2), (3, 1)})
+        csp = CSP((IntDomain(-1, 3), IntDomain(0, 2)), (c,))
+        state = ProductValue((GridInterval(IntGrid(-1, 3), 0, 2),
+                              GridInterval(IntGrid(0, 2), 1, 2)))
+        out = csp_from_domain_state(csp, state)
+        assert out.domains == (IntDomain(0, 2), IntDomain(1, 2))
+        assert out.constraint("c").tuples == frozenset({(0, 2), (2, 2)})
+
+
 
 FLOAT_GRID = PointGrid((-math.inf, 0, 1, 2, math.inf))
 
