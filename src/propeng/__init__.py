@@ -27,8 +27,8 @@ from .lattice import (
     ProductValue, bottom_like, interval_hull, interval_intersect, join, leq,
 )
 from .reducers import (
-    ConstraintSpace, cutting_plane, domain_bottom, embed_domain_as_constraint,
-    join_projection, linear_eq_narrow, make_binary_projections, make_cut_reducer,
+    ConstraintSpace, cutting_plane, domain_bottom, join_projection,
+    linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection,
     make_linear_eq_narrowing, make_path_reducer, make_relational_reducer,
     make_solution_projection,

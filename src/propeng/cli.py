@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
             result = engine.run(setup.functions, setup.start, mode=args.mode,
                                 strategy=strategy, step_cap=args.max_steps,
                                 early_exit=args.early_exit)
-            reduced, trace = setup.rebuild(problem, result.value), result.trace
+            reduced, trace = setup.rebuild(result.value), result.trace
         equivalence = None
         if args.check_equivalence:
             equivalence = csp_mod.equivalent(problem, reduced)

@@ -31,7 +31,7 @@ from .csp import (
 from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, ExtComponent, RunSetup, domain_bottom, join_projection,
+    ConstraintSpace, ExtComponent, RunSetup, domain_space, join_projection,
     make_binary_projections, make_full_projection, make_path_reducer,
     universal_constraint,
 )
@@ -160,8 +160,8 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     and the realized run trace.  A directional goal lists its functions in
     pass order and runs them in that order, whatever ``strategy`` says."""
     if goal.kind == "arc":
-        setup = RunSetup(domain_bottom(csp),
-                         [make_full_projection(c) for c in csp.constraints], None)
+        setup = RunSetup(domain_space(csp),
+                         [make_full_projection(c) for c in csp.constraints])
     elif goal.kind == "path":
         setup = _path_setup(csp, cap)
     elif goal.kind == "rel":
@@ -174,7 +174,7 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
         raise ConfigError(f"unknown goal kind {goal.kind!r}")
     result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False)
-    return setup.rebuild(csp, result.value), result.trace
+    return setup.rebuild(result.value), result.trace
 
 
 def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
@@ -211,7 +211,7 @@ def _path_setup(csp, cap):
     n = csp.arity
     fns = [make_path_reducer(space, k, l, m)
            for k, l, m in itertools.permutations(range(1, n + 1), 3)]
-    return RunSetup(space.bottom(), fns, space)
+    return RunSetup(space, fns)
 
 
 def _relational_setup(csp, m, cap, fn_cap):
@@ -241,7 +241,7 @@ def _relational_setup(csp, m, cap, fn_cap):
         targets = [p for p, scope in enumerate(scopes, start=1) if scope <= union]
         fid = "rel(" + ",".join(names[p - 1] for p in subset) + ")"
         fns.append(join_projection(space, targets, subset, fid, fid))
-    return RunSetup(space.bottom(), fns, space)
+    return RunSetup(space, fns)
 
 
 class _PassOrder(Strategy):
@@ -275,7 +275,7 @@ def _directional_arc_setup(csp, order):
         chosen.append((-rank[later], c.cid, make_binary_projections(c)[k]))
     # later variables first, so one pass suffices
     chosen.sort(key=lambda entry: entry[:2])
-    return RunSetup(domain_bottom(csp), [f for _, _, f in chosen], None)
+    return RunSetup(domain_space(csp), [f for _, _, f in chosen])
 
 
 def _directional_path_setup(csp, order, cap):
@@ -287,4 +287,4 @@ def _directional_path_setup(csp, order, cap):
         if rank[k] < rank[m] and rank[l] < rank[m]:
             fns.append((m, make_path_reducer(space, k, l, m)))
     fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
-    return RunSetup(space.bottom(), [f for _, f in fns], space)
+    return RunSetup(space, [f for _, f in fns])

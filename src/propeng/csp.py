@@ -73,7 +73,10 @@ class ExtensionalBody:
     tuples: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples", frozenset(map(tuple, self.tuples)))
+        # a frozenset of plain tuples (what the parser builds) is kept as it is
+        tuples = self.tuples
+        if type(tuples) is not frozenset or not set(map(type, tuples)) <= {tuple}:
+            object.__setattr__(self, "tuples", frozenset(map(tuple, tuples)))
 
 
 def _integral(x) -> int:

@@ -1,23 +1,24 @@
-"""The reduction-function catalogue and the state spaces it acts on.
+"""The reduction-function catalogue and the state space it acts on.
 
-Two state spaces are used.  The *domain space* has one component per
-variable, holding either a powerset of the declared atoms or a grid interval;
-domain reducers (projections, linear-equality narrowing) shrink variables
-there.  A projection fits each coordinate of the tuples inside the current
-box into the component's family, so ``hull`` is ``piC`` on intervals.  The
-*constraint space* has one component per constraint, holding the
-constraint's current tuple set (or a growing set of linear inequalities for
-cutting planes); constraint reducers shrink those.  ``rho``, path and
-relational reduction share one body: intersect each target with the
-projection of the join of the members.  The projection is fused into the
-join (``join_constraints(..., onto=...)``): the last join step emits only the
-targets' coordinates, so path reduction composes ``C_km`` and ``C_ml``
-without building ``(k,m,l)`` triples, and an application that removes
-nothing returns its arguments as they were.  Domain reducers can be embedded
-into the constraint space by treating the domains as extra unary
-constraints; only ``ConstraintSpace.join`` and its inverse ``project`` know
-how they are encoded.  Both spaces fold a reached state back into a problem alike: domains
-into the declared families, extensional constraints restricted to them.
+Every run acts on one product, a ``ConstraintSpace``.  A run with domain
+reducers has the variables as its components ``1..n``, each holding its
+domain in the declared family: a powerset of the declared atoms for a set
+domain, a grid interval for an integer range.  Domain reducers (projections,
+linear-equality narrowing) shrink those, and their schemes name them as they
+are.  A projection fits each coordinate of the tuples inside the current box
+into the component's family, so ``hull`` is ``piC`` on intervals.  The other
+components hold a constraint's current tuple set (or a growing set of linear
+inequalities for cutting planes); constraint reducers shrink those.
+``rho``, path and relational reduction share one body: intersect each target
+with the projection of the join of the members.  The projection is fused
+into the join (``join_constraints(..., onto=...)``): the last join step
+emits only the targets' coordinates, so path reduction composes ``C_km`` and
+``C_ml`` without building ``(k,m,l)`` triples, and an application that
+removes nothing returns its arguments as they were.  A variable over a set
+domain also joins as a unary constraint (``~domN``); only
+``ConstraintSpace.join`` and its inverse ``project`` know how.  A reached
+state folds back into a problem: variables into the declared families,
+extensional constraints restricted to them.
 
 Every constructor returns an engine ``ReductionFunction``; all of them
 preserve the solution set of the problem they were built from.  Reducer
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import contains
 from typing import Sequence
@@ -47,56 +48,22 @@ from .lattice import (
 
 
 # ---------------------------------------------------------------------------
-# Domain space
+# Folding a reached state back into a problem
 
 
-def domain_bottom(csp: CSP) -> ProductValue:
-    """The least element of the domain space: the declared domains themselves."""
-    comps = []
-    for d in csp.domains:
-        if isinstance(d, SetDomain):
-            comps.append(PowersetValue.bottom(d.values))
-        else:
-            if d.is_empty:
-                comps.append(GridInterval.empty(IntGrid(0, 0)))
-            else:
-                comps.append(GridInterval.full(IntGrid(d.lo, d.hi)))
-    return ProductValue(tuple(comps))
-
-
-def _fold_domain(value, declared: Domain) -> Domain:
-    """The domain a reduced component denotes.  A subset of a declared
-    integer range stays an ``IntDomain`` while it is contiguous (or empty)."""
+def _fold_domain(value) -> Domain:
+    """The domain a variable's component denotes, in its declared family."""
     if isinstance(value, GridInterval):
         return IntDomain(1, 0) if value.is_empty else IntDomain(value.lo, value.hi)
-    if not isinstance(value, PowersetValue):
-        raise ConfigError(f"unexpected component kind {type(value).__name__}")
-    elements = value.elements
-    if isinstance(declared, IntDomain):
-        if not elements:
-            return IntDomain(1, 0)
-        lo, hi = min(elements), max(elements)
-        if len(elements) == hi - lo + 1:
-            return IntDomain(lo, hi)
-    return SetDomain(elements)
+    if isinstance(value, PowersetValue):
+        return SetDomain(value.elements)
+    raise ConfigError(f"unexpected component kind {type(value).__name__}")
 
 
 def _restrict(scheme: Scheme, tuples, domains: Sequence[Domain]) -> frozenset:
     """The tuples over ``scheme`` whose every coordinate lies in its domain."""
     allowed = [domains[i - 1].values for i in scheme]
     return frozenset(t for t in tuples if all(map(contains, allowed, t)))
-
-
-def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
-    """The problem determined by ``csp`` and the reduced domain box: new
-    domains, with every extensional constraint restricted to them."""
-    if len(state) != csp.arity:
-        raise ConfigError("domain state arity does not match the problem")
-    domains = tuple(_fold_domain(v, d) for v, d in zip(state.components, csp.domains))
-    constraints = tuple(
-        Constraint(c.cid, c.scheme, ExtensionalBody(_restrict(c.scheme, c.tuples, domains)))
-        if c.is_extensional else c for c in csp.constraints)
-    return CSP(domains, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +232,10 @@ class ExtComponent:
         return self.constraint.scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainComponent:
-    """A variable's domain embedded into the constraint space as a unary
-    constraint (the component value stays in the domain family)."""
+    """A variable's domain, at position ``var`` of the space, in its declared
+    family; over a set domain it also joins as a unary constraint."""
 
     var: int
 
@@ -306,7 +273,8 @@ def _record_constraint(record: tuple, cid: str) -> Constraint:
 
 
 class ConstraintSpace:
-    """One product component per constraint (plus optional embedded domains);
+    """The state space of a run: its variables first, as positions ``1..k``
+    when it has any, then one component per constraint or inequality group;
     builds the start state and rebuilds a problem from any reached state."""
 
     def __init__(self, csp: CSP, components: Sequence, cap: int = DEFAULT_ENUM_CAP):
@@ -315,19 +283,24 @@ class ConstraintSpace:
         self.cap = cap
         self._by_key: dict[str, int] = {}
         self._by_scheme: dict[tuple, list[int]] = {}
+        # joinable components; a variable is added when first joined
         self._join_schemes: dict[int, Scheme] = {}
-        # embedded domains: their atoms join as 1-tuples
-        self._unary_positions: set[int] = set()
+        self._variables = 0
+        arity = csp.arity
         for pos, comp in enumerate(self.components, start=1):
-            if comp.key in self._by_key:
-                raise ConfigError(f"duplicate constraint-space component {comp.key!r}")
-            self._by_key[comp.key] = pos
+            key = comp.key
+            if key in self._by_key:
+                raise ConfigError(f"duplicate constraint-space component {key!r}")
+            self._by_key[key] = pos
             if isinstance(comp, ExtComponent):
                 self._by_scheme.setdefault(comp.scheme.indices, []).append(pos)
                 self._join_schemes[pos] = comp.scheme
             elif isinstance(comp, DomainComponent):
-                self._join_schemes[pos] = Scheme((comp.var,))
-                self._unary_positions.add(pos)
+                if comp.var != pos or pos > arity:
+                    raise ConfigError(
+                        f"component {key!r} at position {pos}: the variables "
+                        f"take positions 1..{arity}, in order")
+                self._variables = pos
 
     def position(self, key: str) -> int:
         if key not in self._by_key:
@@ -344,13 +317,14 @@ class ConstraintSpace:
         return hits[0]
 
     def bottom(self) -> ProductValue:
-        vals = []
-        for comp in self.components:
+        # the variables' declared domains, then the constraints'
+        vals = [PowersetValue.bottom(d.values) if isinstance(d, SetDomain)
+                else GridInterval.empty(IntGrid(0, 0)) if d.is_empty
+                else GridInterval.full(IntGrid(d.lo, d.hi))
+                for d in self.csp.domains[:self._variables]]
+        for comp in self.components[self._variables:]:
             if isinstance(comp, ExtComponent):
                 vals.append(PowersetValue.bottom(comp.constraint.tuples))
-            elif isinstance(comp, DomainComponent):
-                vals.append(PowersetValue.bottom(
-                    self.csp.domain_members(comp.var)))
             else:
                 vals.append(GrowSetValue.bottom(
                     _ineq_record(m) for m in comp.members))
@@ -358,52 +332,57 @@ class ConstraintSpace:
 
     def join_schemes(self, positions: Sequence[int]) -> list[Scheme]:
         """The schemes of the tuple sets of distinct components to be joined
-        (an embedded domain is unary)."""
+        (a variable is unary)."""
         if len(set(positions)) != len(positions) or not positions:
             raise ConfigError("member constraints must be distinct and nonempty")
         for p in positions:
-            if p not in self._join_schemes:
+            if p in self._join_schemes:
+                continue
+            # a variable joins only over a set domain, its atoms as 1-tuples
+            if p > self._variables or not isinstance(self.csp.domains[p - 1], SetDomain):
                 raise ConfigError(f"component {self.components[p - 1].key!r} is not joinable")
+            self._join_schemes[p] = Scheme((p,))
         return [self._join_schemes[p] for p in positions]
 
     def join(self, positions: Sequence[int], values: Sequence,
              onto: Scheme | None = None) -> Relation:
         """The join of the current tuple sets ``values`` of the components at
-        ``positions``, reselected onto ``onto`` when given; an embedded
-        domain's atoms join as 1-tuples."""
+        ``positions``, reselected onto ``onto`` when given; a variable's
+        atoms join as 1-tuples."""
         return join_constraints([
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
-                     if p in self._unary_positions else v.elements)
+                     if p <= self._variables else v.elements)
             for p, v in zip(positions, values)], cap=self.cap, onto=onto)
 
     def project(self, joined: Relation, pos: int) -> frozenset:
         """The inverse of ``join`` for the component at ``pos``: the joined
         tuples reselected onto its scheme (as they are when the join already
-        has that scheme); an embedded domain's as atoms."""
+        has that scheme); a variable's as atoms."""
         scheme = self._join_schemes[pos]
         proj = (joined.tuples if joined.scheme == scheme
                 else reselect(joined.scheme, joined.tuples, scheme))
-        return frozenset(a for (a,) in proj) if pos in self._unary_positions else proj
+        return frozenset(a for (a,) in proj) if pos <= self._variables else proj
 
     def rebuild(self, state: ProductValue) -> CSP:
-        """The problem determined by the base problem and ``state``: reduced
-        constraints (synthetic ones only while they say something), domains
-        folded back from embedded components."""
+        """The problem determined by the base problem and ``state``: domains
+        folded back from the variables, reduced constraints (synthetic ones
+        only while they say something), every extensional constraint
+        restricted to the domains."""
         if len(state) != len(self.components):
             raise ConfigError("state arity does not match the space")
-        domains = list(self.csp.domains)
-        for pos, comp in enumerate(self.components, start=1):
-            if isinstance(comp, DomainComponent):
-                domains[comp.var - 1] = _fold_domain(state.component(pos),
-                                                     domains[comp.var - 1])
+        n = self._variables
+        domains = (tuple(map(_fold_domain, state.components[:n]))
+                   + self.csp.domains[n:])
         # (base position, constraint): constraints that never became
-        # components pass through, inequality group members among them;
-        # new constraints follow the base ones
+        # components pass through, extensional ones restricted to the
+        # domains; new constraints follow the base ones
         base = {c.cid: k for k, c in enumerate(self.csp.constraints)}
         last = len(base)
-        out = [(k, c) for k, c in enumerate(self.csp.constraints)
-               if c.cid not in self._by_key]
+        out = [(k, Constraint(c.cid, c.scheme, ExtensionalBody(
+                    _restrict(c.scheme, c.tuples, domains)))
+                if c.is_extensional else c)
+               for k, c in enumerate(self.csp.constraints) if c.cid not in self._by_key]
         for pos, comp in enumerate(self.components, start=1):
             value = state.component(pos)
             if isinstance(comp, ExtComponent):
@@ -426,7 +405,22 @@ class ConstraintSpace:
                                          ExtensionalBody(frozenset()))
                     out.append((last, cut))
         out.sort(key=lambda kc: kc[0])
-        return CSP(tuple(domains), tuple(c for _, c in out))
+        return CSP(domains, tuple(c for _, c in out))
+
+
+def domain_space(csp: CSP) -> ConstraintSpace:
+    """The space of a run with domain reducers only: the variables."""
+    return ConstraintSpace(csp, map(DomainComponent, range(1, csp.arity + 1)))
+
+
+def domain_bottom(csp: CSP) -> ProductValue:
+    """The least element of ``domain_space(csp)``: the declared domains."""
+    return domain_space(csp).bottom()
+
+
+def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
+    """The problem determined by ``csp`` and a reached domain state."""
+    return domain_space(csp).rebuild(state)
 
 
 def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) -> Constraint:
@@ -516,22 +510,6 @@ def make_relational_reducer(space: ConstraintSpace, t: Scheme,
                            space.components[target - 1].key)
 
 
-def embed_domain_as_constraint(space: ConstraintSpace, f: ReductionFunction,
-                               cid: str) -> ReductionFunction:
-    """Lift a domain reducer built for constraint ``cid`` into the constraint
-    space: the constraint component is copied, the embedded domain components
-    are transformed exactly as the domain reducer would."""
-    target = space.position(cid)
-    dpos = tuple(space.position(DomainComponent(i).key) for i in f.scheme)
-    scheme = Scheme((target,) + dpos)
-
-    def apply(args):
-        return (args[0],) + tuple(f.apply(tuple(args[1:])))
-
-    return ReductionFunction(f"embed({f.fid})", scheme, apply,
-                             idempotent=f.idempotent, group=f.group)
-
-
 # ---------------------------------------------------------------------------
 # Cutting planes
 
@@ -601,16 +579,17 @@ _CONSTRAINT_KINDS = ("rho", "path", "rel", "cut")
 
 @dataclass
 class RunSetup:
-    """Everything needed to run a reducer list: the start state, the
-    functions, and how to turn a reached state back into a problem."""
+    """Everything needed to run a reducer list: the space, the functions,
+    the start state (the space's least element) and the fold back."""
 
-    start: ProductValue
+    space: ConstraintSpace
     functions: list[ReductionFunction]
-    space: ConstraintSpace | None   # None: the domain space
+    start: ProductValue = field(init=False)
 
-    def rebuild(self, csp: CSP, state: ProductValue) -> CSP:
-        if self.space is None:
-            return csp_from_domain_state(csp, state)
+    def __post_init__(self):
+        self.start = self.space.bottom()
+
+    def rebuild(self, state: ProductValue) -> CSP:
         return self.space.rebuild(state)
 
 
@@ -665,22 +644,6 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
     if not parsed:
         raise ConfigError("no reducers given")
 
-    if not any(kind in _CONSTRAINT_KINDS for kind, *_ in parsed):
-        fns = [_domain_function(kind, rest, csp) for kind, rest, _, _ in parsed]
-        return RunSetup(domain_bottom(csp), fns, None)
-
-    # constraint space: interval narrowing cannot be embedded there
-    for kind, rest, _, _ in parsed:
-        if kind in ("hull", "lineq"):
-            raise ConfigError(
-                f"{kind}@{rest} runs on interval domains and cannot be mixed "
-                "with constraint-space reducers")
-        if kind in ("pi1", "pi2", "piC"):
-            for i in csp.constraint(rest).scheme:
-                if not isinstance(csp.domains[i - 1], SetDomain):
-                    raise ConfigError(
-                        f"{kind}@{rest} can only be embedded over finite set domains")
-
     cut_groups = list(dict.fromkeys(cids for kind, _, cids, _ in parsed if kind == "cut"))
     grouped_cids: set[str] = set()
     for cids in cut_groups:
@@ -689,7 +652,13 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                 raise ConfigError(f"constraint {cid!r} appears in two cut groups")
             grouped_cids.add(cid)
 
-    components: list = [ExtComponent(c) for c in csp.constraints if c.is_extensional]
+    # domain reducers act on the variables, which come first
+    kinds = {kind for kind, *_ in parsed}
+    components: list = []
+    if not kinds.isdisjoint(_DOMAIN_KINDS):
+        components.extend(map(DomainComponent, range(1, csp.arity + 1)))
+    if not kinds.isdisjoint(_CONSTRAINT_KINDS):
+        components.extend(ExtComponent(c) for c in csp.constraints if c.is_extensional)
     for cids in sorted(cut_groups):
         members = tuple(csp.constraint(cid) for cid in cids)
         components.append(IneqComponent("cutset(" + ",".join(cids) + ")", members))
@@ -702,15 +671,11 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                 universal_constraint(csp, Scheme(t), cap=cap), synthetic=True))
             have_schemes.add(t)
 
-    if any(kind in ("pi1", "pi2", "piC") for kind, *_ in parsed):
-        components.extend(DomainComponent(i) for i in range(1, csp.arity + 1))
-
     space = ConstraintSpace(csp, components, cap=cap)
     fns: list[ReductionFunction] = []
     for kind, rest, head, tail in parsed:
-        if kind in ("pi1", "pi2", "piC"):
-            fns.append(embed_domain_as_constraint(
-                space, _domain_function(kind, rest, csp), rest))
+        if kind in _DOMAIN_KINDS:
+            fns.append(_domain_function(kind, rest, csp))
         elif kind == "rho":
             fns.append(make_solution_projection(space, head))
         elif kind == "path":
@@ -719,4 +684,4 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
             fns.append(make_relational_reducer(space, Scheme(head), tail))
         else:
             fns.append(make_cut_reducer(space, "cutset(" + ",".join(head) + ")", tail))
-    return RunSetup(space.bottom(), fns, space)
+    return RunSetup(space, fns)

@@ -113,8 +113,10 @@ def _parse_scheme(text: str, where: str) -> Scheme:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise DataError(f"{where}: expected a (i,j,...) scheme")
+    inner = text[1:-1]
     try:
-        return Scheme(tuple(map(int, filter(str.strip, text[1:-1].split(",")))))
+        # every entry must hold an index; only "()" is the empty scheme
+        return Scheme(tuple(map(int, inner.split(",") if inner.strip() else ())))
     except ValueError:
         raise DataError(f"{where}: bad scheme {text!r}")
     except ConfigError as exc:

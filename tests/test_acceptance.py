@@ -14,7 +14,7 @@ from conftest import (
 )
 from test_reducers import (
     box_for, constraint_reducer_zoo, domain_reducer_zoo, exact_projections,
-    members_of, random_constraint_state,
+    members_of, random_constraint_state, strongest_outputs,
 )
 from propeng.consistency import ConsistencyGoal, achieve, is_arc_consistent
 from propeng.csp import (
@@ -28,10 +28,9 @@ from propeng.errors import DataError
 from propeng.lattice import leq
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, csp_from_domain_state,
-    cutting_plane, domain_bottom, embed_domain_as_constraint,
-    linear_eq_narrow, make_binary_projections, make_full_projection,
-    make_linear_eq_narrowing, make_path_reducer, make_solution_projection,
-    universal_constraint,
+    cutting_plane, domain_bottom, linear_eq_narrow, make_binary_projections,
+    make_full_projection, make_linear_eq_narrowing, make_path_reducer,
+    make_solution_projection, universal_constraint,
 )
 
 D01 = SetDomain(frozenset({0, 1}))
@@ -129,7 +128,8 @@ def test_criterion_5_least_fixpoint():
 
 def _hybrid_case(rng):
     """A three-variable problem with a unique binary constraint per pair
-    (universal where unstated), embedded domains, and a mixed reducer set."""
+    (universal where unstated), its variables as the first components, and a
+    mixed reducer set."""
     constraints = []
     for k, (i, j) in enumerate(itertools.permutations((1, 2, 3), 2)):
         if rng.random() < 0.6:
@@ -137,13 +137,13 @@ def _hybrid_case(rng):
             constraints.append(ext(f"c{k}", (i, j),
                                    {t for t in space if rng.random() < 0.75}))
     csp = CSP((D01, D01, D01), tuple(constraints))
-    comps = [ExtComponent(c) for c in csp.constraints]
+    comps = [DomainComponent(i) for i in (1, 2, 3)]
+    comps.extend(ExtComponent(c) for c in csp.constraints)
     have = {c.scheme.indices for c in csp.constraints}
     for i, j in itertools.permutations((1, 2, 3), 2):
         if (i, j) not in have:
             comps.append(ExtComponent(
                 universal_constraint(csp, Scheme((i, j))), synthetic=True))
-    comps.extend(DomainComponent(i) for i in (1, 2, 3))
     space = ConstraintSpace(csp, comps)
 
     fns = []
@@ -154,11 +154,8 @@ def _hybrid_case(rng):
     fns.append(make_solution_projection(space, members))
     target = rng.choice(ext_keys[:len(csp.constraints)] or ext_keys)
     cons = space.components[space.position(target) - 1].constraint
-    pi1, pi2 = make_binary_projections(cons)
-    fns.append(embed_domain_as_constraint(space, pi1, target))
-    fns.append(embed_domain_as_constraint(space, pi2, target))
-    full = make_full_projection(cons)
-    fns.append(embed_domain_as_constraint(space, full, target))
+    fns.extend(make_binary_projections(cons))
+    fns.append(make_full_projection(cons))
     return csp, space, fns
 
 
@@ -214,12 +211,8 @@ def test_criterion_8_characterization_bounds():
         for space, g in constraint_reducer_zoo(rng):
             state = random_constraint_state(space, rng)
             after, _ = apply_step(g, state)
-            touched = list(g.scheme.indices)
-            rho = make_solution_projection(
-                space, [space.components[p - 1].key for p in touched],
-                fid="rho-oracle")
-            strongest = rho.apply(tuple(state.component(p) for p in touched))
-            for k, p in enumerate(touched):
+            strongest = strongest_outputs(space, g, state)
+            for k, p in enumerate(g.scheme):
                 assert leq(state.component(p), after.component(p))
                 assert strongest[k].elements <= after.component(p).elements
             checked += 1

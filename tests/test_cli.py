@@ -149,6 +149,33 @@ class TestRunCommand:
         assert "domain 1 int [3..8]" in out
         assert "domain 2 int [1..4]" in out
 
+    def test_narrowing_mixes_with_rho(self, tmp_path, capsys):
+        path = tmp_path / "mix.csp"
+        path.write_text(LINEQ + "constraint b scheme (1,2) tuples {(3,1),(5,2),(8,4)}\n")
+        code = main(["run", str(path), "--reducers", "lineq@c1,rho@b",
+                     "--check-equivalence"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "domain 1 int [3..8]\ndomain 2 int [1..4]\n" in out
+        assert "# equivalence: PASS" in out
+
+    def test_mixed_list_trace_names_the_variables(self, tmp_path, capsys):
+        # the variables are components 1..3, the constraints 4 and 5
+        path = tmp_path / "chain.csp"
+        path.write_text(
+            "domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+            "constraint c1 scheme (1,2) tuples {(0,0),(1,1)}\n"
+            "constraint c2 scheme (2,3) tuples {(0,1)}\n")
+        code = main(["run", str(path), "--reducers", "rho@c1,c2,pi1@c1,pi2@c2",
+                     "--trace"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:4] == [
+            "step=1 fn=pi1@c1 changed=0 comps=",
+            "step=2 fn=pi2@c2 changed=1 comps=3",
+            "step=3 fn=rho@c1,c2 changed=1 comps=4",
+            "step=4 fn=rho@c1,c2 changed=0 comps="]
+
     @pytest.mark.parametrize("mode", ["ci", "cii", "ciq", "ciiq"])
     def test_narrowing_converges_in_every_mode(self, tmp_path, capsys, mode):
         # lineq is not idempotent, so cii re-applies it after a change too
@@ -341,6 +368,18 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert "error: component 'cutset(i1)' is not joinable" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("names, err", [
+        ("rho@c,~dom1", "error: no constraint-space component '~dom1'\n"),
+        ("piC@c,rho@c,~dom1", "error: component '~dom1' is not joinable\n")])
+    def test_int_range_variable_join_member_is_input_error(
+            self, tmp_path, capsys, names, err):
+        p = tmp_path / "int.csp"
+        p.write_text("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+                     "constraint c scheme (1,2) tuples {(0,0),(1,2)}\n")
+        assert main(["run", str(p), "--reducers", names]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (err, "")
 
     @pytest.mark.parametrize("names, fid", [
         ("pi1@c,pi1@c", "pi1@c"), ("rho@c,pi1@c,rho@c", "rho@c")])

@@ -1,6 +1,7 @@
 """The problem model: scheme algebra, joins, projections, the solutions
 oracle and equivalence."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,20 @@ def ext(cid, scheme, tuples):
 
 
 D01 = SetDomain(frozenset({0, 1}))
+
+
+class TestExtensionalBody:
+    def test_a_frozenset_of_tuples_is_kept(self):
+        fs = frozenset({(0, 1), (1, 0)})
+        assert ExtensionalBody(fs).tuples is fs
+
+    @pytest.mark.parametrize("given", [
+        [[0, 1], [1, 0]], {(0, 1), (1, 0)},
+        frozenset({(0, 1), collections.namedtuple("Pair", "a b")(1, 0)})])
+    def test_anything_else_is_normalised(self, given):
+        tuples = ExtensionalBody(given).tuples
+        assert tuples == frozenset({(0, 1), (1, 0)})
+        assert type(tuples) is frozenset and {type(t) for t in tuples} == {tuple}
 
 
 class TestSchemeUnion:

@@ -16,7 +16,7 @@ from propeng.csp import (
     CSP, DEFAULT_ENUM_CAP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
     LinearIneqBody, Scheme, SetDomain, equivalent, solutions,
 )
-from propeng.engine import ReductionFunction, apply_step, make_strategy, run
+from propeng.engine import MODES, ReductionFunction, apply_step, make_strategy, run
 from propeng.errors import ConfigError, DataError
 from propeng.lattice import (
     GridInterval, IntGrid, PointGrid, PowersetValue, ProductValue, leq,
@@ -24,10 +24,10 @@ from propeng.lattice import (
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, IneqComponent,
     build_named_reducers, csp_from_domain_state, cutting_plane, domain_bottom,
-    embed_domain_as_constraint, linear_eq_narrow, make_binary_projections,
-    make_cut_reducer, make_full_projection, make_interval_hull_projection,
-    make_linear_eq_narrowing, make_path_reducer, make_relational_reducer,
-    make_solution_projection, universal_constraint,
+    linear_eq_narrow, make_binary_projections, make_cut_reducer,
+    make_full_projection, make_interval_hull_projection, make_linear_eq_narrowing,
+    make_path_reducer, make_relational_reducer, make_solution_projection,
+    universal_constraint,
 )
 
 D012 = SetDomain(frozenset({0, 1, 2}))
@@ -322,11 +322,11 @@ class TestSolutionProjection:
     def test_member_may_be_an_embedded_domain(self):
         c1 = ext("c1", (2, 1), {(0, 1), (0, 0)})
         space = ConstraintSpace(CSP((D012, D01), (c1,)),
-                                (ExtComponent(c1), DomainComponent(1)))
+                                (DomainComponent(1), ExtComponent(c1)))
         rho = make_solution_projection(space, ["c1", "~dom1"])
         start = space.bottom()
-        dom1 = start.component(2).with_elements({1, 2})
-        out = rho.apply((start.component(1), dom1))
+        dom1 = start.component(1).with_elements({1, 2})
+        out = rho.apply((start.component(2), dom1))
         # the join over scheme (2,1), by hand: c1's pairs whose x1 is in dom1
         joined = {(b, a) for b, a in c1.tuples if a in dom1.elements}
         assert out[0].elements == joined == {(0, 1)}
@@ -525,23 +525,6 @@ class TestConstraintSpaceRebuild:
 
 
 class TestFoldBackToAProblem:
-    def test_rebuild_folds_an_embedded_int_domain(self):
-        # a contiguous value stays an int range, a gapped one becomes a set,
-        # an emptied one is the empty range; constraints follow the domains
-        d = IntDomain(0, 4)
-        c = ext("c", (1, 2), {(0, 0), (1, 1), (3, 3), (4, 4)})
-        space = ConstraintSpace(CSP((d, d), (c,)), (
-            ExtComponent(c), DomainComponent(1), DomainComponent(2)))
-        start = space.bottom()
-        for kept, folded in [({1, 2, 3}, IntDomain(1, 3)),
-                             ({0, 3, 4}, SetDomain(frozenset({0, 3, 4}))),
-                             (set(), IntDomain(1, 0))]:
-            state = start.replace({2: start.component(2).with_elements(kept)})
-            rebuilt = space.rebuild(state)
-            assert rebuilt.domains == (folded, d)
-            assert rebuilt.constraint("c").tuples == frozenset(
-                t for t in c.tuples if t[0] in kept)
-
     def test_domain_state_with_an_emptied_interval(self):
         c = ext("c", (1, 2), {(0, 1), (2, 2)})
         csp = CSP((IntDomain(0, 2), IntDomain(0, 2)), (c,))
@@ -559,10 +542,11 @@ class TestNamedReducerRegistry:
         e = Constraint("e", Scheme((1, 2)), LinearEqBody((3, -5), 4))
         csp = CSP((IntDomain(0, 9), IntDomain(1, 8)), (c, h, e))
         setup = build_named_reducers(csp, ["hull@h", "lineq@e", "piC@b"])
-        assert setup.space is None
+        assert isinstance(setup.space, ConstraintSpace)
+        assert [c.key for c in setup.space.components] == ["~dom1", "~dom2"]
         assert [f.fid for f in setup.functions] == ["hull@h", "lineq@e", "piC@b"]
         res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(csp, res.value)
+        rebuilt = setup.rebuild(res.value)
         assert rebuilt.domains[0] == IntDomain(3, 3)
         assert rebuilt.domains[1] == IntDomain(1, 1)
         assert equivalent(csp, rebuilt)
@@ -578,7 +562,7 @@ class TestNamedReducerRegistry:
             chain_csp, ["rel@1,3;c1,c2", "rho@c1,c2"])
         assert setup.space is not None
         res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(chain_csp, res.value)
+        rebuilt = setup.rebuild(res.value)
         assert rebuilt.constraint("u(1,3)").tuples == frozenset({(0, 1)})
         assert equivalent(chain_csp, rebuilt)
 
@@ -593,7 +577,7 @@ class TestNamedReducerRegistry:
         csp = CSP((D01, D01, D01, SetDomain(frozenset())), (c12, c13, c32))
         setup = build_named_reducers(csp, names)
         res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(csp, res.value)
+        rebuilt = setup.rebuild(res.value)
         if names[0].startswith("rho"):
             expected = {"c12": c12.tuples, "c13": set(), "c32": set()}
         else:
@@ -604,7 +588,7 @@ class TestNamedReducerRegistry:
         space = path_space()
         setup = build_named_reducers(space.csp, ["path@1,2,3"])
         res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(space.csp, res.value)
+        rebuilt = setup.rebuild(res.value)
         assert rebuilt.constraint("c12").tuples == frozenset({(0, 1)})
 
     def test_cut_names(self):
@@ -613,46 +597,98 @@ class TestNamedReducerRegistry:
         csp = CSP((IntDomain(-2, 3), IntDomain(-2, 3)), (i1, i2))
         setup = build_named_reducers(csp, ["cut@i1,i2;1/2,1/2"])
         res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(csp, res.value)
+        rebuilt = setup.rebuild(res.value)
         cids = [c.cid for c in rebuilt.constraints]
         assert cids == ["i1", "i2", "cutset(i1,i2)/cut1"]
         assert equivalent(csp, rebuilt)
-
-    def test_mixing_interval_reducers_with_constraint_space_rejected(self):
-        e = Constraint("e", Scheme((1, 2)), LinearEqBody((3, -5), 4))
-        c = ext("b", (1, 2), {(0, 0)})
-        csp = CSP((IntDomain(0, 9), IntDomain(1, 8)), (e, c))
-        with pytest.raises(ConfigError, match="cannot be mixed"):
-            build_named_reducers(csp, ["lineq@e", "rho@b"])
 
     def test_unknown_kind_rejected(self, chain_csp):
         with pytest.raises(ConfigError):
             build_named_reducers(chain_csp, ["zap@c1"])
 
 
-class TestEmbedding:
-    def test_embedded_projection_matches_domain_run(self, chain_csp):
+class TestOneSpace:
+    """Domain and constraint reducers in one list act on one space: the
+    variables first, then the constraints."""
+
+    @staticmethod
+    def run_all_modes(csp, names):
+        """The problem each mode's run rebuilds, once checked that the run
+        ends at a common fixpoint of the list and keeps the solution set."""
+        setup = build_named_reducers(csp, names)
+        out = []
+        for mode in MODES:
+            res = run(setup.functions, setup.start, mode=mode, validate=False)
+            assert res.converged, mode
+            for f in setup.functions:
+                assert apply_step(f, res.value)[1] == (), (mode, f.fid)
+            rebuilt = setup.rebuild(res.value)
+            assert solutions(rebuilt) == solutions(csp), mode
+            out.append(rebuilt)
+        assert all(r == out[0] for r in out)
+        return out
+
+    def test_lineq_mixes_with_rho(self):
+        # an int range stays an interval next to a constraint reducer
+        e = Constraint("e", Scheme((1, 2)), LinearEqBody((3, -5), 4))
+        b = ext("b", (1, 2), {(3, 1), (5, 2), (8, 4)})
+        csp = CSP((IntDomain(0, 9), IntDomain(1, 8)), (e, b))
+        for rebuilt in self.run_all_modes(csp, ["lineq@e", "rho@b"]):
+            assert rebuilt.domains == (IntDomain(3, 8), IntDomain(1, 4))
+            assert rebuilt.constraint("b").tuples == b.tuples
+
+    def test_hull_mixes_with_rel(self):
+        rng = random.Random(71)
+        d = IntDomain(0, 3)
+        for _ in range(30):
+            h = random_binary_constraint(rng, range(4), range(4), "h", (1, 2))
+            c = random_binary_constraint(rng, range(4), range(4), "c", (2, 3))
+            self.run_all_modes(CSP((d, d, d), (h, c)), ["hull@h", "rel@1,3;h,c", "hull@c"])
+
+    def test_projections_mix_with_path(self):
+        rng = random.Random(73)
+        for _ in range(30):
+            cs = tuple(random_binary_constraint(rng, {0, 1, 2}, {0, 1, 2}, cid, scheme)
+                       for cid, scheme in [("c12", (1, 2)), ("c13", (1, 3)), ("c32", (3, 2))])
+            self.run_all_modes(CSP((D012, D012, D012), cs),
+                               ["pi1@c12", "pi2@c32", "path@1,2,3"])
+
+    def test_domain_reducer_keeps_its_id(self, chain_csp):
+        setup = build_named_reducers(chain_csp, ["pi1@c1", "rho@c1,c2", "piC@c2"])
+        assert [f.fid for f in setup.functions] == ["pi1@c1", "rho@c1,c2", "piC@c2"]
+        assert [c.key for c in setup.space.components] == [
+            "~dom1", "~dom2", "~dom3", "c1", "c2"]
+        assert [f.scheme.indices for f in setup.functions] == [(1, 2), (4, 5), (2, 3)]
+
+    def test_variable_out_of_place_rejected(self, chain_csp):
         c1 = chain_csp.constraint("c1")
-        pi1 = make_binary_projections(c1)[0]
-        comps = tuple(ExtComponent(c) for c in chain_csp.constraints) + tuple(
-            DomainComponent(i) for i in (1, 2, 3))
-        space = ConstraintSpace(chain_csp, comps)
-        g = embed_domain_as_constraint(space, pi1, "c1")
-        state, changed = apply_step(g, space.bottom())
-        direct = pi1.apply((pv({0, 1}, {0, 1}), pv({0, 1}, {0, 1})))
-        dom1 = space.position(DomainComponent(1).key)
-        assert state.component(dom1).elements == direct[0].elements
-        # the constraint component itself is copied unchanged
-        assert state.component(space.position("c1")) == space.bottom().component(
-            space.position("c1"))
+        for comps in [(DomainComponent(2),), (ExtComponent(c1), DomainComponent(1)),
+                      tuple(map(DomainComponent, (1, 2, 3, 4)))]:
+            with pytest.raises(ConfigError, match="the variables take positions 1..3"):
+                ConstraintSpace(chain_csp, comps)
+
+
+def mixed_space(csp):
+    """The variables, then one component per constraint: the space of a
+    reducer list that mixes domain and constraint reducers."""
+    return ConstraintSpace(csp, tuple(DomainComponent(i) for i in range(1, csp.arity + 1))
+                           + tuple(ExtComponent(c) for c in csp.constraints))
+
+
+class TestEmbedding:
+    # a domain reducer acts on the variables of a mixed space as it is
+    def test_embedded_projection_matches_domain_run(self, chain_csp):
+        pi1 = make_binary_projections(chain_csp.constraint("c1"))[0]
+        space = mixed_space(chain_csp)
+        state, _ = apply_step(pi1, space.bottom())
+        direct, _ = apply_step(pi1, domain_bottom(chain_csp))
+        assert state.components[:3] == direct.components
+        # the constraint components are left as they were
+        assert state.components[3:] == space.bottom().components[3:]
 
     def test_embedded_identity(self, chain_csp):
         ident = ReductionFunction("id", Scheme((1,)), lambda args: args)
-        comps = tuple(ExtComponent(c) for c in chain_csp.constraints) + (
-            DomainComponent(1),)
-        space = ConstraintSpace(chain_csp, comps)
-        g = embed_domain_as_constraint(space, ident, "c1")
-        _, changed = apply_step(g, space.bottom())
+        _, changed = apply_step(ident, mixed_space(chain_csp).bottom())
         assert changed == ()
 
     def test_hybrid_run_is_strategy_independent(self, chain_csp):
@@ -666,7 +702,7 @@ class TestEmbedding:
                 assert res.converged
                 values.add(res.value)
         assert len(values) == 1
-        rebuilt = setup.rebuild(chain_csp, values.pop())
+        rebuilt = setup.rebuild(values.pop())
         assert equivalent(chain_csp, rebuilt)
 
 
@@ -792,11 +828,8 @@ def constraint_reducer_zoo(rng):
     # a relational-goal reducer whose targets strictly include its members
     rel = consistency._relational_setup(csp, 2, DEFAULT_ENUM_CAP, DEFAULT_FN_CAP)
     out.append((rel.space, rng.choice([f for f in rel.functions if f.reads])))
-    # a domain reducer embedded in the constraint space
-    emb = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints)
-                          + tuple(DomainComponent(i) for i in (1, 2, 3)))
-    pi = rng.choice(make_binary_projections(c_kl))
-    out.append((emb, embed_domain_as_constraint(emb, pi, "ckl")))
+    # a domain reducer on the variables of a mixed space
+    out.append((mixed_space(csp), rng.choice(make_binary_projections(c_kl))))
     return out
 
 
@@ -806,6 +839,17 @@ def random_constraint_state(space, rng):
         comps.append(bottom.with_elements(
             t for t in bottom.elements if rng.random() < 0.75))
     return ProductValue(tuple(comps))
+
+
+def strongest_outputs(space, g, state):
+    """What the strongest reducer over the components ``g`` acts on leaves
+    of them: the projections of their joint solutions, and for a domain
+    reducer those of its variables and the constraint it is built from."""
+    keys = [space.components[p - 1].key for p in g.scheme]
+    if all(isinstance(space.components[p - 1], DomainComponent) for p in g.scheme):
+        keys.append(g.group)
+    rho = make_solution_projection(space, keys, fid="rho-oracle")
+    return rho.apply(tuple(state.component(space.position(k)) for k in keys))[:len(g.scheme)]
 
 
 class TestConstraintReducerLaws:
@@ -824,12 +868,8 @@ class TestConstraintReducerLaws:
             for space, g in constraint_reducer_zoo(rng):
                 state = random_constraint_state(space, rng)
                 after, _ = apply_step(g, state)
-                touched = list(g.scheme.indices)
-                rho = make_solution_projection(
-                    space, [space.components[p - 1].key for p in touched],
-                    fid="rho-oracle")
-                strongest = rho.apply(tuple(state.component(p) for p in touched))
-                for k, p in enumerate(touched):
+                strongest = strongest_outputs(space, g, state)
+                for k, p in enumerate(g.scheme):
                     assert leq(state.component(p), after.component(p))
                     assert strongest[k].elements <= after.component(p).elements
 

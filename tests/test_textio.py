@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_text_csp, spaced_text
+from propeng.csp import validate
 from propeng.errors import DataError
 from propeng.textio import parse_csp, serialize_csp
 
@@ -38,6 +39,14 @@ class TestErrorMessages:
          "line 2: bad scheme '(1,a)'"),
         ("domain 1 set {0}\nconstraint c scheme (1,1) tuples {(0,0)}\n",
          "line 2: scheme (1, 1) repeats an index"),
+        ("domain 1 set {0}\ndomain 2 set {0}\nconstraint c scheme (1,,2) tuples {(0,0)}\n",
+         "line 3: bad scheme '(1,,2)'"),
+        ("domain 1 set {0}\ndomain 2 set {0}\nconstraint c scheme (,2,) tuples {(0)}\n",
+         "line 3: bad scheme '(,2,)'"),
+        ("domain 1 set {0}\nconstraint c scheme (1,) tuples {(0)}\n",
+         "line 2: bad scheme '(1,)'"),
+        ("domain 1 set {0}\nconstraint c scheme ( , ) tuples {(0)}\n",
+         "line 2: bad scheme '( , )'"),
         ("domain 1 int [0..x]\n", "line 1: expected int [l..h]"),
         ("domain 1 int 0..3\n", "line 1: expected int [l..h]"),
         ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
@@ -46,6 +55,12 @@ class TestErrorMessages:
     ])
     def test_message_text(self, text, message):
         assert error_of(text) == message
+
+    @pytest.mark.parametrize("scheme", ["()", "( )"])
+    def test_empty_scheme_is_left_to_validate(self, scheme):
+        csp = parse_csp(f"domain 1 set {{0}}\nconstraint c scheme {scheme} tuples {{()}}\n")
+        assert csp.constraint("c").scheme.indices == ()
+        assert validate(csp) == ["constraint 'c': empty scheme"]
 
     def test_first_bad_atom_reported(self):
         # each distinct atom text is parsed once, but in order of appearance
