@@ -186,8 +186,7 @@ def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
     have = {c.scheme.indices for c in merged}
     for idx in schemes:
         if idx not in have:
-            comps.append(ExtComponent(
-                universal_constraint(base, Scheme(idx), cap=cap), synthetic=True))
+            comps.append(ExtComponent(universal_constraint(base, Scheme(idx), cap=cap)))
     return ConstraintSpace(base, comps, cap=cap)
 
 

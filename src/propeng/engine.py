@@ -30,6 +30,11 @@ not O(F).  Beside the list, ``Pending.recent`` keeps the wake order: a
 function woken again while pending moves to the back of it, so ``lifo``,
 which takes the back, runs the most recently woken function first.
 
+The engine is generic over the component orders: it knows no value family.
+It compares components with ``lattice.leq`` and tests them with
+``lattice.is_empty_value``, and the registration probes draw their inputs
+through each component's own ``sample`` and ``sample_above``.
+
 Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
 """
@@ -48,9 +53,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .csp import Scheme
 from .errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from . import lattice
-from .lattice import (
-    GridInterval, GrowSetValue, IntGrid, PowersetValue, ProductValue,
-)
+from .lattice import ProductValue
 
 DEFAULT_STEP_CAP = 10**6
 
@@ -191,14 +194,14 @@ class RoundRobinStrategy(Strategy):
     """Cycles through the registered ids, taking the next one pending."""
 
     def reset(self, functions):
-        self._order = [f.fid for f in self.batch(functions)]
-        self._pos = 0
+        self._last = None
 
     def choose(self, pending):
-        # the first pending id at or after the cursor, else wrap around
-        i = bisect.bisect_left(pending, self._order[self._pos], key=self.key)
+        # the first pending id after the last chosen one, else wrap around
+        i = 0 if self._last is None else bisect.bisect_right(
+            pending, self._last, key=self.key)
         g = pending[i] if i < len(pending) else pending[0]
-        self._pos = (bisect.bisect_left(self._order, g.fid) + 1) % len(self._order)
+        self._last = self.key(g)
         return g
 
 
@@ -275,57 +278,23 @@ def apply_step(f: ReductionFunction, d: ProductValue):
 # Registration probes
 
 
-def _random_value_like(v, rng: random.Random):
-    if isinstance(v, PowersetValue):
-        return v.with_elements(a for a in v.base if rng.random() < 0.6)
-    if isinstance(v, GridInterval):
-        if rng.random() < 0.15:
-            return GridInterval.empty(v.grid)
-        if isinstance(v.grid, IntGrid):
-            a = rng.randint(v.grid.lo, v.grid.hi)
-            b = rng.randint(v.grid.lo, v.grid.hi)
-        else:
-            a = rng.choice(v.grid.points)
-            b = rng.choice(v.grid.points)
-        return GridInterval(v.grid, min(a, b), max(a, b))
-    if isinstance(v, GrowSetValue):
-        return GrowSetValue.bottom(v.seed)
-    raise ConfigError(f"cannot sample values of kind {type(v).__name__}")
-
-
-def _random_above(v, rng: random.Random):
-    """A random value >= v in the component order."""
-    if isinstance(v, PowersetValue):
-        return v.with_elements(a for a in v.elements if rng.random() < 0.7)
-    if isinstance(v, GridInterval):
-        if v.is_empty or rng.random() < 0.15:
-            return GridInterval.empty(v.grid)
-        if isinstance(v.grid, IntGrid):
-            a = rng.randint(v.lo, v.hi)
-            b = rng.randint(v.lo, v.hi)
-            return GridInterval(v.grid, min(a, b), max(a, b))
-        pts = [p for p in v.grid.points if v.lo <= p <= v.hi]
-        a, b = rng.choice(pts), rng.choice(pts)
-        return GridInterval(v.grid, min(a, b), max(a, b))
-    if isinstance(v, GrowSetValue):
-        return v
-    raise ConfigError(f"cannot sample values of kind {type(v).__name__}")
-
-
 def probe_function(f: ReductionFunction, start: ProductValue,
                    samples: int = 6, seed: int = 0) -> None:
-    """Spot-check that ``f`` is inflationary and monotonic on random inputs
-    drawn from its components; raises ``ProbeRejectionError`` on failure."""
+    """Spot-check that ``f`` is inflationary and monotonic on inputs its
+    components draw (``sample``, ``sample_above``); raises ``ProbeRejectionError``."""
     rng = random.Random(zlib.crc32(f.fid.encode()) ^ seed)
     bottoms = tuple(start.component(i) for i in f.scheme)
+    for b in bottoms:
+        if not hasattr(b, "sample"):
+            raise ConfigError(f"cannot sample values of kind {type(b).__name__}")
     for _ in range(samples):
-        x = tuple(_random_value_like(b, rng) for b in bottoms)
+        x = tuple(b.sample(rng) for b in bottoms)
         fx = tuple(f.apply(x))
         if len(fx) != len(x):
             raise ProbeRejectionError(f.fid, "wrong output arity")
         if not all(lattice.leq(a, b) for a, b in zip(x, fx)):
             raise ProbeRejectionError(f.fid, "failed the inflation probe")
-        y = tuple(_random_above(c, rng) for c in x)
+        y = tuple(c.sample_above(rng) for c in x)
         fy = tuple(f.apply(y))
         if not all(lattice.leq(a, b) for a, b in zip(fx, fy)):
             raise ProbeRejectionError(f.fid, "failed the monotonicity probe")

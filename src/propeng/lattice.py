@@ -14,7 +14,9 @@ Three component kinds are provided, plus their Cartesian product:
   by direct inclusion of the item sets; join is union.
 
 All values are immutable and hashable; equality is structural, which is
-what the engine's change detection relies on.
+what the engine's change detection relies on.  Each family draws probe inputs
+(``sample(rng)`` in its structure, ``sample_above(rng)`` above the value); a
+variable's two families ``fit(points)``, the least value holding the points.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .errors import ConfigError, DataError
 
 def atom_key(a):
     """Total order over mixed atom types, used only for canonical printing."""
-    if isinstance(a, bool):
-        return (0, float(a), repr(a))
-    if isinstance(a, (int, float)):
+    if isinstance(a, (int, float)):    # bool too
         return (0, float(a), repr(a))
     if isinstance(a, str):
         return (1, 0.0, a)
@@ -71,6 +71,18 @@ class PowersetValue:
 
     def with_elements(self, elements: Iterable) -> "PowersetValue":
         return PowersetValue(self.base, frozenset(elements))
+
+    def sample(self, rng) -> "PowersetValue":
+        """A random subset of the base, each element kept with probability 0.6."""
+        return self.with_elements(a for a in self.base if rng.random() < 0.6)
+
+    def sample_above(self, rng) -> "PowersetValue":
+        """A random subset of the elements, each kept with probability 0.7."""
+        return self.with_elements(a for a in self.elements if rng.random() < 0.7)
+
+    def fit(self, points) -> "PowersetValue":
+        """The value holding ``points`` (some elements); itself if they are all."""
+        return self if len(points) == len(self.elements) else self.with_elements(points)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +125,10 @@ class IntGrid:
             return None
         return max(p, self.lo)
 
+    def pick(self, rng, lo, hi):
+        """A random grid point in ``[lo..hi]`` (both on the grid)."""
+        return rng.randint(lo, hi)
+
 
 @dataclass(frozen=True)
 class PointGrid:
@@ -145,6 +161,11 @@ class PointGrid:
     def snap_up(self, x):
         i = bisect_left(self.points, x)
         return self.points[i] if i < len(self.points) else None
+
+    def pick(self, rng, lo, hi):
+        """A random grid point in ``[lo..hi]`` (both on the grid)."""
+        pts = self.points
+        return rng.choice(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
 
 
 @dataclass(frozen=True)
@@ -189,6 +210,25 @@ class GridInterval:
         if self.is_empty:
             return []
         return list(range(self.lo, self.hi + 1))
+
+    def sample(self, rng) -> "GridInterval":
+        """A random interval on the grid, empty with probability 0.15."""
+        return self._sample_within(rng, self.grid.min, self.grid.max)
+
+    def sample_above(self, rng) -> "GridInterval":
+        """A random subinterval, empty with probability 0.15 (or if this is)."""
+        return self if self.is_empty else self._sample_within(rng, self.lo, self.hi)
+
+    def _sample_within(self, rng, lo, hi) -> "GridInterval":
+        if rng.random() < 0.15:
+            return GridInterval.empty(self.grid)
+        a, b = self.grid.pick(rng, lo, hi), self.grid.pick(rng, lo, hi)
+        return GridInterval(self.grid, min(a, b), max(a, b))
+
+    def fit(self, points) -> "GridInterval":
+        """The hull of ``points`` (inside the interval); itself if that is it."""
+        hull = interval_hull(points, self.grid)
+        return self if hull == self else hull
 
 
 def interval_intersect(a: GridInterval, b: GridInterval) -> GridInterval:
@@ -241,6 +281,13 @@ class GrowSetValue:
 
     def with_items(self, items: Iterable) -> "GrowSetValue":
         return GrowSetValue(self.seed, frozenset(items))
+
+    def sample(self, rng) -> "GrowSetValue":
+        """The seed alone: opaque items cannot be drawn at random."""
+        return GrowSetValue.bottom(self.seed)
+
+    def sample_above(self, rng) -> "GrowSetValue":
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +386,7 @@ def bottom_like(v: LatticeValue) -> LatticeValue:
 
 def is_empty_value(v: LatticeValue) -> bool:
     """True when a component denotes the empty set of concrete values."""
-    if isinstance(v, PowersetValue):
-        return v.is_empty
-    if isinstance(v, GridInterval):
-        return v.is_empty
-    return False
+    return isinstance(v, (PowersetValue, GridInterval)) and v.is_empty
 
 
 def has_finite_chains(v: LatticeValue) -> bool:

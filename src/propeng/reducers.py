@@ -42,8 +42,7 @@ from .csp import (
 from .engine import ReductionFunction
 from .errors import ConfigError, DataError, ResourceLimitError
 from .lattice import (
-    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue,
-    ProductValue, interval_hull,
+    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, ProductValue,
 )
 
 
@@ -77,39 +76,20 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
         raise ConfigError(f"constraint {c.cid!r} is not a binary extensional constraint")
     tuples = c.tuples
 
-    def first(args):
-        x, y = args
-        if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
-            raise ConfigError("support projections need powerset components")
-        kept = {a for a, b in tuples if a in x.elements and b in y.elements}
-        return (x if len(kept) == len(x.elements) else x.with_elements(kept), y)
-
-    def second(args):
-        x, y = args
-        if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
-            raise ConfigError("support projections need powerset components")
-        kept = {b for a, b in tuples if a in x.elements and b in y.elements}
-        return (x, y if len(kept) == len(y.elements) else y.with_elements(kept))
+    def support(k):
+        def apply(args):
+            x, y = args
+            if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
+                raise ConfigError("support projections need powerset components")
+            kept = {t[k] for t in tuples if t[0] in x.elements and t[1] in y.elements}
+            return (x.fit(kept), y) if k == 0 else (x, y.fit(kept))
+        return apply
 
     # each side is intersected with the support of the other: it reads only that
-    i, j = c.scheme.indices
-    pi1 = ReductionFunction(f"pi1@{c.cid}", c.scheme, first, idempotent=True,
-                            group=c.cid, reads=(j,))
-    pi2 = ReductionFunction(f"pi2@{c.cid}", c.scheme, second, idempotent=True,
-                            group=c.cid, reads=(i,))
-    return pi1, pi2
-
-
-def _fit_projection(value, points):
-    """Fit a projected coordinate set back into the component's family;
-    ``value`` itself when that leaves it unchanged.  ``points`` lie in
-    ``value``, so on a powerset the same size means the same set."""
-    if isinstance(value, PowersetValue):
-        return value if len(points) == len(value.elements) else value.with_elements(points)
-    if isinstance(value, GridInterval):
-        hull = interval_hull(points, value.grid)
-        return value if hull == value else hull
-    raise ConfigError(f"cannot project onto component kind {type(value).__name__}")
+    return tuple(ReductionFunction(f"pi{k + 1}@{c.cid}", c.scheme, support(k),
+                                   idempotent=True, group=c.cid,
+                                   reads=(c.scheme.indices[1 - k],))
+                 for k in (0, 1))
 
 
 def make_full_projection(c: Constraint) -> ReductionFunction:
@@ -120,11 +100,13 @@ def make_full_projection(c: Constraint) -> ReductionFunction:
     tuples = c.tuples
 
     def apply(args):
+        for v in args:
+            if not hasattr(v, "fit"):
+                raise ConfigError(f"cannot project onto component kind {type(v).__name__}")
         # the membership test per coordinate: a powerset's frozenset, an interval itself
         sets = [v.elements if isinstance(v, PowersetValue) else v for v in args]
         live = [t for t in tuples if all(map(contains, sets, t))]
-        return tuple(_fit_projection(v, {t[k] for t in live})
-                     for k, v in enumerate(args))
+        return tuple(v.fit({t[k] for t in live}) for k, v in enumerate(args))
 
     return ReductionFunction(f"piC@{c.cid}", c.scheme, apply, idempotent=True, group=c.cid)
 
@@ -221,7 +203,6 @@ class ExtComponent:
     """A component holding an extensional constraint's current tuple set."""
 
     constraint: Constraint
-    synthetic: bool = False
 
     @property
     def key(self) -> str:
@@ -366,9 +347,9 @@ class ConstraintSpace:
 
     def rebuild(self, state: ProductValue) -> CSP:
         """The problem determined by the base problem and ``state``: domains
-        folded back from the variables, reduced constraints (synthetic ones
-        only while they say something), every extensional constraint
-        restricted to the domains."""
+        folded back from the variables, reduced constraints (synthetic ones,
+        whose ids the base problem lacks, only while they say something),
+        every extensional constraint restricted to the domains."""
         if len(state) != len(self.components):
             raise ConfigError("state arity does not match the space")
         n = self._variables
@@ -387,7 +368,7 @@ class ConstraintSpace:
             value = state.component(pos)
             if isinstance(comp, ExtComponent):
                 kept = _restrict(comp.scheme, value.elements, domains)
-                if comp.synthetic and kept == _restrict(
+                if comp.key not in base and kept == _restrict(
                         comp.scheme, comp.constraint.tuples, domains):
                     continue
                 out.append((base.get(comp.key, last), Constraint(
@@ -623,16 +604,15 @@ def _parse_name(text: str) -> tuple[str, str, tuple, tuple]:
     return kind, rest, head, tail
 
 
-def _domain_function(kind: str, cid: str, csp: CSP) -> ReductionFunction:
-    c = csp.constraint(cid)
+def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
     if kind in ("pi1", "pi2"):
         if not all(isinstance(csp.domains[i - 1], SetDomain) for i in c.scheme):
-            raise ConfigError(f"{kind}@{cid} needs finite set domains")
+            raise ConfigError(f"{kind}@{c.cid} needs finite set domains")
         return make_binary_projections(c)[0 if kind == "pi1" else 1]
     if kind == "piC":
         return make_full_projection(c)
     if not all(isinstance(csp.domains[i - 1], IntDomain) for i in c.scheme):
-        raise ConfigError(f"{kind}@{cid} needs integer interval domains")
+        raise ConfigError(f"{kind}@{c.cid} needs integer interval domains")
     return (make_interval_hull_projection if kind == "hull" else make_linear_eq_narrowing)(c)
 
 
@@ -643,6 +623,12 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
     parsed = [_parse_name(s) for s in names]
     if not parsed:
         raise ConfigError("no reducers given")
+    by_id = {c.cid: c for c in reversed(csp.constraints)}    # the first of an id wins
+
+    def constraint(cid: str) -> Constraint:
+        if cid not in by_id:
+            raise ConfigError(f"no constraint with id {cid!r}")
+        return by_id[cid]
 
     cut_groups = list(dict.fromkeys(cids for kind, _, cids, _ in parsed if kind == "cut"))
     grouped_cids: set[str] = set()
@@ -652,30 +638,31 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                 raise ConfigError(f"constraint {cid!r} appears in two cut groups")
             grouped_cids.add(cid)
 
-    # domain reducers act on the variables, which come first
+    # the variables come first when a domain reducer or a join (``~domN``) names them
     kinds = {kind for kind, *_ in parsed}
+    joined = [m for kind, _, head, tail in parsed
+              for m in (head if kind == "rho" else tail if kind == "rel" else ())]
     components: list = []
-    if not kinds.isdisjoint(_DOMAIN_KINDS):
+    if not kinds.isdisjoint(_DOMAIN_KINDS) or any(m.startswith("~dom") for m in joined):
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
         components.extend(ExtComponent(c) for c in csp.constraints if c.is_extensional)
     for cids in sorted(cut_groups):
-        members = tuple(csp.constraint(cid) for cid in cids)
-        components.append(IneqComponent("cutset(" + ",".join(cids) + ")", members))
+        components.append(IneqComponent("cutset(" + ",".join(cids) + ")",
+                                        tuple(map(constraint, cids))))
 
     # relational targets may need a universal constraint materialized
     have_schemes = {c.scheme.indices for c in csp.constraints if c.is_extensional}
     for kind, _, t, _ in parsed:
         if kind == "rel" and t not in have_schemes:
-            components.append(ExtComponent(
-                universal_constraint(csp, Scheme(t), cap=cap), synthetic=True))
+            components.append(ExtComponent(universal_constraint(csp, Scheme(t), cap=cap)))
             have_schemes.add(t)
 
     space = ConstraintSpace(csp, components, cap=cap)
     fns: list[ReductionFunction] = []
     for kind, rest, head, tail in parsed:
         if kind in _DOMAIN_KINDS:
-            fns.append(_domain_function(kind, rest, csp))
+            fns.append(_domain_function(kind, constraint(rest), csp))
         elif kind == "rho":
             fns.append(make_solution_projection(space, head))
         elif kind == "path":

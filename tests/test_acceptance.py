@@ -142,8 +142,7 @@ def _hybrid_case(rng):
     have = {c.scheme.indices for c in csp.constraints}
     for i, j in itertools.permutations((1, 2, 3), 2):
         if (i, j) not in have:
-            comps.append(ExtComponent(
-                universal_constraint(csp, Scheme((i, j))), synthetic=True))
+            comps.append(ExtComponent(universal_constraint(csp, Scheme((i, j)))))
     space = ConstraintSpace(csp, comps)
 
     fns = []

@@ -246,6 +246,20 @@ class TestRunCommand:
         assert "constraint c1 scheme (1,2) tuples {(0,0)}" in out
         assert "# equivalence: PASS" in out
 
+    def test_domain_join_member_without_domain_reducer(self, tmp_path, capsys):
+        # naming ~dom2 is enough to put the variables in the space
+        p = tmp_path / "chain.csp"
+        p.write_text(
+            "domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+            "constraint c1 scheme (1,2) tuples {(0,0),(1,1)}\n"
+            "constraint c2 scheme (2,3) tuples {(0,1)}\n")
+        code = main(["run", str(p), "--reducers", "rho@c2,~dom2",
+                     "--check-equivalence"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "domain 2 set {0}" in out.splitlines()
+        assert "# equivalence: PASS" in out
+
     def test_early_exit_flag(self, tmp_path, capsys):
         p = tmp_path / "wipe.csp"
         p.write_text(
@@ -370,7 +384,7 @@ class TestRunCommand:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("names, err", [
-        ("rho@c,~dom1", "error: no constraint-space component '~dom1'\n"),
+        ("rho@c,~dom1", "error: component '~dom1' is not joinable\n"),
         ("piC@c,rho@c,~dom1", "error: component '~dom1' is not joinable\n")])
     def test_int_range_variable_join_member_is_input_error(
             self, tmp_path, capsys, names, err):

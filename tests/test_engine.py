@@ -532,6 +532,13 @@ class TestProbes:
         for f in make_binary_projections(c):
             probe_function(f, domain_bottom(csp), samples=40)
 
+    def test_component_kind_without_sampler_is_config_error(self):
+        f = ReductionFunction("id", Scheme((1,)), lambda args: args)
+        nested = ProductValue((PowersetValue.bottom({0}),))
+        with pytest.raises(ConfigError) as err:
+            probe_function(f, ProductValue((nested,)))
+        assert str(err.value) == "cannot sample values of kind ProductValue"
+
 
 class TestClosureStar:
     def test_idempotent_function_unchanged(self):

@@ -196,3 +196,54 @@ class TestGrowSet:
     def test_seed_must_be_contained(self):
         with pytest.raises(ConfigError):
             GrowSetValue(frozenset({1}), frozenset({2}))
+
+
+INF = math.inf
+DRAW_CASES = {
+    "powerset": PowersetValue(frozenset(range(6)), frozenset({0, 2, 3, 5})),
+    "int_full": GridInterval.full(IntGrid(0, 9)),
+    "int_narrow": ival(4, 5),
+    "int_empty": GridInterval.empty(IntGrid(0, 9)),
+    "point_full": GridInterval.full(PointGrid((-INF, -1, 0, 2, 5, INF))),
+    "point_part": GridInterval(PointGrid((-INF, -1, 0, 2, 5, INF)), -INF, 2),
+    "growset": GrowSetValue(frozenset({1}), frozenset({1, 2})),
+}
+
+# three (sample, sample_above) pairs drawn in turn from random.Random(seed),
+# as the registration probes have always drawn them: a powerset or grow-set
+# as its digits, an interval as (lo, hi) or None when empty
+PINNED_DRAWS = {
+    ("powerset", 1): [("0345", "035"), ("134", "05"), ("01345", "0235")],
+    ("powerset", 2): [("23", "0235"), ("0123", "235"), ("01234", "0235")],
+    ("powerset", 3): [("0125", "035"), ("135", "03"), ("1345", "2")],
+    ("int_full", 1): [(None, (1, 4)), (None, (6, 7)), ((1, 7), None)],
+    ("int_full", 2): [((0, 1), None), ((4, 4), (0, 9)), ((2, 6), (5, 8))],
+    ("int_full", 3): [((2, 8), (7, 9)), ((1, 9), None), ((4, 8), (7, 8))],
+    ("int_narrow", 1): [(None, (4, 5)), (None, (5, 5)), ((1, 7), None)],
+    ("int_narrow", 2): [((0, 1), None), ((4, 4), (4, 4)), ((6, 8), (5, 5))],
+    ("int_narrow", 3): [((2, 8), (4, 5)), ((4, 7), (4, 5)), ((7, 8), (4, 4))],
+    ("int_empty", 1): [(None, None), ((1, 4), None), (None, None)],
+    ("int_empty", 2): [((0, 1), None), (None, None), ((4, 4), None)],
+    ("int_empty", 3): [((2, 8), None), ((7, 9), None), ((1, 9), None)],
+    ("point_full", 1): [(None, (-INF, 0)), (None, (2, INF)), ((-INF, -1), (2, 2))],
+    ("point_full", 2): [((-INF, -INF), None), ((INF, INF), (0, 5)), ((-INF, 5), (2, INF))],
+    ("point_full", 3): [((-1, 5), (2, 5)), ((-INF, 5), None), ((0, 5), (2, INF))],
+    ("point_part", 1): [(None, (-INF, 0)), (None, (2, 2)), ((-INF, 2), None)],
+    ("point_part", 2): [((-INF, -INF), None), ((INF, INF), (-1, 0)), ((5, INF), (2, 2))],
+    ("point_part", 3): [((-1, 5), (-INF, 2)), ((0, 2), (-1, 2)), ((2, 5), (-1, -1))],
+    ("growset", 1): [("1", "12"), ("1", "12"), ("1", "12")],
+}
+
+
+def _plain(v):
+    if isinstance(v, GridInterval):
+        return None if v.is_empty else (v.lo, v.hi)
+    items = v.elements if isinstance(v, PowersetValue) else v.items
+    return "".join(map(str, sorted(items)))
+
+
+@pytest.mark.parametrize("case, seed", sorted(PINNED_DRAWS))
+def test_pinned_draws(case, seed):
+    v, rng = DRAW_CASES[case], random.Random(seed)
+    got = [(_plain(v.sample(rng)), _plain(v.sample_above(rng))) for _ in range(3)]
+    assert got == PINNED_DRAWS[case, seed]

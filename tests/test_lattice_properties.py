@@ -1,0 +1,75 @@
+"""Property-based laws of the value families' probe samplers and ``fit``
+(needs ``hypothesis``; the module is skipped without it)."""
+
+import math
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, strategies as st  # noqa: E402
+
+from propeng.lattice import (  # noqa: E402
+    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, bottom_like, leq,
+)
+
+BOUNDS = (-math.inf, -2, -1, 0, 1, 3, math.inf)
+
+
+@st.composite
+def interval(draw):
+    """An interval over an integer or a point grid, and the grid points in it."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-5, 5))
+        grid = IntGrid(lo, lo + draw(st.integers(0, 6)))
+        points = list(range(grid.lo, grid.hi + 1))
+    else:
+        grid = PointGrid(tuple(draw(st.sets(st.sampled_from(BOUNDS), min_size=1))))
+        points = list(grid.points)
+    if draw(st.integers(0, 5)) == 0:
+        return GridInterval.empty(grid), []
+    a, b = sorted(draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    return GridInterval(grid, a, b), [p for p in points if a <= p <= b]
+
+
+@st.composite
+def fittable(draw):
+    """A value that fits projected points, with the points inside it."""
+    if draw(st.booleans()):
+        base = frozenset(range(draw(st.integers(1, 6))))
+        v = PowersetValue(base, draw(st.frozensets(st.sampled_from(sorted(base)))))
+        return v, sorted(v.elements)
+    return draw(interval())
+
+
+growset = st.builds(
+    lambda seed, extra: GrowSetValue(seed, seed | extra),
+    st.frozensets(st.integers(0, 5)), st.frozensets(st.integers(0, 5)))
+
+values = st.one_of(fittable().map(lambda vp: vp[0]), growset)
+
+
+@given(values, st.integers(0, 2**32))
+def test_samples_lie_in_the_structure_and_above(v, seed):
+    rng = random.Random(seed)
+    assert leq(v, v.sample_above(rng))
+    assert leq(bottom_like(v), v.sample(rng))
+
+
+@given(fittable())
+def test_fit_of_what_spans_the_value_is_the_value(vp):
+    v, members = vp
+    # all of a powerset's elements; an interval's two ends
+    ends = {*members[:1], *members[-1:]}
+    spanning = set(members) if isinstance(v, PowersetValue) else ends
+    assert v.fit(spanning) is v
+
+
+@given(fittable(), st.data())
+def test_fit_of_points_inside_is_above(vp, data):
+    v, members = vp
+    points = data.draw(st.sets(st.sampled_from(members)) if members else st.just(set()))
+    fitted = v.fit(points)
+    assert leq(v, fitted)
+    assert all(p in fitted for p in points)

@@ -19,7 +19,7 @@ from propeng.csp import (
 from propeng.engine import MODES, ReductionFunction, apply_step, make_strategy, run
 from propeng.errors import ConfigError, DataError
 from propeng.lattice import (
-    GridInterval, IntGrid, PointGrid, PowersetValue, ProductValue, leq,
+    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, ProductValue, leq,
 )
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, IneqComponent,
@@ -91,6 +91,13 @@ class TestFullProjection:
         f = make_full_projection(c)
         out = f.apply((pv({0, 1}, {1}), pv({0, 1}, {0, 1})))
         assert all(v.elements == frozenset() for v in out)
+
+    def test_component_kind_without_fit_is_config_error(self):
+        f = make_full_projection(ext("c", (1, 2), {(0, 0)}))
+        grow = GrowSetValue.bottom({0})
+        with pytest.raises(ConfigError) as err:
+            f.apply((pv({0, 1}, {0, 1}), grow))
+        assert str(err.value) == "cannot project onto component kind GrowSetValue"
 
     @pytest.mark.parametrize("kind", ["piC", "hull"])
     def test_interval_components_against_brute_force(self, kind):
@@ -402,7 +409,7 @@ class TestRelationalReducer:
         space = ConstraintSpace(
             chain_csp,
             tuple(ExtComponent(c) for c in chain_csp.constraints)
-            + (ExtComponent(u13, synthetic=True),))
+            + (ExtComponent(u13),))
         g = make_relational_reducer(space, Scheme((1, 3)), ["c1", "c2"])
         state, changed = apply_step(g, space.bottom())
         assert changed == (3,)
@@ -512,10 +519,10 @@ class TestConstraintSpaceRebuild:
         csp = CSP((d, d), (a, i1, q, i2, b))
         space = ConstraintSpace(csp, (
             ExtComponent(a),
-            ExtComponent(universal_constraint(csp, Scheme((1,))), synthetic=True),
+            ExtComponent(universal_constraint(csp, Scheme((1,)))),
             IneqComponent("g", (i1, i2)),
             ExtComponent(b),
-            ExtComponent(universal_constraint(csp, Scheme((2, 1))), synthetic=True)))
+            ExtComponent(universal_constraint(csp, Scheme((2, 1))))))
         cut = make_cut_reducer(space, "g", [Fraction(1, 2), Fraction(1, 2)])
         state, _ = apply_step(cut, space.bottom())
         state = state.replace({2: state.component(2).with_elements({(0,), (1,)})})
@@ -659,6 +666,21 @@ class TestOneSpace:
         assert [c.key for c in setup.space.components] == [
             "~dom1", "~dom2", "~dom3", "c1", "c2"]
         assert [f.scheme.indices for f in setup.functions] == [(1, 2), (4, 5), (2, 3)]
+
+    @pytest.mark.parametrize("names, keys", [
+        (["rho@c2,~dom2"], ["~dom1", "~dom2", "~dom3", "c1", "c2"]),
+        (["rel@2,3;c2,~dom2"], ["~dom1", "~dom2", "~dom3", "c1", "c2"]),
+        (["rho@c1,c2"], ["c1", "c2"]),
+        (["rel@1,3;c1,c2"], ["c1", "c2", "u(1,3)"])])
+    def test_domain_join_member_puts_the_variables_first(self, chain_csp, names, keys):
+        # naming ~domN is enough; a list that names none has no variables
+        setup = build_named_reducers(chain_csp, names)
+        assert [c.key for c in setup.space.components] == keys
+
+    def test_unknown_constraint_id(self, chain_csp):
+        for names in (["pi1@nope"], ["cut@nope;1"]):
+            with pytest.raises(ConfigError, match="no constraint with id 'nope'"):
+                build_named_reducers(chain_csp, names)
 
     def test_variable_out_of_place_rejected(self, chain_csp):
         c1 = chain_csp.constraint("c1")
