@@ -10,7 +10,8 @@ The relational goal ``rel:<m>`` (Dechter and van Beek) runs on a constraint
 space with one component per merged input constraint, in its own
 orientation and under its id, plus a synthetic universal constraint
 ``u(i,j,...)``, in sorted orientation, for each nonempty variable set that no
-input constraint covers.  Each m-subset S of the components gets one
+input constraint covers (primed, ``u(i,j,...)'``, while an input constraint
+has that id).  Each m-subset S of the components gets one
 reducer, ``rel(<member ids>)`` (a comma or backslash in an id is escaped
 with a backslash): every component whose variables lie inside S's scopes is
 intersected with the projection of the join of S.  With k components that
@@ -97,9 +98,9 @@ def _merge_same_scheme(csp: CSP) -> list[Constraint]:
     for c in csp.constraints:
         if not c.is_extensional:
             raise ConfigError(f"constraint {c.cid!r} is not extensional; unsupported")
-        if c.scheme.indices not in groups:
-            order.append(c.scheme.indices)
-        groups.setdefault(c.scheme.indices, []).append(c)
+        if c.scheme not in groups:
+            order.append(c.scheme)
+        groups.setdefault(c.scheme, []).append(c)
     out = []
     for key in order:
         cs = groups[key]
@@ -122,14 +123,14 @@ def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) 
     if m < 1:
         raise ConfigError("relational consistency needs m >= 1")
     merged = _merge_same_scheme(csp)
-    scopes = [frozenset(c.scheme.indices) for c in merged]
+    scopes = [frozenset(c.scheme) for c in merged]
     work = 0
     for chosen in itertools.combinations(merged, m):
         joined = join_constraints(chosen, cap=cap)
-        u = joined.scheme.indices
+        u = joined.scheme
         for x in itertools.chain.from_iterable(
                 itertools.combinations(u, r) for r in range(1, len(u) + 1)):
-            proj = reselect(joined.scheme, joined.tuples, Scheme(x))
+            proj = reselect(joined.scheme, joined.tuples, x)
             inside = set(x)
             filters = [(tuple(x.index(i) for i in c.scheme), c.tuples)
                        for c, scope in zip(merged, scopes) if scope <= inside]
@@ -183,7 +184,7 @@ def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
     merged = _merge_same_scheme(csp)
     base = CSP(csp.domains, tuple(merged))
     comps = [ExtComponent(c) for c in merged]
-    have = {c.scheme.indices for c in merged}
+    have = {c.scheme for c in merged}
     for idx in schemes:
         if idx not in have:
             comps.append(ExtComponent(universal_constraint(base, Scheme(idx), cap=cap)))
@@ -219,7 +220,7 @@ def _relational_setup(csp, m, cap, fn_cap):
     n = csp.arity
     # k components: the merged constraints (one per ordered scheme) and a
     # universal one per variable set that none of them covers
-    schemes = {c.scheme.indices for c in csp.constraints}
+    schemes = {c.scheme for c in csp.constraints}
     covered = {frozenset(s) for s in schemes}
     sets = 2 ** n - 1
     k = len(schemes) + sets - len(covered)
@@ -231,7 +232,7 @@ def _relational_setup(csp, m, cap, fn_cap):
         s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)
         if frozenset(s) not in covered), cap)
     comps = space.components
-    scopes = [frozenset(c.scheme.indices) for c in comps]
+    scopes = [frozenset(c.scheme) for c in comps]
     # escaped, so that ids with commas in them cannot make two function ids equal
     names = [c.key.replace("\\", "\\\\").replace(",", "\\,") for c in comps]
     fns = []
@@ -264,7 +265,7 @@ def _directional_arc_setup(csp, order):
     _check_binary(csp)
     chosen = []
     for c in csp.constraints:
-        i, j = c.scheme.indices
+        i, j = c.scheme
         # the support projections apply to set domains only: fail at set-up
         if not all(isinstance(csp.domains[k - 1], SetDomain) for k in (i, j)):
             raise ConfigError(

@@ -1,14 +1,18 @@
 """Constraint satisfaction problems: schemes, constraints, joins, projections,
 brute-force solution enumeration (the testing oracle) and equivalence.
 
-Domain indices are 1-based everywhere, matching the on-disk format.
+Domain indices are 1-based everywhere, matching the on-disk format.  A
+scheme is a tuple of distinct indices (``Scheme`` only checks that when it
+is built), and ``d[s]`` selects the coordinates of ``d`` along it.  Joins,
+``reselect`` and ``project`` select coordinates one way: an ``itemgetter``
+over the positions of the target indices (``_tuple_getter``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import contains, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,48 +22,25 @@ from .lattice import atom_key
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(tuple):
     """A sequence of distinct domain indices naming the coordinates a
-    constraint or function touches."""
+    constraint or function touches: a tuple of ``int``s, checked once when
+    built, and used wherever a tuple is."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
-        if len(set(self.indices)) != len(self.indices):
-            raise ConfigError(f"scheme {self.indices} repeats an index")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, i) -> bool:
-        return i in self.indices
-
-    def position_of(self, i: int) -> int:
-        """0-based position of domain index ``i`` within this scheme."""
-        return self.indices.index(i)
-
-    def is_subsequence_of(self, other: "Scheme") -> bool:
-        it = iter(other.indices)
-        return all(i in it for i in self.indices)
+    def __new__(cls, indices):
+        self = super().__new__(cls, map(int, indices))
+        if len(set(self)) != len(self):
+            raise ConfigError(f"scheme {self} repeats an index")
+        return self
 
 
 def scheme_union(schemes: Sequence[Scheme]) -> Scheme:
     """Concatenate schemes left to right, dropping indices already seen."""
     if len(schemes) == 1:
         return schemes[0]
-    out: list[int] = []
-    seen: set[int] = set()
-    for s in schemes:
-        for i in s.indices:
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-    return Scheme(tuple(out))
+    return Scheme(dict.fromkeys(itertools.chain.from_iterable(schemes)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +190,11 @@ class CSP:
     def arity(self) -> int:
         return len(self.domains)
 
+    @cached_property
+    def cids(self) -> frozenset[str]:
+        """The ids its constraints use, collected once."""
+        return frozenset(c.cid for c in self.constraints)
+
     def constraint(self, cid: str) -> Constraint:
         for c in self.constraints:
             if c.cid == cid:
@@ -234,7 +220,7 @@ def validate(csp: CSP) -> list[str]:
             problems.append(f"{where}: empty scheme")
             continue
         if any(i < 1 or i > n for i in c.scheme):
-            problems.append(f"{where}: scheme {c.scheme.indices} outside domains 1..{n}")
+            problems.append(f"{where}: scheme {c.scheme} outside domains 1..{n}")
             continue
         if isinstance(c.body, ExtensionalBody):
             members = [csp.domains[i - 1].values for i in c.scheme]
@@ -321,8 +307,7 @@ def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
     the last step)."""
     if not cs:
         raise ConfigError("cannot join an empty sequence of constraints")
-    steps, pick, scheme = _join_plan(tuple(c.scheme.indices for c in cs),
-                                     None if onto is None else onto.indices)
+    steps, pick, scheme = _join_plan(tuple(c.scheme for c in cs), onto)
     tuples = cs[0].tuples
     if not steps:
         return Relation(scheme, tuples if pick is None else frozenset(map(pick, tuples)))
@@ -351,19 +336,19 @@ def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
 def reselect(scheme_from: Scheme, tuples: Iterable[tuple], scheme_to: Scheme) -> frozenset:
     """Select coordinates by domain index, in any target order."""
     try:
-        positions = [scheme_from.position_of(i) for i in scheme_to]
+        pick = _tuple_getter([scheme_from.index(i) for i in scheme_to])
     except ValueError:
-        raise ConfigError(
-            f"indices {scheme_to.indices} not all present in {scheme_from.indices}")
-    return frozenset(tuple(t[p] for p in positions) for t in tuples)
+        raise ConfigError(f"indices {scheme_to} not all present in {scheme_from}")
+    return frozenset(map(pick, tuples))
 
 
 def project(c: Constraint, s: Scheme) -> Constraint:
     """The image of ``c`` under coordinate selection ``d[s]``."""
     if not c.is_extensional:
         raise ConfigError(f"constraint {c.cid!r} is not extensional; cannot project")
-    if not s.is_subsequence_of(c.scheme):
-        raise ValueError(f"{s.indices} is not a subsequence of scheme {c.scheme.indices}")
+    it = iter(c.scheme)
+    if not all(i in it for i in s):
+        raise ValueError(f"{s} is not a subsequence of scheme {c.scheme}")
     return Constraint(f"proj({c.cid})", s,
                       ExtensionalBody(reselect(c.scheme, c.tuples, s)))
 

@@ -235,10 +235,10 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
 def _check_scheme(f: ReductionFunction, arity: int) -> None:
     if any(i < 1 or i > arity for i in f.scheme):
         raise ConfigError(
-            f"function {f.fid!r} has scheme {f.scheme.indices} outside 1..{arity}")
-    if not set(f.reads or ()) <= set(f.scheme.indices):
+            f"function {f.fid!r} has scheme {f.scheme} outside 1..{arity}")
+    if not set(f.reads or ()) <= set(f.scheme):
         raise ConfigError(
-            f"function {f.fid!r} reads {f.reads} outside its scheme {f.scheme.indices}")
+            f"function {f.fid!r} reads {f.reads} outside its scheme {f.scheme}")
 
 
 def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], ProductValue]:
@@ -250,7 +250,7 @@ def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], Product
         if len(d) != arity:
             raise ConfigError(f"expected a product of {arity} components")
         out = f.apply(tuple(d.component(i) for i in f.scheme))
-        return d.replace(dict(zip(f.scheme.indices, out)))
+        return d.replace(dict(zip(f.scheme, out)))
 
     return extended
 
@@ -258,14 +258,14 @@ def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], Product
 def apply_step(f: ReductionFunction, d: ProductValue):
     """Apply ``f`` in place of its scheme; returns (new product, changed idxs)."""
     comps = d.components
-    args = tuple([comps[i - 1] for i in f.scheme.indices])
+    args = tuple([comps[i - 1] for i in f.scheme])
     out = tuple(f.apply(args))
     if len(out) != len(args):
         raise ConfigError(f"function {f.fid!r} returned {len(out)} components "
                           f"for a {len(args)}-ary scheme")
     changed = []
     updates = {}
-    for i, old, new in zip(f.scheme.indices, args, out):
+    for i, old, new in zip(f.scheme, args, out):
         if new is not old and new != old:
             if not lattice.leq(old, new):
                 raise ProbeRejectionError(f.fid, "produced a non-inflationary step")
@@ -354,7 +354,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     # component -> positions of the functions reading it, built once
     dependents: list[list[int]] = [[] for _ in range(n + 1)]
     for pos, f in enumerate(functions):
-        for i in set(f.scheme.indices if f.reads is None else f.reads):
+        for i in set(f.scheme if f.reads is None else f.reads):
             dependents[i].append(pos)
 
     # changed-component tuple -> the functions reading any of them, in

@@ -88,7 +88,7 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
     # each side is intersected with the support of the other: it reads only that
     return tuple(ReductionFunction(f"pi{k + 1}@{c.cid}", c.scheme, support(k),
                                    idempotent=True, group=c.cid,
-                                   reads=(c.scheme.indices[1 - k],))
+                                   reads=(c.scheme[1 - k],))
                  for k in (0, 1))
 
 
@@ -274,7 +274,7 @@ class ConstraintSpace:
                 raise ConfigError(f"duplicate constraint-space component {key!r}")
             self._by_key[key] = pos
             if isinstance(comp, ExtComponent):
-                self._by_scheme.setdefault(comp.scheme.indices, []).append(pos)
+                self._by_scheme.setdefault(comp.scheme, []).append(pos)
                 self._join_schemes[pos] = comp.scheme
             elif isinstance(comp, DomainComponent):
                 if comp.var != pos or pos > arity:
@@ -289,12 +289,12 @@ class ConstraintSpace:
         return self._by_key[key]
 
     def position_of_scheme(self, scheme: Scheme) -> int:
-        hits = self._by_scheme.get(scheme.indices, [])
+        hits = self._by_scheme.get(scheme, [])
         if not hits:
-            raise ConfigError(f"no constraint with scheme {scheme.indices}")
+            raise ConfigError(f"no constraint with scheme {scheme}")
         if len(hits) > 1:
             raise ConfigError(
-                f"several constraints share scheme {scheme.indices}; normalize first")
+                f"several constraints share scheme {scheme}; normalize first")
         return hits[0]
 
     def bottom(self) -> ProductValue:
@@ -381,7 +381,7 @@ class ConstraintSpace:
                         cut = _record_constraint(rec, f"{comp.gid}/cut{k}")
                     else:
                         # a variable-free infeasible cut: no tuple satisfies it
-                        v = comp.members[0].scheme.indices[0]
+                        v = comp.members[0].scheme[0]
                         cut = Constraint(f"{comp.gid}/cut{k}", Scheme((v,)),
                                          ExtensionalBody(frozenset()))
                     out.append((last, cut))
@@ -405,15 +405,20 @@ def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
 
 
 def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) -> Constraint:
-    """The full product of the domains along ``scheme``, as a constraint."""
+    """The full product of the domains along ``scheme``, as a constraint
+    named by the first of ``u(i,j,...)``, ``u(i,j,...)'``, ... that no
+    constraint of ``csp`` uses."""
     size = 1
     for i in scheme:
         size *= len(csp.domain_members(i))
         if size > cap:
             raise ResourceLimitError(
-                f"universal constraint over {scheme.indices} exceeds {cap} tuples")
+                f"universal constraint over {scheme} exceeds {cap} tuples")
     tuples = frozenset(itertools.product(*(csp.domain_members(i) for i in scheme)))
-    return Constraint("u(" + ",".join(map(str, scheme)) + ")", scheme, ExtensionalBody(tuples))
+    cid = "u(" + ",".join(map(str, scheme)) + ")"
+    while cid in csp.cids:
+        cid += "'"
+    return Constraint(cid, scheme, ExtensionalBody(tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +439,7 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
     for s in target_schemes:
         if not all(i in union for i in s):
             raise ConfigError(
-                f"target scheme {s.indices} is not covered by the members' scheme {union.indices}")
+                f"target scheme {s} is not covered by the members' scheme {union}")
     onto = scheme_union(target_schemes)
     positions = tuple(targets) + tuple(p for p in members if p not in targets)
     slots = tuple(positions.index(p) for p in members)
@@ -652,7 +657,7 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
                                         tuple(map(constraint, cids))))
 
     # relational targets may need a universal constraint materialized
-    have_schemes = {c.scheme.indices for c in csp.constraints if c.is_extensional}
+    have_schemes = {c.scheme for c in csp.constraints if c.is_extensional}
     for kind, _, t, _ in parsed:
         if kind == "rel" and t not in have_schemes:
             components.append(ExtComponent(universal_constraint(csp, Scheme(t), cap=cap)))

@@ -116,7 +116,7 @@ def _parse_scheme(text: str, where: str) -> Scheme:
     inner = text[1:-1]
     try:
         # every entry must hold an index; only "()" is the empty scheme
-        return Scheme(tuple(map(int, inner.split(",") if inner.strip() else ())))
+        return Scheme(inner.split(",") if inner.strip() else ())
     except ValueError:
         raise DataError(f"{where}: bad scheme {text!r}")
     except ConfigError as exc:
@@ -143,7 +143,7 @@ def _parse_linear(text: str, scheme: Scheme, where: str) -> tuple[int, ...]:
         coeffs[i] = c
         pos = m.end()
         first = False
-    if set(coeffs) != set(scheme.indices):
+    if set(coeffs) != set(scheme):
         raise DataError(f"{where}: linear form must mention exactly the scheme variables")
     return tuple(coeffs[i] for i in scheme)
 
@@ -264,7 +264,7 @@ def csp_to_obj(csp: CSP) -> dict:
             domains.append({"index": i, "kind": "int", "lo": d.lo, "hi": d.hi})
     constraints = []
     for c in csp.constraints:
-        entry = {"id": c.cid, "scheme": list(c.scheme.indices)}
+        entry = {"id": c.cid, "scheme": list(c.scheme)}
         if isinstance(c.body, ExtensionalBody):
             entry["kind"] = "tuples"
             entry["tuples"] = [list(t) for t in sorted(c.body.tuples, key=atom_key)]

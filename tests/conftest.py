@@ -152,7 +152,7 @@ def brute_force_join(csp: CSP, members) -> frozenset:
     union = scheme_union([c.scheme for c in members])
     out = set()
     for combo in itertools.product(*(csp.domain_members(i) for i in union)):
-        at = dict(zip(union.indices, combo))
+        at = dict(zip(union, combo))
         if all(tuple(at[i] for i in c.scheme) in c.tuples for c in members):
             out.add(combo)
     return frozenset(out)
@@ -172,7 +172,7 @@ def brute_force_relationally_consistent(csp: CSP, m: int) -> bool:
             yield dict(zip(variables, combo))
 
     for chosen in itertools.combinations(csp.constraints, m):
-        union = sorted(set().union(*(c.scheme.indices for c in chosen)))
+        union = sorted(set().union(*(c.scheme for c in chosen)))
         for r in range(1, len(union) + 1):
             for x in itertools.combinations(union, r):
                 inside = [c for c in csp.constraints if set(c.scheme) <= set(x)]

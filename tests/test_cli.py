@@ -260,6 +260,39 @@ class TestRunCommand:
         assert "domain 2 set {0}" in out.splitlines()
         assert "# equivalence: PASS" in out
 
+    # a synthetic universal constraint never takes an input constraint's id
+    SYNTHETIC_ID_TAKEN = {
+        "rel": ("domain 1 int [0..1]\ndomain 2 int [0..1]\ndomain 3 int [0..1]\n"
+                "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                "constraint b scheme (2,3) tuples {(0,0),(1,1)}\n"
+                "constraint u(1,3) scheme (1,3) lineq 1*x1 + 1*x3 = 1\n",
+                ["--reducers", "rel@1,3;a,b"]),
+        "path": ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                 "constraint u(3,1) scheme (1,2) tuples {(0,0),(1,1)}\n"
+                 "constraint b scheme (2,3) tuples {(0,0),(1,1)}\n",
+                 ["--goal", "path"]),
+        "rel:1": ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                  "constraint u(1,3) scheme (1,2) tuples {(0,0),(1,1)}\n"
+                  "constraint b scheme (2,3) tuples {(0,0),(1,1)}\n",
+                  ["--goal", "rel:1"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SYNTHETIC_ID_TAKEN))
+    def test_synthetic_id_taken_by_an_input_constraint(self, tmp_path, capsys, case):
+        text, args = self.SYNTHETIC_ID_TAKEN[case]
+        p = tmp_path / "taken.csp"
+        p.write_text(text)
+        code = main(["run", str(p), *args, "--check-equivalence"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "# equivalence: PASS" in out
+        # every input constraint is printed under its own id, as it was given
+        lines = out.splitlines()
+        assert all(line in lines for line in text.splitlines()
+                   if line.startswith("constraint"))
+        if case == "rel":
+            assert "constraint u(1,3)' scheme (1,3) tuples {(0,0),(1,1)}" in lines
+
     def test_early_exit_flag(self, tmp_path, capsys):
         p = tmp_path / "wipe.csp"
         p.write_text(

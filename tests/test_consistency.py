@@ -34,7 +34,7 @@ def one_per_scheme(csp):
     relational predicate and goal count those sharing one as one)."""
     first = {}
     for c in csp.constraints:
-        first.setdefault(c.scheme.indices, c)
+        first.setdefault(c.scheme, c)
     return CSP(csp.domains, tuple(first.values()))
 
 
@@ -54,10 +54,10 @@ def relational_problems(seed, count):
     rng = random.Random(seed)
     for k in range(count):
         csp = one_per_scheme(random_set_csp(rng, max_constraints=3))
-        multi = [c.scheme.indices for c in csp.constraints if len(c.scheme) > 1]
+        multi = [c.scheme for c in csp.constraints if len(c.scheme) > 1]
         if k % 2 and multi:
             flipped = rng.choice(multi)[::-1]
-            if flipped not in {c.scheme.indices for c in csp.constraints}:
+            if flipped not in {c.scheme for c in csp.constraints}:
                 product = itertools.product(*(csp.domain_members(i) for i in flipped))
                 flip = ext("t", flipped, {t for t in product if rng.random() < 0.7})
                 csp = CSP(csp.domains, csp.constraints + (flip,))
@@ -257,7 +257,7 @@ class TestAchieveRelational:
                   (ext("a", (1, 2), {(0, 0), (1, 1)}),
                    ext("b", (1, 2), {(0, 0), (0, 1)})))
         out, _ = achieve(csp, ConsistencyGoal("rel", m=1))
-        merged = [c for c in out.constraints if c.scheme.indices == (1, 2)]
+        merged = [c for c in out.constraints if c.scheme == (1, 2)]
         assert len(merged) == 1
         assert merged[0].tuples == frozenset({(0, 0)})
 
@@ -278,7 +278,7 @@ def raw_path_fixpoint(csp):
         rel[(i, j)] = set(itertools.product(csp.domain_members(i),
                                             csp.domain_members(j)))
     for c in csp.constraints:
-        i, j = c.scheme.indices
+        i, j = c.scheme
         rel[(i, j)] &= c.tuples
     changed = True
     while changed:
@@ -298,7 +298,7 @@ class TestAchievePath:
         assert trace.outcome is Outcome.CONVERGED
         oracle = raw_path_fixpoint(PATH_INSTANCE)
         for c in out.constraints:
-            assert c.tuples == frozenset(oracle[c.scheme.indices])
+            assert c.tuples == frozenset(oracle[c.scheme])
         assert out.constraint("c12").tuples == frozenset({(0, 1)})
         assert equivalent(PATH_INSTANCE, out)
 
@@ -315,7 +315,7 @@ class TestAchievePath:
             out, _ = achieve(csp, ConsistencyGoal("path"))
             oracle = raw_path_fixpoint(csp)
             for c in out.constraints:
-                assert c.tuples == frozenset(oracle[c.scheme.indices])
+                assert c.tuples == frozenset(oracle[c.scheme])
             assert equivalent(csp, out)
 
     def test_non_binary_rejected(self, chain_csp):
@@ -361,7 +361,7 @@ class TestDirectionalArc:
             # later variables first, in every set mode; queue modes agree
             later = {}
             for c in constraints:
-                i, j = c.scheme.indices
+                i, j = c.scheme
                 fid = ("pi1@" if rank[i] < rank[j] else "pi2@") + c.cid
                 later[fid] = max(rank[i], rank[j])
             for mode in MODES:
@@ -405,8 +405,8 @@ class TestDirectionalArc:
             # every value of the earlier variable has a support in the later
             # variable's output domain
             for c in csp.constraints:
-                earlier, later = sorted(c.scheme.indices, key=rank.get)
-                pairs = [dict(zip(c.scheme.indices, t)) for t in c.tuples]
+                earlier, later = sorted(c.scheme, key=rank.get)
+                pairs = [dict(zip(c.scheme, t)) for t in c.tuples]
                 for a in dom[earlier]:
                     assert any(p[earlier] == a and p[later] in dom[later]
                                for p in pairs)

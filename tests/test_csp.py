@@ -21,6 +21,13 @@ def ext(cid, scheme, tuples):
     return Constraint(cid, Scheme(scheme), ExtensionalBody(frozenset(tuples)))
 
 
+def select(scheme, tuples, onto):
+    """The coordinates of each tuple over ``scheme`` at the indices ``onto``,
+    written out here so that it shares no code with ``reselect`` or the join
+    plan."""
+    return {tuple(t[scheme.index(i)] for i in onto) for t in tuples}
+
+
 D01 = SetDomain(frozenset({0, 1}))
 
 
@@ -41,17 +48,64 @@ class TestExtensionalBody:
 class TestSchemeUnion:
     def test_worked_example(self):
         got = scheme_union([Scheme((3, 7, 2)), Scheme((4, 3, 7, 5)), Scheme((3, 5, 8))])
-        assert got.indices == (3, 7, 2, 4, 5, 8)
+        assert type(got) is Scheme and got == (3, 7, 2, 4, 5, 8)
 
     def test_single(self):
-        assert scheme_union([Scheme((1, 2))]).indices == (1, 2)
+        assert scheme_union([Scheme((1, 2))]) == (1, 2)
 
     def test_later_duplicates_dropped(self):
-        assert scheme_union([Scheme((2, 1)), Scheme((1, 2))]).indices == (2, 1)
+        assert scheme_union([Scheme((2, 1)), Scheme((1, 2))]) == (2, 1)
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ConfigError):
             Scheme((1, 1, 2))
+
+
+class TestScheme:
+    @pytest.mark.parametrize("indices", [(), (1,), (2, 1), (3, 7, 2), range(1, 5)])
+    def test_is_the_tuple_of_its_indices(self, indices):
+        s = Scheme(indices)
+        assert isinstance(s, tuple)
+        assert s == tuple(indices) and tuple(indices) == s
+        assert hash(s) == hash(tuple(indices))
+        assert {s: "x"}[tuple(indices)] == "x"
+
+    def test_indices_go_through_int(self):
+        s = Scheme(("2", "1"))
+        assert s == (2, 1) and all(type(i) is int for i in s)
+
+    def test_prints_as_its_tuple(self):
+        assert repr(Scheme((1, 2))) == "(1, 2)" and f"{Scheme((3,))}" == "(3,)"
+
+    @pytest.mark.parametrize("indices, text", [
+        ((1, 1), "scheme (1, 1) repeats an index"),
+        (("3", 2, 3), "scheme (3, 2, 3) repeats an index")])
+    def test_repeated_index_text(self, indices, text):
+        with pytest.raises(ConfigError) as exc:
+            Scheme(indices)
+        assert str(exc.value) == text
+
+
+class TestReselect:
+    def test_random_schemes_against_written_out_selection(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            s = Scheme(rng.sample(range(1, 9), rng.randint(1, 5)))
+            tuples = {tuple(rng.randrange(3) for _ in s) for _ in range(rng.randint(0, 8))}
+            targets = [tuple(rng.sample(s, rng.randint(1, len(s)))) for _ in range(3)]
+            targets += [(rng.choice(s),), (), s, s[::-1]]
+            for onto in targets:
+                got = reselect(s, tuples, Scheme(onto))
+                assert type(got) is frozenset
+                assert got == select(s, tuples, onto)
+
+    @pytest.mark.parametrize("src, onto, text", [
+        ((1, 2), (3,), "indices (3,) not all present in (1, 2)"),
+        ((2, 4, 1), (1, 5, 2), "indices (1, 5, 2) not all present in (2, 4, 1)")])
+    def test_missing_index_text(self, src, onto, text):
+        with pytest.raises(ConfigError) as exc:
+            reselect(Scheme(src), {(0,) * len(src)}, Scheme(onto))
+        assert str(exc.value) == text
 
 
 class TestJoin:
@@ -61,7 +115,7 @@ class TestJoin:
         relations = [Relation(c.scheme, c.tuples) for c in (c1, c2)]
         for members in ([c1, c2], relations):
             got = join_constraints(members)
-            assert got.scheme.indices == (1, 2, 3)
+            assert got.scheme == (1, 2, 3)
             assert got.tuples == frozenset({(0, 0, 1)})
 
     def test_single_input_is_identity(self):
@@ -87,7 +141,7 @@ class TestJoin:
             csp = random_set_csp(rng, max_vars=3, max_atoms=3, max_constraints=3)
             joined = join_constraints(csp.constraints)
             for c in csp.constraints:
-                assert reselect(joined.scheme, joined.tuples, c.scheme) <= c.tuples
+                assert select(joined.scheme, joined.tuples, c.scheme) <= c.tuples
 
     def test_onto_matches_enumeration_oracle(self):
         # onto: a random selection of the union in random order (so it
@@ -99,13 +153,13 @@ class TestJoin:
             cs = csp.constraints
             union = scheme_union([c.scheme for c in cs])
             full = brute_force_join(csp, cs)
-            picks = [tuple(rng.sample(union.indices, rng.randint(1, len(union))))
+            picks = [tuple(rng.sample(union, rng.randint(1, len(union))))
                      for _ in range(3)]
-            picks += [c.scheme.indices for c in cs] + [union.indices]
+            picks += [c.scheme for c in cs] + [union]
             for onto in map(Scheme, picks):
                 got = join_constraints(cs, onto=onto)
                 assert got.scheme == onto
-                assert got.tuples == reselect(union, full, onto)
+                assert got.tuples == select(union, full, onto)
 
     def test_onto_interleaving_members(self):
         c1 = ext("c1", (1, 2), {(0, 0), (0, 1), (1, 1)})
@@ -113,7 +167,7 @@ class TestJoin:
         c3 = ext("c3", (3, 4), {(0, 0), (1, 1)})
         csp = CSP((D01,) * 4, (c1, c2, c3))
         onto = Scheme((4, 1, 3))
-        want = reselect(Scheme((1, 2, 3, 4)), brute_force_join(csp, [c1, c2, c3]), onto)
+        want = select((1, 2, 3, 4), brute_force_join(csp, [c1, c2, c3]), onto)
         assert want == frozenset({(1, 0, 1), (0, 0, 0), (0, 1, 0)})
         assert join_constraints([c1, c2, c3], onto=onto).tuples == want
 
@@ -123,11 +177,11 @@ class TestJoin:
             csp = random_set_csp(rng, max_vars=3, max_atoms=3, max_constraints=1)
             (c,) = csp.constraints
             full = brute_force_join(csp, [c])
-            for perm in itertools.permutations(c.scheme.indices):
+            for perm in itertools.permutations(c.scheme):
                 onto = Scheme(perm[:rng.randint(1, len(perm))])
                 got = join_constraints([c], onto=onto)
                 assert got.scheme == onto
-                assert got.tuples == reselect(c.scheme, full, onto)
+                assert got.tuples == select(c.scheme, full, onto)
 
     @pytest.mark.parametrize("members", [[(1, 2)], [(1, 2), (2, 3)]])
     def test_onto_outside_the_union_rejected(self, members):
@@ -170,8 +224,17 @@ class TestProject:
         assert project(ext("c", (1, 2), set()), Scheme((1,))).tuples == frozenset()
 
     def test_non_subsequence_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             project(ext("c", (1, 2, 3), {(0, 0, 0)}), Scheme((2, 1)))
+        assert str(exc.value) == "(2, 1) is not a subsequence of scheme (1, 2, 3)"
+
+    def test_subsequence_picks_its_coordinates(self):
+        c = ext("c", (4, 1, 3, 2), {(0, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)})
+        for r in range(5):
+            for s in itertools.combinations(c.scheme, r):
+                got = project(c, Scheme(s))
+                assert got.scheme == s and got.cid == "proj(c)"
+                assert got.tuples == select(c.scheme, c.tuples, s)
 
 
 class TestSolutions:
@@ -211,7 +274,7 @@ class TestSolutions:
                                        {(a,) for a in csp.domain_members(i)}))
             joined = join_constraints(members)
             expect = {
-                tuple(dict(zip(joined.scheme.indices, t))[i]
+                tuple(dict(zip(joined.scheme, t))[i]
                       for i in range(1, csp.arity + 1))
                 for t in joined.tuples}
             assert solutions(csp) == frozenset(expect)

@@ -438,6 +438,18 @@ class TestRelationalReducer:
             make_relational_reducer(space, Scheme((1, 2)), ["c2"])
 
 
+class TestUniversalConstraint:
+    @pytest.mark.parametrize("taken, cid", [
+        ((), "u(1,3)"), (("u(3,1)",), "u(1,3)"), (("u(1,3)",), "u(1,3)'"),
+        (("u(1,3)'", "u(1,3)"), "u(1,3)''"), (("u(1,3)", "u(1,3)''"), "u(1,3)'")])
+    def test_takes_the_first_free_id(self, taken, cid):
+        d01 = SetDomain(frozenset({0, 1}))
+        csp = CSP((d01,) * 3, tuple(ext(k, (1, 2), {(0, 0)}) for k in taken))
+        u = universal_constraint(csp, Scheme((1, 3)))
+        assert u.cid == cid and u.scheme == (1, 3)
+        assert u.tuples == frozenset(itertools.product((0, 1), repeat=2))
+
+
 class TestNoChangeApplication:
     @pytest.mark.parametrize("name", [
         "path@1,2,3", "rel@1,2;c13,c32", "rel@1,2;c12,c13,c32", "rho@c13,c32",
@@ -460,20 +472,20 @@ class TestCuttingPlane:
     def test_halved_single_inequality(self):
         c = Constraint("a", Scheme((1,)), LinearIneqBody((2,), 1))
         cut = cutting_plane([c], [Fraction(1, 2)])
-        assert cut.scheme.indices == (1,)
+        assert cut.scheme == (1,)
         assert cut.body == LinearIneqBody((1,), 0)
 
     def test_combined_pair(self):
         i1 = Constraint("i1", Scheme((1, 2)), LinearIneqBody((1, 1), 1))
         i2 = Constraint("i2", Scheme((1, 2)), LinearIneqBody((1, -1), 0))
         cut = cutting_plane([i1, i2], [Fraction(1, 2), Fraction(1, 2)])
-        assert cut.scheme.indices == (1,)
+        assert cut.scheme == (1,)
         assert cut.body == LinearIneqBody((1,), 0)
 
     def test_zero_multipliers_give_trivial_cut(self):
         c = Constraint("a", Scheme((1,)), LinearIneqBody((2,), 1))
         cut = cutting_plane([c], [0])
-        assert cut.scheme.indices == ()
+        assert cut.scheme == ()
         assert cut.body.constant == 0
 
     def test_non_integral_combination_rejected(self):
@@ -665,7 +677,7 @@ class TestOneSpace:
         assert [f.fid for f in setup.functions] == ["pi1@c1", "rho@c1,c2", "piC@c2"]
         assert [c.key for c in setup.space.components] == [
             "~dom1", "~dom2", "~dom3", "c1", "c2"]
-        assert [f.scheme.indices for f in setup.functions] == [(1, 2), (4, 5), (2, 3)]
+        assert [f.scheme for f in setup.functions] == [(1, 2), (4, 5), (2, 3)]
 
     @pytest.mark.parametrize("names, keys", [
         (["rho@c2,~dom2"], ["~dom1", "~dom2", "~dom3", "c1", "c2"]),
@@ -923,7 +935,7 @@ class TestDeclaredReads:
         assert (pi1.reads, pi2.reads) == ((1,), (2,))
         space = path_space()
         f = make_path_reducer(space, 1, 2, 3)
-        assert f.reads == f.scheme.indices[1:]
+        assert f.reads == f.scheme[1:]
         assert make_solution_projection(space, ["c13", "c32"]).reads is None
 
 
