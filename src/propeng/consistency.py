@@ -92,7 +92,10 @@ def is_arc_consistent(csp: CSP) -> bool:
 
 
 def _merge_same_scheme(csp: CSP) -> list[Constraint]:
-    """Replace the constraints sharing a scheme by their intersection."""
+    """Replace the constraints sharing a scheme by their intersection, named
+    by the first of ``a&b``, ``a&b'``, ... that no constraint of ``csp`` and
+    no earlier intersection uses."""
+    made: set[str] = set()
     order: list[tuple] = []
     groups: dict[tuple, list[Constraint]] = {}
     for c in csp.constraints:
@@ -109,6 +112,9 @@ def _merge_same_scheme(csp: CSP) -> list[Constraint]:
         else:
             tuples = frozenset.intersection(*(c.tuples for c in cs))
             cid = "&".join(c.cid for c in cs)
+            while cid in csp.cids or cid in made:
+                cid += "'"
+            made.add(cid)
             out.append(Constraint(cid, cs[0].scheme, ExtensionalBody(tuples)))
     return out
 

@@ -17,6 +17,14 @@ All values are immutable and hashable; equality is structural, which is
 what the engine's change detection relies on.  Each family draws probe inputs
 (``sample(rng)`` in its structure, ``sample_above(rng)`` above the value); a
 variable's two families ``fit(points)``, the least value holding the points.
+
+Intervals are the values a narrowing run makes and compares most, so they
+are kept cheap without changing a result: ``GridInterval`` checks an
+integer grid's ends inline, its ``==`` tests identity before the field
+tuple, ``leq`` tests a pair of intervals before the other kinds and their
+grids by identity before equality, and ``ProductValue.replace`` stores its
+new tuple as it is.  An integer grid draws a point as ``randrange(lo, hi +
+1)``, the very call ``randint(lo, hi)`` makes, so the draws are the same.
 """
 
 from __future__ import annotations
@@ -126,8 +134,9 @@ class IntGrid:
         return max(p, self.lo)
 
     def pick(self, rng, lo, hi):
-        """A random grid point in ``[lo..hi]`` (both on the grid)."""
-        return rng.randint(lo, hi)
+        """A random grid point in ``[lo..hi]`` (both on the grid), drawn as
+        ``randint(lo, hi)`` draws it, without its extra call."""
+        return rng.randrange(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -168,25 +177,46 @@ class PointGrid:
         return rng.choice(pts[bisect_left(pts, lo):bisect_right(pts, hi)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridInterval:
     """An interval with endpoints on ``grid``; ``lo=hi=None`` is the one
     canonical empty interval, so structural equality is sound for fixpoint
-    detection."""
+    detection.  Equality and hash are those of the ``(grid, lo, hi)`` field
+    tuple; ``==`` tests identity first, since a narrowing step hands back an
+    unmoved interval as the same object."""
 
     grid: IntGrid | PointGrid
     lo: object = None
     hi: object = None
 
     def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
-            raise ConfigError("interval endpoints must both be set or both be None")
-        if self.lo is not None:
-            if self.lo not in self.grid or self.hi not in self.grid:
-                raise ConfigError("interval endpoints must lie on the grid")
-            if self.hi < self.lo:
-                object.__setattr__(self, "lo", None)
-                object.__setattr__(self, "hi", None)
+        lo, hi = self.lo, self.hi
+        if lo is None or hi is None:
+            if lo is not hi:
+                raise ConfigError("interval endpoints must both be set or both be None")
+            return
+        g = self.grid
+        if type(g) is IntGrid:
+            # IntGrid.__contains__ for both ends, without its two calls
+            on_grid = (isinstance(lo, int) and isinstance(hi, int)
+                       and g.lo <= lo <= g.hi and g.lo <= hi <= g.hi)
+        else:
+            on_grid = lo in g and hi in g
+        if not on_grid:
+            raise ConfigError("interval endpoints must lie on the grid")
+        if hi < lo:
+            object.__setattr__(self, "lo", None)
+            object.__setattr__(self, "hi", None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid, self.lo, self.hi) == (other.grid, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.grid, self.lo, self.hi))
 
     @classmethod
     def full(cls, grid) -> "GridInterval":
@@ -311,11 +341,14 @@ class ProductValue:
         return self.components[i - 1]
 
     def replace(self, updates: dict) -> "ProductValue":
-        """New product with 1-based components replaced per ``updates``."""
+        """New product with 1-based components replaced per ``updates``; the
+        new tuple is stored as it is, without ``__post_init__``'s copy."""
         comps = list(self.components)
         for i, v in updates.items():
             comps[i - 1] = v
-        return ProductValue(tuple(comps))
+        new = object.__new__(ProductValue)
+        object.__setattr__(new, "components", tuple(comps))
+        return new
 
 
 LatticeValue = PowersetValue | GridInterval | GrowSetValue | ProductValue
@@ -326,19 +359,21 @@ def _pair_kind(a, b, kind):
 
 
 def leq(a: LatticeValue, b: LatticeValue) -> bool:
-    """The component order: does ``b`` carry at least as much information?"""
+    """The component order: does ``b`` carry at least as much information?
+    Two intervals, the most frequent pair, are tested first, and their grids
+    by identity before equality."""
+    if isinstance(a, GridInterval) and isinstance(b, GridInterval):
+        if a.grid is not b.grid and a.grid != b.grid:
+            raise ConfigError("cannot compare intervals over different grids")
+        if b.lo is None:
+            return True
+        if a.lo is None:
+            return False
+        return a.lo <= b.lo and b.hi <= a.hi
     if _pair_kind(a, b, PowersetValue):
         if a.base != b.base:
             raise ConfigError("cannot compare powerset values over different bases")
         return a.elements >= b.elements
-    if _pair_kind(a, b, GridInterval):
-        if a.grid != b.grid:
-            raise ConfigError("cannot compare intervals over different grids")
-        if b.is_empty:
-            return True
-        if a.is_empty:
-            return False
-        return a.lo <= b.lo and b.hi <= a.hi
     if _pair_kind(a, b, GrowSetValue):
         if a.seed != b.seed:
             raise ConfigError("cannot compare grow-sets with different seeds")

@@ -20,6 +20,10 @@ domain also joins as a unary constraint (``~domN``); only
 state folds back into a problem: variables into the declared families,
 extensional constraints restricted to them.
 
+Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
+more reduction function: one pass checks the arguments' kinds, then
+``_narrow_bounds``, the one bound formula, reads the intervals as they are.
+
 Every constructor returns an engine ``ReductionFunction``; all of them
 preserve the solution set of the problem they were built from.  Reducer
 names read ``kind@head[;tail]`` (``build_named_reducers``).
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import contains
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, Domain, ExtensionalBody, IntDomain,
@@ -130,65 +134,86 @@ def make_interval_hull_projection(c: Constraint,
     return replace(f, fid=f"hull@{c.cid}")
 
 
+class _Bounds(NamedTuple):
+    lo: int
+    hi: int
+
+
 def linear_eq_narrow(eq: LinearEqBody, box: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """One bound-tightening application for an integer linear equality over
-    integer interval bounds.
+    integer interval bounds, given as ``(lo, hi)`` pairs.
 
     Returns one ``(lo, hi)`` pair per position; a pair with ``hi < lo``
-    denotes an emptied interval.  For ``sum_k a_k x_k = b``, each term
-    ``a_k x_k`` ranges over ``[min_k, max_k]`` on the box, and ``lo`` and
-    ``hi`` are the sums of those ends over all terms.  The other terms then
-    leave ``least = b - (hi - max_k) <= a_k x_k <= b - (lo - min_k) = most``,
-    with ``least`` and ``most`` swapped when ``a_k < 0``, so ``x_k`` lies
-    between the exact integer ceiling ``-(-least // a_k)`` and floor
-    ``most // a_k``: one pass over the terms, for both signs.  The function
+    denotes an emptied interval.  The formula is ``_narrow_bounds``, which
+    the ``lineq`` reducer applies to its intervals as they are.  The function
     is deliberately a single application: iterating it can tighten further.
     """
-    coeffs = eq.coeffs
+    return _narrow_bounds(eq.coeffs, eq.constant, [_Bounds(l, h) for l, h in box])
+
+
+def _narrow_bounds(coeffs: tuple[int, ...], b: int, box: Sequence) -> list[tuple[int, int]]:
+    """The narrowing of ``sum_k a_k x_k = b`` over ``box``: one interval per
+    coefficient, anything with integer ``lo`` and ``hi``.
+
+    Each term ``a_k x_k`` ranges over ``[min_k, max_k]`` on the box, and
+    ``lo`` and ``hi`` are the sums of those ends over all terms.  The other
+    terms then leave ``least = b - (hi - max_k) <= a_k x_k <= b - (lo - min_k)
+    = most``.  For ``a_k > 0``, ``x_k`` lies between the exact integer
+    ceiling ``-(-least // a_k)`` and floor ``most // a_k``; for ``a_k < 0``
+    the division turns the order round, so the ceiling is taken of
+    ``most / a_k`` and the floor of ``least / a_k``.  Two passes over the
+    terms, for both signs.
+    """
     if len(box) != len(coeffs):
         raise ConfigError("one interval per coefficient is required")
     if 0 in coeffs:
         raise ConfigError("zero coefficient in linear equality")
-    terms = [(a * l, a * h) if a > 0 else (a * h, a * l) for a, (l, h) in zip(coeffs, box)]
     lo = hi = 0
-    for t_min, t_max in terms:
+    ends = []
+    for a, v in zip(coeffs, box):
+        if a > 0:
+            t_min, t_max = a * v.lo, a * v.hi
+        else:
+            t_min, t_max = a * v.hi, a * v.lo
         lo += t_min
         hi += t_max
-    b = eq.constant
+        ends.append((t_min, t_max))
     out = []
-    for a, (l, h), (t_min, t_max) in zip(coeffs, box, terms):
-        least = b - (hi - t_max)
-        most = b - (lo - t_min)
-        if a < 0:
-            least, most = most, least
-        new_lo, new_hi = -(-least // a), most // a
+    for a, v, (t_min, t_max) in zip(coeffs, box, ends):
+        if a > 0:
+            new_lo, new_hi = -((hi - t_max - b) // a), (b - lo + t_min) // a
+        else:
+            new_lo, new_hi = -((lo - t_min - b) // a), (b - hi + t_max) // a
         # max(l, new_lo) and min(h, new_hi) without the builtin calls
+        l, h = v.lo, v.hi
         out.append((new_lo if new_lo > l else l, new_hi if new_hi < h else h))
     return out
 
 
 def make_linear_eq_narrowing(c: Constraint) -> ReductionFunction:
     """Package the equality narrowing as a (non-idempotent) reduction function
-    over integer grid intervals.  A coordinate whose bounds do not move comes
-    back as the argument object itself."""
+    over integer grid intervals.  One application checks every argument's
+    kind, then hands the intervals themselves to ``_narrow_bounds``; a
+    coordinate whose bounds do not move comes back as the argument object
+    itself."""
     if not isinstance(c.body, LinearEqBody):
         raise ConfigError(f"constraint {c.cid!r} is not a linear equality")
-    body = c.body
+    coeffs, b = c.body.coeffs, c.body.constant
 
     def apply(args):
         emptied = False
         for v in args:
             if not (isinstance(v, GridInterval) and isinstance(v.grid, IntGrid)):
                 raise ConfigError("equality narrowing needs integer interval components")
-            emptied = emptied or v.is_empty
+            if v.lo is None:
+                emptied = True
         if emptied:
             # an emptied coordinate means the whole box denotes no points
             return tuple(v if v.is_empty else GridInterval.empty(v.grid) for v in args)
-        narrowed = linear_eq_narrow(body, [(v.lo, v.hi) for v in args])
         return tuple([
             v if lo == v.lo and hi == v.hi
             else GridInterval(v.grid, lo, hi) if lo <= hi else GridInterval.empty(v.grid)
-            for v, (lo, hi) in zip(args, narrowed)])
+            for v, (lo, hi) in zip(args, _narrow_bounds(coeffs, b, args))])
 
     return ReductionFunction(f"lineq@{c.cid}", c.scheme, apply,
                              idempotent=False, group=c.cid)

@@ -293,6 +293,24 @@ class TestRunCommand:
         if case == "rel":
             assert "constraint u(1,3)' scheme (1,3) tuples {(0,0),(1,1)}" in lines
 
+    # a and b share a scheme and merge; an input constraint already has the
+    # id a&b, so the intersection takes the next free one
+    MERGED_ID_TAKEN = ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                       "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                       "constraint b scheme (1,2) tuples {(0,0),(0,1),(1,1)}\n"
+                       "constraint a&b scheme (2,3) tuples {(0,0),(1,1)}\n")
+
+    @pytest.mark.parametrize("goal", ["rel:1", "path"])
+    def test_merged_id_taken_by_an_input_constraint(self, tmp_path, capsys, goal):
+        p = tmp_path / "merged.csp"
+        p.write_text(self.MERGED_ID_TAKEN)
+        code = main(["run", str(p), "--goal", goal, "--check-equivalence"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "# equivalence: PASS" in lines
+        assert "constraint a&b' scheme (1,2) tuples {(0,0),(1,1)}" in lines
+        assert "constraint a&b scheme (2,3) tuples {(0,0),(1,1)}" in lines
+
     def test_early_exit_flag(self, tmp_path, capsys):
         p = tmp_path / "wipe.csp"
         p.write_text(

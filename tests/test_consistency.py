@@ -261,6 +261,15 @@ class TestAchieveRelational:
         assert len(merged) == 1
         assert merged[0].tuples == frozenset({(0, 0)})
 
+    def test_merged_ids_stay_distinct(self):
+        # a&b with c, and a with b&c, both join to the name a&b&c
+        csp = CSP((D01,) * 3,
+                  (ext("a&b", (1, 2), {(0, 0), (1, 1)}), ext("c", (1, 2), {(0, 0)}),
+                   ext("a", (2, 3), {(0, 0), (1, 1)}), ext("b&c", (2, 3), {(0, 0)})))
+        assert [c.cid for c in consistency._merge_same_scheme(csp)] == ["a&b&c", "a&b&c'"]
+        out, _ = achieve(csp, ConsistencyGoal("rel", m=1))
+        assert equivalent(csp, out)
+
 
 PATH_INSTANCE = CSP(
     (D01, D01, D01),

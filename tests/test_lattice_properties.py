@@ -8,10 +8,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 
+from propeng.errors import ConfigError  # noqa: E402
 from propeng.lattice import (  # noqa: E402
-    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, bottom_like, leq,
+    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, bottom_like, join, leq,
 )
 
 BOUNDS = (-math.inf, -2, -1, 0, 1, 3, math.inf)
@@ -73,3 +74,82 @@ def test_fit_of_points_inside_is_above(vp, data):
     fitted = v.fit(points)
     assert leq(v, fitted)
     assert all(p in fitted for p in points)
+
+
+# ---------------------------------------------------------------------------
+# Interval equality, hash and order
+
+
+@st.composite
+def grid_maker(draw):
+    """A function building a new, equal grid object at each call."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-5, 5))
+        hi = lo + draw(st.integers(0, 6))
+        return lambda: IntGrid(lo, hi)
+    points = tuple(draw(st.sets(st.sampled_from(BOUNDS), min_size=1)))
+    return lambda: PointGrid(points)
+
+
+def grid_points(grid) -> list:
+    return list(range(grid.lo, grid.hi + 1)) if isinstance(grid, IntGrid) else list(grid.points)
+
+
+@st.composite
+def interval_on(draw, grid):
+    """An interval over ``grid``; ends drawn in either order, so a reversed
+    pair gives the canonical empty interval as well as ``empty``."""
+    if draw(st.integers(0, 5)) == 0:
+        return GridInterval.empty(grid)
+    points = grid_points(grid)
+    return GridInterval(grid, draw(st.sampled_from(points)), draw(st.sampled_from(points)))
+
+
+@st.composite
+def interval_pair(draw):
+    """Two intervals over equal grids: the same object, the same ends over an
+    equal but distinct grid object, or two independent draws over the same
+    grid object or equal ones."""
+    make = draw(grid_maker())
+    grid = make()
+    x = draw(interval_on(grid))
+    how = draw(st.sampled_from(["same", "rebuilt", "shared grid", "equal grid"]))
+    if how == "same":
+        return x, x
+    if how == "rebuilt":
+        return x, GridInterval(make(), x.lo, x.hi)
+    return x, draw(interval_on(grid if how == "shared grid" else make()))
+
+
+def fields(v: GridInterval) -> tuple:
+    return (v.grid, v.lo, v.hi)
+
+
+@given(interval_pair())
+def test_interval_eq_and_hash_follow_the_field_tuple(pair):
+    x, y = pair
+    assert (x == y) == (fields(x) == fields(y))
+    assert (x != y) == (fields(x) != fields(y))
+    assert hash(x) == hash(fields(x)) and hash(y) == hash(fields(y))
+    assert x == x and not x != x
+    assert x != fields(x)
+
+
+@given(interval_pair())
+def test_interval_leq_is_reverse_inclusion(pair):
+    x, y = pair
+    def members(v):
+        return {p for p in grid_points(v.grid) if p in v}
+    assert leq(x, y) == (members(y) <= members(x))
+
+
+@given(grid_maker(), grid_maker(), st.data())
+def test_intervals_over_different_grids_do_not_meet(make_a, make_b, data):
+    a, b = make_a(), make_b()
+    assume(a != b)
+    x, y = data.draw(interval_on(a)), data.draw(interval_on(b))
+    assert x != y
+    with pytest.raises(ConfigError, match="different grids"):
+        leq(x, y)
+    with pytest.raises(ConfigError, match="different grids"):
+        join(x, y)
