@@ -52,11 +52,11 @@ def _load(path: str) -> csp_mod.CSP:
     return problem
 
 
-def _trace_lines(trace: engine.RunTrace) -> list[str]:
+def _trace_lines(steps: list[engine.TraceStep]) -> list[str]:
     return [
         f"step={k} fn={s.fid} changed={int(s.changed)} "
         f"comps={','.join(map(str, s.changed_components))}"
-        for k, s in enumerate(trace.steps, start=1)
+        for k, s in enumerate(steps, start=1)
     ]
 
 
@@ -64,6 +64,9 @@ def cmd_run(args) -> int:
     if (args.goal is None) == (args.reducers is None):
         print("error: exactly one of --goal / --reducers is required", file=sys.stderr)
         return 1
+    # the steps are kept only when they are printed, after the run
+    steps: list[engine.TraceStep] = []
+    observer = steps.append if args.trace else None
     try:
         problem = _load(args.input)
         strategy = engine.make_strategy(args.strategy, args.seed)
@@ -71,14 +74,15 @@ def cmd_run(args) -> int:
             goal = consistency.parse_goal(args.goal)
             reduced, trace = consistency.achieve(
                 problem, goal, mode=args.mode, strategy=strategy,
-                step_cap=args.max_steps, early_exit=args.early_exit)
+                step_cap=args.max_steps, early_exit=args.early_exit,
+                observer=observer)
         else:
             names = [s.strip() for s in args.reducers.split(",")]
             names = _regroup_reducer_names(names)
             setup = reducers.build_named_reducers(problem, names)
             result = engine.run(setup.functions, setup.start, mode=args.mode,
                                 strategy=strategy, step_cap=args.max_steps,
-                                early_exit=args.early_exit)
+                                early_exit=args.early_exit, observer=observer)
             reduced, trace = setup.rebuild(result.value), result.trace
         equivalence = None
         if args.check_equivalence:
@@ -100,13 +104,13 @@ def cmd_run(args) -> int:
             payload["trace"] = [
                 {"step": k, "fn": s.fid, "changed": int(s.changed),
                  "comps": list(s.changed_components)}
-                for k, s in enumerate(trace.steps, start=1)]
+                for k, s in enumerate(steps, start=1)]
         if equivalence is not None:
             payload["equivalence"] = "PASS" if equivalence else "FAIL"
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         if args.trace:
-            for line in _trace_lines(trace):
+            for line in _trace_lines(steps):
                 print(line)
         sys.stdout.write(textio.serialize_csp(reduced))
         print(f"# outcome: {trace.outcome.value} applications={trace.total_applications}")

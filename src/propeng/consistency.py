@@ -24,12 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Scheme, SetDomain,
     join_constraints, reselect,
 )
-from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, run
+from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
     ConstraintSpace, ExtComponent, RunSetup, domain_space, join_projection,
@@ -162,9 +163,12 @@ def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) 
 def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
             strategy: Strategy | None = None, step_cap: int = DEFAULT_STEP_CAP,
             early_exit: bool = False, cap: int = DEFAULT_ENUM_CAP,
-            fn_cap: int = DEFAULT_FN_CAP) -> tuple[CSP, RunTrace]:
+            fn_cap: int = DEFAULT_FN_CAP,
+            observer: Callable[[TraceStep], object] | None = None,
+            ) -> tuple[CSP, RunTrace]:
     """Enforce ``goal`` on ``csp``; returns the reduced, equivalent problem
-    and the realized run trace.  A directional goal lists its functions in
+    and the run's summary.  ``observer`` is passed to ``engine.run``, which
+    calls it once per step.  A directional goal lists its functions in
     pass order and runs them in that order, whatever ``strategy`` says."""
     if goal.kind == "arc":
         setup = RunSetup(domain_space(csp),
@@ -180,7 +184,8 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     else:
         raise ConfigError(f"unknown goal kind {goal.kind!r}")
     result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
-                 step_cap=step_cap, early_exit=early_exit, validate=False)
+                 step_cap=step_cap, early_exit=early_exit, validate=False,
+                 observer=observer)
     return setup.rebuild(result.value), result.trace
 
 

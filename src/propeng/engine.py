@@ -37,6 +37,14 @@ through each component's own ``sample`` and ``sample_above``.
 
 Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
+
+The state of a run is the current product and the worklist; the history of
+applications is not part of it.  A run keeps no per-step record: its
+``RunTrace`` holds the number of applications and the outcome.  A caller
+that wants the steps passes ``observer``, which ``run`` calls once per
+application with a ``TraceStep``; ``observer=steps.append`` collects them
+in a list.  Without an observer the memory of a run does not grow with its
+step count, apart from a queue mode's duplicates.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import operator
 import random
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .csp import Scheme
@@ -104,7 +112,9 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class RunTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """What a run reports about itself: how many applications it made and
+    how it ended.  The steps themselves go to ``run``'s observer, if any."""
+
     total_applications: int = 0
     outcome: Outcome = Outcome.CONVERGED
 
@@ -307,13 +317,20 @@ def probe_function(f: ReductionFunction, start: ProductValue,
 def run(functions: Iterable[ReductionFunction], start: ProductValue,
         mode: str = "ci", strategy: Strategy | None = None,
         step_cap: int = DEFAULT_STEP_CAP, early_exit: bool = False,
-        validate: bool = True) -> FixpointResult:
+        validate: bool = True,
+        observer: Callable[[TraceStep], object] | None = None) -> FixpointResult:
     """Iterate ``functions`` from ``start`` until no application changes the
     state (a common fixpoint) or a limit is hit.
 
     Started from the bottom product, a converged run yields the least common
     fixpoint of the extended functions, independent of the mode (any of the
     four, for any mix of idempotent and other functions) and the strategy.
+
+    ``observer``, if given, is called once per application, right after
+    it, with ``TraceStep(fid, changed components)``.  The run holds no
+    per-step record of its own, so without an observer none is built.
+    Observing does not change the run: the same value, outcome and
+    application count come back either way.
 
     The wake lists are memoised per changed-component tuple in a dict local
     to the run; it grows with the number of distinct changed-component sets,
@@ -338,7 +355,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
 
     strategy = strategy or Strategy()
     strategy.reset(functions)
-    trace = RunTrace()
+    applications = 0
     d = start
 
     def emptied(idxs) -> int | None:
@@ -348,8 +365,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         return None
 
     if early_exit and emptied(range(1, n + 1)) is not None:
-        trace.outcome = Outcome.EMPTY_COMPONENT
-        return FixpointResult(d, trace)
+        return FixpointResult(d, RunTrace(0, Outcome.EMPTY_COMPONENT))
 
     # component -> positions of the functions reading it, built once
     dependents: list[list[int]] = [[] for _ in range(n + 1)]
@@ -384,9 +400,8 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
 
     push(strategy.batch(functions))
     while pending:
-        if trace.total_applications >= step_cap:
-            trace.outcome = Outcome.STEP_LIMIT
-            return FixpointResult(d, trace)
+        if applications >= step_cap:
+            return FixpointResult(d, RunTrace(applications, Outcome.STEP_LIMIT))
         if queue:
             g = pending.popleft()
         else:
@@ -394,8 +409,9 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
             del pending.recent[g.fid]
             del pending[bisect.bisect_left(pending, key(g), key=key)]
         d2, changed = apply_step(g, d)
-        trace.total_applications += 1
-        trace.steps.append(TraceStep(g.fid, changed))
+        applications += 1
+        if observer is not None:
+            observer(TraceStep(g.fid, changed))
         if changed:
             batch = strategy.batch(woken(changed))
             # an idempotent g is stable at d2: cii/ciiq need not wake it
@@ -403,11 +419,9 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
                  else batch)
             d = d2
         if early_exit and changed and emptied(changed) is not None:
-            trace.outcome = Outcome.EMPTY_COMPONENT
-            return FixpointResult(d, trace)
+            return FixpointResult(d, RunTrace(applications, Outcome.EMPTY_COMPONENT))
 
-    trace.outcome = Outcome.CONVERGED
-    return FixpointResult(d, trace)
+    return FixpointResult(d, RunTrace(applications, Outcome.CONVERGED))
 
 
 # ---------------------------------------------------------------------------

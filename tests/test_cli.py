@@ -32,6 +32,14 @@ domain 2 int [1..17]
 constraint e1 scheme (1,2) lineq 2*x1 + 1*x2 = 20
 """
 
+# x1 - x2 = 1 and x1 - x2 = 0: every step moves one bound by one
+DIVERGENT_PAIR = """\
+domain 1 int [0..1000000000]
+domain 2 int [0..1000000000]
+constraint e1 scheme (1,2) lineq 1*x1 - 1*x2 = 1
+constraint e0 scheme (1,2) lineq 1*x1 - 1*x2 = 0
+"""
+
 
 class TestParsing:
     def test_parse_domains_and_bodies(self):
@@ -140,6 +148,19 @@ class TestRunCommand:
         assert lines[1] == "step=2 fn=lineq@c1 changed=1 comps=1"
         assert "domain 1 int [3..8]" in out
         assert "# outcome: step-limit" in out
+
+    def test_divergent_pair_prints_one_line_per_capped_step(self, tmp_path, capsys):
+        # x1 - x2 = 1 and x1 - x2 = 0 never reach a common fixpoint short of
+        # 10^9 steps: the cap ends the run, and the trace has one line per step
+        path = tmp_path / "pair.csp"
+        path.write_text(DIVERGENT_PAIR)
+        code = main(["run", str(path), "--reducers", "lineq@e1,lineq@e0",
+                     "--trace", "--max-steps", "3"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert [line.split()[0] for line in out.splitlines()
+                if line.startswith("step=")] == ["step=1", "step=2", "step=3"]
+        assert "# outcome: step-limit applications=3" in out
 
     def test_uncapped_narrowing_converges(self, lineq_file, capsys):
         code = main(["run", lineq_file, "--reducers", "lineq@c1",

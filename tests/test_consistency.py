@@ -19,7 +19,7 @@ from propeng.csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, LinearEqBody, Scheme,
     SetDomain, equivalent, solutions,
 )
-from propeng.engine import MODES, Outcome
+from propeng.engine import MODES, STRATEGIES, Outcome, make_strategy
 from propeng.errors import ConfigError, ResourceLimitError
 
 D01 = SetDomain(frozenset({0, 1}))
@@ -204,8 +204,9 @@ class TestAchieveRelational:
 
     def test_second_run_is_a_fixpoint(self, chain_csp):
         out, _ = achieve(chain_csp, ConsistencyGoal("rel", m=2))
-        _, trace2 = achieve(out, ConsistencyGoal("rel", m=2))
-        assert all(not s.changed for s in trace2.steps)
+        steps2 = []
+        achieve(out, ConsistencyGoal("rel", m=2), observer=steps2.append)
+        assert all(not s.changed for s in steps2)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_output_is_equivalent_and_consistent(self, m):
@@ -227,9 +228,10 @@ class TestAchieveRelational:
         for csp in relational_problems(103, 8):
             out, _ = achieve(csp, goal)
             assert all(achieve(csp, goal, mode=mode)[0] == out for mode in MODES)
-            again, trace = achieve(out, goal)
+            steps = []
+            again, _ = achieve(out, goal, observer=steps.append)
             assert again == out
-            assert all(not s.changed for s in trace.steps)
+            assert all(not s.changed for s in steps)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_function_per_m_subset(self, m):
@@ -363,8 +365,9 @@ class TestDirectionalArc:
             rank = {v: r for r, v in enumerate(order)}
             out, _ = achieve(csp, goal)
             # a second pass finds nothing left to do
-            _, trace2 = achieve(out, goal)
-            assert all(not s.changed for s in trace2.steps)
+            steps2 = []
+            achieve(out, goal, observer=steps2.append)
+            assert all(not s.changed for s in steps2)
             assert equivalent(csp, out)
             # one pass: each constraint prunes its earlier variable once,
             # later variables first, in every set mode; queue modes agree
@@ -374,10 +377,11 @@ class TestDirectionalArc:
                 fid = ("pi1@" if rank[i] < rank[j] else "pi2@") + c.cid
                 later[fid] = max(rank[i], rank[j])
             for mode in MODES:
-                out_m, trace = achieve(csp, goal, mode=mode)
+                steps = []
+                out_m, _ = achieve(csp, goal, mode=mode, observer=steps.append)
                 assert out_m == out, mode
                 if mode in ("ci", "cii"):
-                    fids = [s.fid for s in trace.steps]
+                    fids = [s.fid for s in steps]
                     assert sorted(fids) == sorted(later), mode
                     ranks = [later[f] for f in fids]
                     assert ranks == sorted(ranks, reverse=True), mode
@@ -438,8 +442,9 @@ class TestDirectionalPath:
             goal = ConsistencyGoal("dir-path", order=order)
             rank = {v: r for r, v in enumerate(order)}
             out, _ = achieve(csp, goal)
-            _, trace2 = achieve(out, goal)
-            assert all(not s.changed for s in trace2.steps)
+            steps2 = []
+            achieve(out, goal, observer=steps2.append)
+            assert all(not s.changed for s in steps2)
             assert equivalent(csp, out)
             # one pass: path@k,l,m once for each m later than k and l, the
             # latest m first, in every set mode; queue modes agree
@@ -447,10 +452,11 @@ class TestDirectionalPath:
                      for k, l, m in itertools.permutations(variables, 3)
                      if rank[m] > max(rank[k], rank[l])}
             for mode in MODES:
-                out_m, trace = achieve(csp, goal, mode=mode)
+                steps = []
+                out_m, _ = achieve(csp, goal, mode=mode, observer=steps.append)
                 assert out_m == out, mode
                 if mode in ("ci", "cii"):
-                    fids = [s.fid for s in trace.steps]
+                    fids = [s.fid for s in steps]
                     assert sorted(fids) == sorted(later), mode
                     ranks = [later[f] for f in fids]
                     assert ranks == sorted(ranks, reverse=True), mode
@@ -464,3 +470,23 @@ class TestEquivalencePreservation:
         for goal in goals:
             out, _ = achieve(chain_csp, goal)
             assert equivalent(chain_csp, out)
+
+
+class TestObservedGoals:
+    @pytest.mark.parametrize("goal", ["arc", "path", "rel:1", "dir-arc:3,1,2"])
+    def test_achieve_passes_the_observer_through(self, goal, chain_csp, eq_ne_csp):
+        # one observed step per application, and the same result unobserved
+        goal = parse_goal(goal)
+        observed = 0
+        for csp in (chain_csp, eq_ne_csp):
+            if goal.kind == "dir-arc" and csp.arity != 3:
+                continue    # the order names three variables
+            for mode, name in itertools.product(MODES, STRATEGIES):
+                steps = []
+                out, trace = achieve(csp, goal, mode=mode, observer=steps.append,
+                                     strategy=make_strategy(name, 3))
+                plain = achieve(csp, goal, mode=mode, strategy=make_strategy(name, 3))
+                assert (out, trace) == plain, (mode, name)
+                assert len(steps) == trace.total_applications, (mode, name)
+                observed += len(steps)
+        assert observed > 0

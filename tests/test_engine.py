@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -173,6 +174,30 @@ class TestRun:
         assert res.trace.total_applications <= 3
         assert res.value.component(1).lo == res.value.component(1).hi
 
+    @pytest.mark.parametrize("mode", ["ci", "cii"])
+    def test_memory_does_not_grow_with_the_step_count(self, mode):
+        # x1 - x2 = 1 and x1 - x2 = 0 over [0..10^9] move one bound by one per
+        # step and stop only at the cap.  Without an observer a run keeps no
+        # per-step record, so its peak is the same after 2*10^4 and 8*10^4
+        # steps.  The queue modes are left out: their documented duplicates
+        # grow the FIFO queue by one slot per changing step.
+        d = IntDomain(0, 10**9)
+        fns = [make_linear_eq_narrowing(
+            Constraint(cid, Scheme((1, 2)), LinearEqBody((1, -1), b)))
+            for cid, b in (("e1", 1), ("e0", 0))]
+        start = domain_bottom(CSP((d, d), ()))
+        peaks = []
+        for cap in (2 * 10**4, 8 * 10**4):
+            tracemalloc.start()
+            try:
+                res = run(fns, start, mode=mode, step_cap=cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.trace.outcome is Outcome.STEP_LIMIT
+            assert res.trace.total_applications == cap
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
     def test_early_exit_stops_on_empty_component(self):
         d01 = SetDomain(frozenset({0, 1}))
         c1 = Constraint("c1", Scheme((1, 2)), ExtensionalBody(frozenset({(0, 0)})))
@@ -189,9 +214,11 @@ class TestRun:
         c = Constraint("c", Scheme((1, 2)),
                        ExtensionalBody(frozenset({(1, 1), (2, 2)})))
         csp = CSP((SetDomain(frozenset({1, 2, 3})), SetDomain(frozenset({1, 2}))), (c,))
-        res = run(list(make_binary_projections(c)), domain_bottom(csp))
-        assert res.trace.total_applications == len(res.trace.steps)
-        for step in res.trace.steps:
+        steps = []
+        res = run(list(make_binary_projections(c)), domain_bottom(csp),
+                  observer=steps.append)
+        assert res.trace.total_applications == len(steps)
+        for step in steps:
             assert step.changed == bool(step.changed_components)
         step = TraceStep(fid="f", changed_components=(1, 3))
         assert (step.fid, step.changed_components, step.changed) == ("f", (1, 3), True)
@@ -206,9 +233,11 @@ class TestRun:
         bystander = ReductionFunction("b", Scheme((2,)), lambda args: args)
         start = ProductValue((PowersetValue.bottom(base),
                               PowersetValue.bottom(base)))
-        res = run([shrink, bystander], start, mode="ci", validate=False)
+        steps = []
+        run([shrink, bystander], start, mode="ci", validate=False,
+            observer=steps.append)
         # the change to component 1 re-queues only its own dependents
-        assert [s.fid for s in res.trace.steps] == ["a", "a", "b"]
+        assert [s.fid for s in steps] == ["a", "a", "b"]
 
     def test_wakeup_follows_declared_reads(self):
         base = frozenset({0, 1})
@@ -221,11 +250,14 @@ class TestRun:
                               PowersetValue.bottom(base)))
         # a has component 1 in its scheme but does not read it: b's change
         # to component 1 does not wake it
-        res = run([reader, shrink], start, mode="cii", validate=False)
-        assert [s.fid for s in res.trace.steps] == ["a", "b"]
-        res = run([dataclasses.replace(reader, reads=None), shrink], start,
-                  mode="cii", validate=False)
-        assert [s.fid for s in res.trace.steps] == ["a", "b", "a"]
+        steps = []
+        run([reader, shrink], start, mode="cii", validate=False,
+            observer=steps.append)
+        assert [s.fid for s in steps] == ["a", "b"]
+        steps = []
+        run([dataclasses.replace(reader, reads=None), shrink], start,
+            mode="cii", validate=False, observer=steps.append)
+        assert [s.fid for s in steps] == ["a", "b", "a"]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_undeclared_function_is_not_taken_as_idempotent(self, mode):
@@ -359,9 +391,10 @@ class TestScheduling:
         fns = [dataclasses.replace(f, reads=None) for f in fns]
         want = PINNED_TRACES[name, seed]
         for mode in MODES:
-            res = run(fns, start, mode=mode,
-                      strategy=make_strategy(name, seed), validate=False)
-            assert " ".join(s.fid for s in res.trace.steps) == want[mode], mode
+            steps = []
+            res = run(fns, start, mode=mode, strategy=make_strategy(name, seed),
+                      validate=False, observer=steps.append)
+            assert " ".join(s.fid for s in steps) == want[mode], mode
             assert [sorted(v.elements) for v in res.value.components] == [[0], [1], [2]]
 
     @pytest.mark.parametrize("name,seed", sorted(PINNED_TRACES_READS))
@@ -370,9 +403,10 @@ class TestScheduling:
         pins = PINNED_TRACES_READS[name, seed]
         want = dict(pins, cii=pins["ci"], ciiq=pins["ciq"])
         for mode in MODES:
-            res = run(fns, start, mode=mode,
-                      strategy=make_strategy(name, seed), validate=False)
-            assert " ".join(s.fid for s in res.trace.steps) == want[mode], mode
+            steps = []
+            res = run(fns, start, mode=mode, strategy=make_strategy(name, seed),
+                      validate=False, observer=steps.append)
+            assert " ".join(s.fid for s in steps) == want[mode], mode
             assert [sorted(v.elements) for v in res.value.components] == [[0], [1], [2]]
 
     def test_lifo_takes_the_most_recently_woken(self):
@@ -388,9 +422,10 @@ class TestScheduling:
         # x changes component 2 and wakes z (and, in ci, itself): z was
         # woken after y, so it runs before y
         for mode, want in (("ci", ["x", "x", "z", "y"]), ("cii", ["x", "z", "y"])):
-            res = run([x, y, z], start, mode=mode, strategy=make_strategy("lifo"),
-                      validate=False)
-            assert [s.fid for s in res.trace.steps] == want, mode
+            steps = []
+            run([x, y, z], start, mode=mode, strategy=make_strategy("lifo"),
+                validate=False, observer=steps.append)
+            assert [s.fid for s in steps] == want, mode
 
     def test_roundrobin_skips_and_wraps_around(self):
         base = frozenset({0, 1, 2})
@@ -413,9 +448,11 @@ class TestScheduling:
         # with neither c nor d pending, the pick wraps around to a.  In ci,
         # d re-woke itself, so the pick skips c and takes d.
         for mode, want in (("cii", "a b c d b a"), ("ci", "a b c d b d a b")):
-            res = run([a, b, c, d], start, mode=mode,
-                      strategy=make_strategy("roundrobin"), validate=False)
-            assert " ".join(s.fid for s in res.trace.steps) == want, mode
+            steps = []
+            run([a, b, c, d], start, mode=mode,
+                strategy=make_strategy("roundrobin"), validate=False,
+                observer=steps.append)
+            assert " ".join(s.fid for s in steps) == want, mode
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_scheduling_cost_is_logarithmic(self, name):
@@ -474,13 +511,15 @@ class TestScheduling:
 
         for mode in MODES:    # g is not idempotent: every mode re-applies it
             strategy = Recording()
-            res = run(fns, start, mode=mode, strategy=strategy, validate=False)
+            steps = []
+            run(fns, start, mode=mode, strategy=strategy, validate=False,
+                observer=steps.append)
             first, *woken = strategy.batches
             assert first == tuple(fns)
             assert [[f.fid for f in w] for w in woken] == [["rb", "g", "ra", "rc"]] * 2
             assert all(isinstance(w, tuple) for w in woken) and woken[0] is woken[1]
             if mode == "ciq":
-                assert " ".join(s.fid for s in res.trace.steps) == (
+                assert " ".join(s.fid for s in steps) == (
                     "rb g ra rc rd rb g ra rc rb g ra rc")
 
     def test_seeded_runs_repeat_their_step_sequence(self):
@@ -491,9 +530,11 @@ class TestScheduling:
                    for f in make_binary_projections(c)]
             fns += [make_full_projection(c) for c in csp.constraints]
             for mode in MODES:
-                steps = [run(fns, domain_bottom(csp), mode=mode,
-                             strategy=make_strategy("seeded", 5), validate=False
-                             ).trace.steps for _ in range(2)]
+                steps = [[], []]
+                for observed in steps:
+                    run(fns, domain_bottom(csp), mode=mode,
+                        strategy=make_strategy("seeded", 5), validate=False,
+                        observer=observed.append)
                 assert steps[0] == steps[1], mode
 
     def test_unknown_strategy_rejected(self):

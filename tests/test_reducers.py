@@ -16,7 +16,10 @@ from propeng.csp import (
     CSP, DEFAULT_ENUM_CAP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
     LinearIneqBody, Scheme, SetDomain, equivalent, solutions,
 )
-from propeng.engine import MODES, ReductionFunction, apply_step, make_strategy, run
+from propeng.engine import (
+    DEFAULT_STEP_CAP, MODES, STRATEGIES, Outcome, ReductionFunction, TraceStep,
+    apply_step, make_strategy, run,
+)
 from propeng.errors import ConfigError, DataError
 from propeng.lattice import (
     GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, ProductValue, leq,
@@ -970,3 +973,66 @@ class TestIdempotenceFlags:
         csp = CSP((IntDomain(-2, 3),), (i1,))
         space = ConstraintSpace(csp, (IneqComponent("g", (i1,)),))
         assert not make_cut_reducer(space, "g", [Fraction(1, 2)]).idempotent
+
+
+def zoo_lists(rng):
+    """(reducers, start) per problem or space of the two zoos: the zoo
+    reducers built on one of them run together, from a random state."""
+    groups = []
+    for where, f in domain_reducer_zoo(rng) + constraint_reducer_zoo(rng):
+        if groups and groups[-1][0] is where:
+            groups[-1][1].append(f)
+        else:
+            groups.append((where, [f]))
+    for where, fns in groups:
+        if isinstance(where, ConstraintSpace):
+            start = random_constraint_state(where, rng)
+        else:
+            start = box_for(where, rng)
+        yield fns, start
+
+
+class TestObservedRuns:
+    """An observer sees every application once and changes nothing: the
+    same value, outcome and application count come back without it."""
+
+    @staticmethod
+    def check(fns, start):
+        """The outcomes of the runs, each made with and without an observer:
+        every mode and strategy, with and without early exit, capped at 3
+        steps and at the default cap."""
+        outcomes = set()
+        for mode, name, early_exit, step_cap in itertools.product(
+                MODES, STRATEGIES, (False, True), (3, DEFAULT_STEP_CAP)):
+            kw = dict(mode=mode, step_cap=step_cap, early_exit=early_exit,
+                      validate=False)
+            steps = []
+            seen = run(fns, start, strategy=make_strategy(name, 3),
+                       observer=steps.append, **kw)
+            plain = run(fns, start, strategy=make_strategy(name, 3), **kw)
+            where = (mode, name, early_exit, step_cap, [f.fid for f in fns])
+            assert seen.value == plain.value, where
+            assert seen.trace.outcome is plain.trace.outcome, where
+            assert seen.trace.total_applications == plain.trace.total_applications, where
+            assert len(steps) == plain.trace.total_applications, where
+            assert all(isinstance(s, TraceStep) for s in steps), where
+            outcomes.add(plain.trace.outcome)
+        return outcomes
+
+    def test_conftest_fixtures(self, counter_fixture, eq_ne_csp, chain_csp):
+        outcomes = self.check(*counter_fixture)
+        for csp in (eq_ne_csp, chain_csp):
+            start = domain_bottom(csp)
+            outcomes |= self.check(
+                [f for c in csp.constraints for f in make_binary_projections(c)], start)
+            outcomes |= self.check(
+                [make_full_projection(c) for c in csp.constraints], start)
+        assert outcomes == {Outcome.CONVERGED, Outcome.STEP_LIMIT}
+
+    def test_reducer_zoo(self):
+        rng = random.Random(73)
+        outcomes = set()
+        for _ in range(5):
+            for fns, start in zoo_lists(rng):
+                outcomes |= self.check(fns, start)
+        assert outcomes == set(Outcome)
