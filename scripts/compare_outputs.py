@@ -4,12 +4,14 @@
 
 Every call of the four benchmark workloads (``bench/workloads.make_calls(w, 1)``)
 runs under each of the 4 modes and 5 strategies with
-``--trace --format json --seed 1``: 200 runs per tree.  The revision's
-``src/`` is exported with ``git archive`` into a temporary directory; each
-tree runs all its calls in one subprocess, through ``propeng.cli.main``.  The
-exit codes, stdout and stderr of the two trees are compared run by run.
-Prints ``N of 200 identical`` and the ids of the runs that differ; exits 1
-if any differ.  Run it from anywhere inside the repository.
+``--trace --format json --seed 1``, and once with the benchmark's own
+arguments (the call's, then ``--format json``; no ``--trace``): 210 runs per
+tree.  The revision's ``src/`` is exported with ``git archive`` into a
+temporary directory; each tree runs all its calls in one subprocess, through
+``propeng.cli.main``.  The exit codes, stdout and stderr of the two trees
+are compared run by run.  Prints ``N of 210 identical`` and the ids of the
+runs that differ; exits 1 if any differ.  Run it from anywhere inside the
+repository.
 """
 
 from __future__ import annotations
@@ -35,6 +37,22 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _outcome(cli, argv: list[str]) -> list:
+    """[exit code, stdout digest, stderr digest] of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            # only the exception line: the two trees' tracebacks name
+            # different file paths
+            code = "exception"
+            traceback.print_exc(limit=0)
+    return [code, _digest(out.getvalue()), _digest(err.getvalue())]
+
+
 def run_all(src: Path) -> dict[str, list]:
     """Every workload run against the ``propeng`` under ``src``: run id ->
     [exit code, stdout digest, stderr digest]."""
@@ -48,6 +66,9 @@ def run_all(src: Path) -> dict[str, list]:
             for call in workloads.make_calls(w, 1):
                 path = Path(tmp) / f"{call.name}.csp"
                 path.write_text(call.text, encoding="utf-8")
+                # the benchmark's own run: untraced, in the call's own mode
+                bench = ["run", str(path), *call.args, "--format", "json"]
+                results[f"{w}/{call.name}/bench"] = _outcome(cli, bench)
                 args = list(call.args)
                 if "--mode" in args:
                     k = args.index("--mode")
@@ -57,19 +78,7 @@ def run_all(src: Path) -> dict[str, list]:
                         argv = ["run", str(path), *args, "--mode", mode,
                                 "--strategy", strategy, "--trace",
                                 "--format", "json", "--seed", "1"]
-                        out, err = io.StringIO(), io.StringIO()
-                        with redirect_stdout(out), redirect_stderr(err):
-                            try:
-                                code = cli.main(argv)
-                            except SystemExit as exc:
-                                code = exc.code
-                            except Exception:
-                                # only the exception line: the two trees'
-                                # tracebacks name different file paths
-                                code = "exception"
-                                traceback.print_exc(limit=0)
-                        results[f"{w}/{call.name}/{mode}/{strategy}"] = [
-                            code, _digest(out.getvalue()), _digest(err.getvalue())]
+                        results[f"{w}/{call.name}/{mode}/{strategy}"] = _outcome(cli, argv)
     return results
 
 

@@ -95,19 +95,22 @@ def cmd_run(args) -> int:
         return 1
 
     if args.format == "json":
-        payload = {
-            "outcome": trace.outcome.value,
-            "applications": trace.total_applications,
-            "csp": textio.csp_to_obj(reduced),
-        }
-        if args.trace:
-            payload["trace"] = [
-                {"step": k, "fn": s.fid, "changed": int(s.changed),
-                 "comps": list(s.changed_components)}
-                for k, s in enumerate(steps, start=1)]
+        # json.dumps(payload, indent=2, sort_keys=True)'s bytes, with the
+        # keys in sorted order and the reduced problem from its own writer
+        fields = [f'"applications": {json.dumps(trace.total_applications)}',
+                  f'"csp": {textio.csp_json(reduced, "  ")}']
         if equivalence is not None:
-            payload["equivalence"] = "PASS" if equivalence else "FAIL"
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            verdict = "PASS" if equivalence else "FAIL"
+            fields.append(f'"equivalence": {json.dumps(verdict)}')
+        fields.append(f'"outcome": {json.dumps(trace.outcome.value)}')
+        if args.trace:
+            rows = [{"step": k, "fn": s.fid, "changed": int(s.changed),
+                     "comps": list(s.changed_components)}
+                    for k, s in enumerate(steps, start=1)]
+            # JSON text holds no raw newline, so this re-indent is exact
+            text = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
+            fields.append(f'"trace": {text}')
+        print("{\n  ", ",\n  ".join(fields), "\n}", sep="")
     else:
         if args.trace:
             for line in _trace_lines(steps):

@@ -18,10 +18,17 @@ Parsing costs one atom parse per distinct atom text per file: ``parse_csp``
 keeps a dict from atom text to atom for that one call (never across calls),
 and resolves every atom or tuple set through it with a C-level ``map``, so no
 Python function runs per atom.
+
+``csp_json`` writes the JSON form of a problem: the same bytes as
+``json.dumps(csp_to_obj(csp), indent=2, sort_keys=True)``, built from the
+fixed shape instead of through ``json``'s pure-Python indenting encoder.
+Strings still go through ``json.dumps`` and integers through
+``int.__repr__``, as the encoder writes them.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .csp import (
@@ -251,6 +258,90 @@ def serialize_csp(csp: CSP) -> str:
             op = "=" if c["kind"] == "lineq" else "<="
             lines.append(f"{head} {_linear_text(c['scheme'], c['coeffs'])} {op} {c['constant']}")
     return "\n".join(lines) + "\n"
+
+
+def _atom_json(a) -> str:
+    """An atom as ``json.dumps`` writes it."""
+    return int.__repr__(a) if type(a) is int else json.dumps(a)
+
+
+def _array(items: list[str], nl: str) -> str:
+    """The JSON array of the item texts ``items``; ``nl`` is a newline and
+    the indentation of the line that opens it.  The text is one ``join``:
+    the first and last items of the list take the brackets."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    items[0] = "[" + inner + items[0]
+    items[-1] += nl + "]"
+    return ("," + inner).join(items)
+
+
+def _object(fields: list[str], nl: str) -> str:
+    """The JSON object of the ``"key": value`` texts ``fields``, given in
+    sorted key order; ``nl`` as for ``_array``."""
+    inner = nl + "  "
+    return f"{{{inner}{(',' + inner).join(fields)}{nl}}}"
+
+
+class _SortedArrays:
+    """JSON arrays of sets of atoms or tuples, the items in ``atom_key``
+    order.  Each distinct set's text, and each distinct item's key and text
+    (``text_of(item)``), is made once; ``nl`` as for ``_array``."""
+
+    def __init__(self, text_of, nl: str):
+        self.text_of = text_of
+        self.nl = nl
+        self.keys: dict = {}
+        self.texts: dict = {}
+        self.arrays: dict[frozenset, str] = {}
+
+    def __call__(self, items: frozenset) -> str:
+        array = self.arrays.get(items)
+        if array is None:
+            for x in items.difference(self.texts):
+                self.keys[x] = atom_key(x)
+                self.texts[x] = self.text_of(x)
+            ordered = sorted(items, key=self.keys.__getitem__)
+            array = _array(list(map(self.texts.__getitem__, ordered)), self.nl)
+            self.arrays[items] = array
+        return array
+
+
+def csp_json(csp: CSP, pad: str = "") -> str:
+    """``json.dumps(csp_to_obj(csp), indent=2, sort_keys=True)`` with every
+    line after the first indented by ``pad``, written straight from the
+    fixed shape: each flat list is one ``join``, and each distinct atom,
+    tuple, atom set and tuple set is sorted and written once per call."""
+    nl0, nl1, nl2, nl3, nl4 = ("\n" + pad + "  " * k for k in range(5))
+    ints = int.__repr__
+    values = _SortedArrays(_atom_json, nl3)
+    tuples = _SortedArrays(lambda t: _array(list(map(_atom_json, t)), nl4), nl3)
+    constraints = []
+    for c in csp.constraints:
+        body = c.body
+        cid = f'"id": {json.dumps(c.cid)}'
+        scheme = f'"scheme": {_array(list(map(ints, c.scheme)), nl3)}'
+        if isinstance(body, ExtensionalBody):
+            fields = [cid, '"kind": "tuples"', scheme,
+                      f'"tuples": {tuples(body.tuples)}']
+        else:
+            kind = "lineq" if isinstance(body, LinearEqBody) else "leq"
+            fields = [f'"coeffs": {_array(list(map(ints, body.coeffs)), nl3)}',
+                      f'"constant": {ints(body.constant)}', cid,
+                      f'"kind": "{kind}"', scheme]
+        constraints.append(_object(fields, nl2))
+    domains = []
+    for i, d in enumerate(csp.domains, start=1):
+        if isinstance(d, SetDomain):
+            fields = [f'"index": {i}', '"kind": "set"',
+                      f'"values": {values(d.values)}']
+        else:
+            fields = [f'"hi": {ints(d.hi)}', f'"index": {i}', '"kind": "int"',
+                      f'"lo": {ints(d.lo)}']
+        domains.append(_object(fields, nl2))
+    return "".join([f'{{{nl1}"constraints": ', _array(constraints, nl1),
+                    f',{nl1}"domains": ', _array(domains, nl1), nl0, "}"])
 
 
 def csp_to_obj(csp: CSP) -> dict:

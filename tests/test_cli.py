@@ -41,6 +41,23 @@ constraint e0 scheme (1,2) lineq 1*x1 - 1*x2 = 0
 """
 
 
+# a quoted, escaped, non-ASCII id, names and a negative int in one domain,
+# an empty domain, an empty tuple set and an inequality
+EDGE = """\
+domain 1 set {a,b,-3}
+domain 2 set {a,b,-3}
+domain 3 set {}
+domain 4 int [0..3]
+domain 5 int [0..3]
+constraint "q\\\u00e9 scheme (1,2) tuples {(a,b),(b,-3),(-3,-3)}
+constraint n scheme (2,1) tuples {(b,a),(-3,b),(a,a)}
+constraint e scheme (3) tuples {}
+constraint i scheme (4,5) leq 2*x4 + 2*x5 <= 3
+"""
+EDGE_ID = '"q\\\u00e9'
+EDGE_REDUCERS = f"pi1@{EDGE_ID},pi2@{EDGE_ID},piC@n,rho@e,cut@i;1/2"
+
+
 class TestParsing:
     def test_parse_domains_and_bodies(self):
         csp = parse_csp(EQ_NE + "constraint s scheme (1,2) leq 1*x1 + 2*x2 <= 3\n")
@@ -244,6 +261,27 @@ class TestRunCommand:
         assert payload["csp"]["domains"][0] == {
             "index": 1, "kind": "int", "lo": 3, "hi": 8}
         assert payload["trace"][0]["fn"] == "lineq@c1"
+
+    @pytest.mark.parametrize("equivalence", [False, True])
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("extra,code,outcome", [
+        ([], 0, "converged"),
+        (["--max-steps", "1"], 2, "step-limit"),
+        (["--early-exit"], 0, "empty-component")])
+    def test_json_bytes_are_json_dumps(self, tmp_path, capsys, extra, code,
+                                       outcome, trace, equivalence):
+        path = tmp_path / "edge.csp"
+        path.write_text(EDGE, encoding="utf-8")
+        argv = ["run", str(path), "--reducers", EDGE_REDUCERS, "--format", "json",
+                *extra, *["--trace"] * trace, *["--check-equivalence"] * equivalence]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert payload["outcome"] == outcome
+        assert ("trace" in payload) == trace
+        assert payload.get("equivalence") == ("PASS" if equivalence else None)
+        assert payload["csp"]["constraints"][0]["id"] == EDGE_ID
 
     def test_goal_and_reducers_are_exclusive(self, eq_ne_file, capsys):
         assert main(["run", eq_ne_file]) == 1

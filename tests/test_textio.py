@@ -1,6 +1,8 @@
-"""The problem-file parser: its error messages, the tuple-set grammar, and
-round trips over random problems written with random blanks."""
+"""The problem-file parser: its error messages, the tuple-set grammar,
+round trips over random problems written with random blanks, and the JSON
+writer."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import random_text_csp, spaced_text
 from propeng.csp import validate
 from propeng.errors import DataError
-from propeng.textio import parse_csp, serialize_csp
+from propeng.textio import csp_json, csp_to_obj, parse_csp, serialize_csp
 
 TWO = "domain 1 set {1,2}\ndomain 2 set {1,2}\n"
 
@@ -121,3 +123,23 @@ class TestRoundTrip:
                         "constraint c scheme (1) tuples {(07),(x1),(-0)}\n")
         assert csp.domains[0].values == frozenset({0, 7, -12, "x1", "_a"})
         assert csp.constraint("c").tuples == frozenset({(7,), ("x1",), (0,)})
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("text", [
+        "domain 1 set {}\n",
+        "domain 1 set {0}\nconstraint c scheme () tuples {()}\n",
+        "domain 1 set {0}\nconstraint c scheme (1) tuples {( ), (0)}\n",
+        # equal sets share one text
+        "domain 1 set {0,a}\ndomain 2 set {a,0}\n"
+        "constraint c scheme (1) tuples {(0),(a)}\nconstraint d scheme (2) tuples {(a),(0)}\n",
+        # atom_key ties on the float and falls back to repr, which orders
+        # these ints otherwise than their values do
+        "domain 1 set {-9007199254740993, -9007199254740992, 10, b, -3}\n"
+        "constraint c scheme (1) tuples {(99999999999999999),(100000000000000000)}\n",
+    ])
+    def test_bytes_are_json_dumps(self, text):
+        p = parse_csp(text)
+        expected = json.dumps(csp_to_obj(p), indent=2, sort_keys=True)
+        assert csp_json(p) == expected
+        assert csp_json(p, "  ") == expected.replace("\n", "\n  ")

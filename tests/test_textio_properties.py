@@ -1,6 +1,8 @@
-"""Property-based round trips of the problem-file format (needs
-``hypothesis``; the module is skipped without it)."""
+"""Property-based round trips of the problem-file format, and the JSON
+writer against ``json.dumps`` (needs ``hypothesis``; the module is skipped
+without it)."""
 
+import json
 import random
 
 import pytest
@@ -14,16 +16,28 @@ from propeng.csp import (  # noqa: E402
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
     Scheme, SetDomain,
 )
-from propeng.textio import parse_csp, serialize_csp  # noqa: E402
+from propeng.textio import csp_json, csp_to_obj, parse_csp, serialize_csp  # noqa: E402
 
-atoms = st.one_of(st.integers(-40, 40), st.sampled_from(NAME_ATOMS),
+names = st.one_of(st.sampled_from(NAME_ATOMS),
                   st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
+# around -2^53 and 10^17 atom_key's float ties and falls back to repr,
+# which orders these ints otherwise than their values do
+atoms = st.one_of(st.integers(-40, 40), st.integers(-2**53 - 2, -2**53 + 2),
+                  st.sampled_from((10**17 - 1, 10**17)), names)
+# ids are single words of the file format: no blank and no '#'
+id_texts = st.text(st.sampled_from('cq_"\\é€ß\U0001f600'), max_size=3)
 
 
 @st.composite
 def domains(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("set", "empty", "mixed", "int")))
+    if kind == "set":
         return SetDomain(draw(st.frozensets(atoms, max_size=5)))
+    if kind == "empty":
+        return SetDomain(frozenset())
+    if kind == "mixed":
+        return SetDomain(draw(st.frozensets(st.integers(-40, -1), min_size=1, max_size=3))
+                         | draw(st.frozensets(names, min_size=1, max_size=3)))
     lo = draw(st.integers(-30, 30))
     return IntDomain(lo, lo + draw(st.integers(-2, 6)))
 
@@ -37,14 +51,14 @@ def problems(draw):
         scheme = Scheme(tuple(order[:draw(st.integers(1, len(ds)))]))
         kind = draw(st.sampled_from(("tuples", "lineq", "leq")))
         if kind == "tuples":
-            body = ExtensionalBody(draw(st.frozensets(
+            body = ExtensionalBody(draw(st.just(frozenset()) | st.frozensets(
                 st.tuples(*[atoms] * len(scheme)), max_size=5)))
         else:
             coeffs = tuple(draw(st.lists(st.integers(-20, 20).filter(bool),
                                          min_size=len(scheme), max_size=len(scheme))))
             const = draw(st.integers(-50, 50))
             body = (LinearEqBody if kind == "lineq" else LinearIneqBody)(coeffs, const)
-        constraints.append(Constraint(f"c{k + 1}", scheme, body))
+        constraints.append(Constraint(f"{draw(id_texts)}{k + 1}", scheme, body))
     return CSP(tuple(ds), tuple(constraints))
 
 
@@ -54,3 +68,10 @@ def test_round_trip(p, rng: random.Random):
     canon = serialize_csp(p)
     assert parse_csp(canon) == p
     assert parse_csp(spaced_text(p, rng)) == p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problems(), st.sampled_from(("", "  ", "\t")))
+def test_json_writer_is_json_dumps(p, pad):
+    expected = json.dumps(csp_to_obj(p), indent=2, sort_keys=True)
+    assert csp_json(p, pad) == expected.replace("\n", "\n" + pad)
