@@ -5,11 +5,14 @@
 Every call of the four benchmark workloads (``bench/workloads.make_calls(w, 1)``)
 runs under each of the 4 modes and 5 strategies with
 ``--trace --format json --seed 1``, and once with the benchmark's own
-arguments (the call's, then ``--format json``; no ``--trace``): 210 runs per
-tree.  The revision's ``src/`` is exported with ``git archive`` into a
-temporary directory; each tree runs all its calls in one subprocess, through
+arguments (the call's, then ``--format json``; no ``--trace``).  Each
+``path`` call also runs ``--goal dir-path:<n..1>`` and each ``arc`` call
+``--goal dir-arc:<n..1>`` (the variables in descending order) under each of
+the 4 modes with ``--trace --format json``: 230 runs per tree.  The
+revision's ``src/`` is exported with ``git archive`` into a temporary
+directory; each tree runs all its calls in one subprocess, through
 ``propeng.cli.main``.  The exit codes, stdout and stderr of the two trees
-are compared run by run.  Prints ``N of 210 identical`` and the ids of the
+are compared run by run.  Prints ``N of 230 identical`` and the ids of the
 runs that differ; exits 1 if any differ.  Run it from anywhere inside the
 repository.
 """
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODES = ("ci", "cii", "ciq", "ciiq")
 STRATEGIES = ("det", "seeded", "lifo", "roundrobin", "block")
+DIRECTIONAL = {"arc": "dir-arc", "path": "dir-path"}
 
 
 def _digest(text: str) -> str:
@@ -79,6 +83,13 @@ def run_all(src: Path) -> dict[str, list]:
                                 "--strategy", strategy, "--trace",
                                 "--format", "json", "--seed", "1"]
                         results[f"{w}/{call.name}/{mode}/{strategy}"] = _outcome(cli, argv)
+                if w in DIRECTIONAL:
+                    order = ",".join(map(str, range(len(call.model.domains), 0, -1)))
+                    goal = f"{DIRECTIONAL[w]}:{order}"
+                    for mode in MODES:
+                        argv = ["run", str(path), "--goal", goal, "--mode", mode,
+                                "--trace", "--format", "json"]
+                        results[f"{w}/{call.name}/{DIRECTIONAL[w]}/{mode}"] = _outcome(cli, argv)
     return results
 
 

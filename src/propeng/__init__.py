@@ -7,8 +7,8 @@ and relational consistency drop out as particular function sets.
 
 from .csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
-    Relation, Scheme, SetDomain, equivalent, join_constraints, project,
-    scheme_union, solutions, validate,
+    Relation, Scheme, SetDomain, equivalent, join_constraints, scheme_union,
+    solutions, validate,
 )
 from .engine import (
     FixpointResult, Outcome, ReductionFunction, RunTrace, closure_star,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .lattice import (
     GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue,
-    ProductValue, bottom_like, interval_hull, interval_intersect, join, leq,
+    ProductValue, interval_hull, leq,
 )
 from .reducers import (
     ConstraintSpace, cutting_plane, domain_bottom, join_projection,

@@ -180,7 +180,7 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     elif goal.kind == "dir-arc":
         setup, strategy = _directional_arc_setup(csp, goal.order), _PassOrder()
     elif goal.kind == "dir-path":
-        setup, strategy = _directional_path_setup(csp, goal.order, cap), _PassOrder()
+        setup, strategy = _path_setup(csp, cap, _check_order(csp, goal.order)), _PassOrder()
     else:
         raise ConfigError(f"unknown goal kind {goal.kind!r}")
     result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
@@ -191,15 +191,16 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
 
 def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
     """One component per merged constraint, then a synthetic universal
-    constraint for each of ``schemes`` (index tuples) that none of them has."""
+    constraint for each of ``schemes`` (index tuples) that none of them has,
+    named against ``csp``'s own ids: an id merged away stays taken, and a
+    merged id (it has an ``&``) is never a universal's."""
     merged = _merge_same_scheme(csp)
-    base = CSP(csp.domains, tuple(merged))
     comps = [ExtComponent(c) for c in merged]
     have = {c.scheme for c in merged}
     for idx in schemes:
         if idx not in have:
-            comps.append(ExtComponent(universal_constraint(base, Scheme(idx), cap=cap)))
-    return ConstraintSpace(base, comps, cap=cap)
+            comps.append(ExtComponent(universal_constraint(csp, Scheme(idx), cap=cap)))
+    return ConstraintSpace(CSP(csp.domains, tuple(merged)), comps, cap=cap)
 
 
 def _check_binary(csp: CSP) -> None:
@@ -217,12 +218,19 @@ def _binary_pair_space(csp: CSP, cap: int) -> ConstraintSpace:
         csp, itertools.permutations(range(1, csp.arity + 1), 2), cap)
 
 
-def _path_setup(csp, cap):
+def _path_setup(csp, cap, rank=None):
+    """``path@k,l,m`` for every triple of distinct indices.  Given ``rank``
+    (a directional goal's checked order), only the triples whose ``m`` comes
+    after ``k`` and ``l``: the latest ``m`` first, by fid within one ``m``,
+    so one pass suffices."""
     space = _binary_pair_space(csp, cap)
-    n = csp.arity
-    fns = [make_path_reducer(space, k, l, m)
-           for k, l, m in itertools.permutations(range(1, n + 1), 3)]
-    return RunSetup(space, fns)
+    fns = []
+    for k, l, m in itertools.permutations(range(1, csp.arity + 1), 3):
+        if rank is None or (rank[k] < rank[m] and rank[l] < rank[m]):
+            fns.append((m, make_path_reducer(space, k, l, m)))
+    if rank is not None:
+        fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
+    return RunSetup(space, [f for _, f in fns])
 
 
 def _relational_setup(csp, m, cap, fn_cap):
@@ -287,15 +295,3 @@ def _directional_arc_setup(csp, order):
     # later variables first, so one pass suffices
     chosen.sort(key=lambda entry: entry[:2])
     return RunSetup(domain_space(csp), [f for _, _, f in chosen])
-
-
-def _directional_path_setup(csp, order, cap):
-    rank = _check_order(csp, order)
-    space = _binary_pair_space(csp, cap)
-    n = csp.arity
-    fns = []
-    for k, l, m in itertools.permutations(range(1, n + 1), 3):
-        if rank[k] < rank[m] and rank[l] < rank[m]:
-            fns.append((m, make_path_reducer(space, k, l, m)))
-    fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
-    return RunSetup(space, [f for _, f in fns])

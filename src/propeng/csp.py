@@ -3,9 +3,9 @@ brute-force solution enumeration (the testing oracle) and equivalence.
 
 Domain indices are 1-based everywhere, matching the on-disk format.  A
 scheme is a tuple of distinct indices (``Scheme`` only checks that when it
-is built), and ``d[s]`` selects the coordinates of ``d`` along it.  Joins,
-``reselect`` and ``project`` select coordinates one way: an ``itemgetter``
-over the positions of the target indices (``_tuple_getter``).
+is built), and ``d[s]`` selects the coordinates of ``d`` along it.  Joins
+and ``reselect`` select coordinates one way: an ``itemgetter`` over the
+positions of the target indices (``_tuple_getter``).
 """
 
 from __future__ import annotations
@@ -340,17 +340,6 @@ def reselect(scheme_from: Scheme, tuples: Iterable[tuple], scheme_to: Scheme) ->
     except ValueError:
         raise ConfigError(f"indices {scheme_to} not all present in {scheme_from}")
     return frozenset(map(pick, tuples))
-
-
-def project(c: Constraint, s: Scheme) -> Constraint:
-    """The image of ``c`` under coordinate selection ``d[s]``."""
-    if not c.is_extensional:
-        raise ConfigError(f"constraint {c.cid!r} is not extensional; cannot project")
-    it = iter(c.scheme)
-    if not all(i in it for i in s):
-        raise ValueError(f"{s} is not a subsequence of scheme {c.scheme}")
-    return Constraint(f"proj({c.cid})", s,
-                      ExtensionalBody(reselect(c.scheme, c.tuples, s)))
 
 
 def solutions(csp: CSP, cap: int = DEFAULT_ENUM_CAP) -> frozenset:

@@ -4,14 +4,17 @@ Three component kinds are provided, plus their Cartesian product:
 
 * ``PowersetValue`` -- a finite subset of a fixed base set, ordered by
   *reverse* inclusion (smaller set = more information).  The least element
-  is the full base set and the join of two subsets is their intersection.
+  is the full base set.
 * ``GridInterval`` -- an interval whose endpoints are drawn from a fixed
   finite grid of bounds (all integers of a range, or an explicit point set
-  that may include +/-inf).  Ordered by reverse inclusion; join is
-  intersection; the least element is the full ``[min..max]`` interval.
+  that may include +/-inf).  Ordered by reverse inclusion; the least
+  element is the full ``[min..max]`` interval.
 * ``GrowSetValue`` -- a set of opaque items that only ever grows from a
   fixed seed (used for accumulating derived linear inequalities).  Ordered
-  by direct inclusion of the item sets; join is union.
+  by direct inclusion of the item sets; the least element is the seed.
+
+A product is ordered componentwise (``leq``).  The engine needs no more than
+these orders and their least elements: no step takes a least upper bound.
 
 All values are immutable and hashable; equality is structural, which is
 what the engine's change detection relies on.  Each family draws probe inputs
@@ -261,16 +264,6 @@ class GridInterval:
         return self if hull == self else hull
 
 
-def interval_intersect(a: GridInterval, b: GridInterval) -> GridInterval:
-    """Intersection of two intervals over the same grid, normalized so that
-    an empty result is the canonical empty interval."""
-    if a.grid != b.grid:
-        raise ConfigError("cannot intersect intervals over different grids")
-    if a.is_empty or b.is_empty:
-        return GridInterval.empty(a.grid)
-    return GridInterval(a.grid, max(a.lo, b.lo), min(a.hi, b.hi))
-
-
 def interval_hull(xs: Iterable, grid) -> GridInterval:
     """The smallest interval with endpoints on ``grid`` containing ``xs``."""
     xs = list(xs)
@@ -387,49 +380,6 @@ def leq(a: LatticeValue, b: LatticeValue) -> bool:
     )
 
 
-def join(a: LatticeValue, b: LatticeValue) -> LatticeValue:
-    """Least upper bound of two values from the same component structure."""
-    if _pair_kind(a, b, PowersetValue):
-        if a.base != b.base:
-            raise ConfigError("cannot join powerset values over different bases")
-        return PowersetValue(a.base, a.elements & b.elements)
-    if _pair_kind(a, b, GridInterval):
-        return interval_intersect(a, b)
-    if _pair_kind(a, b, GrowSetValue):
-        if a.seed != b.seed:
-            raise ConfigError("cannot join grow-sets with different seeds")
-        return GrowSetValue(a.seed, a.items | b.items)
-    if _pair_kind(a, b, ProductValue):
-        if len(a) != len(b):
-            raise ConfigError("cannot join products of different lengths")
-        return ProductValue(tuple(join(x, y) for x, y in zip(a.components, b.components)))
-    raise ConfigError(f"cannot join {type(a).__name__} with {type(b).__name__}")
-
-
-def bottom_like(v: LatticeValue) -> LatticeValue:
-    """The least element of the component structure ``v`` belongs to."""
-    if isinstance(v, PowersetValue):
-        return PowersetValue.bottom(v.base)
-    if isinstance(v, GridInterval):
-        return GridInterval.full(v.grid)
-    if isinstance(v, GrowSetValue):
-        return GrowSetValue.bottom(v.seed)
-    if isinstance(v, ProductValue):
-        return ProductValue(tuple(bottom_like(c) for c in v.components))
-    raise ConfigError(f"no bottom for {type(v).__name__}")
-
-
 def is_empty_value(v: LatticeValue) -> bool:
     """True when a component denotes the empty set of concrete values."""
     return isinstance(v, (PowersetValue, GridInterval)) and v.is_empty
-
-
-def has_finite_chains(v: LatticeValue) -> bool:
-    """Whether every strictly increasing chain from ``v``'s structure is finite."""
-    if isinstance(v, (PowersetValue, GridInterval)):
-        return True
-    if isinstance(v, GrowSetValue):
-        return False
-    if isinstance(v, ProductValue):
-        return all(has_finite_chains(c) for c in v.components)
-    raise ConfigError(f"unknown lattice value {type(v).__name__}")

@@ -45,9 +45,7 @@ from .csp import (
 )
 from .engine import ReductionFunction
 from .errors import ConfigError, DataError, ResourceLimitError
-from .lattice import (
-    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, ProductValue,
-)
+from .lattice import GridInterval, GrowSetValue, IntGrid, PowersetValue, ProductValue
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +113,10 @@ def make_full_projection(c: Constraint) -> ReductionFunction:
     return ReductionFunction(f"piC@{c.cid}", c.scheme, apply, idempotent=True, group=c.cid)
 
 
-def make_interval_hull_projection(c: Constraint,
-                                  grids: Sequence[IntGrid | PointGrid] | None = None
-                                  ) -> ReductionFunction:
+def make_interval_hull_projection(c: Constraint) -> ReductionFunction:
     """Projection followed by the smallest enclosing grid interval, per
-    coordinate: ``make_full_projection`` under its own name.  ``grids``, when
-    given, lets construction reject tuples that fall outside the
-    representable range."""
-    f = make_full_projection(c)
-    if grids is not None:
-        if len(grids) != len(c.scheme):
-            raise ConfigError("one grid per scheme position is required")
-        for t in c.tuples:
-            for x, g in zip(t, grids):
-                if not (g.min <= x <= g.max):
-                    raise DataError(
-                        f"constraint {c.cid!r} has point {x!r} outside the grid range")
-    return replace(f, fid=f"hull@{c.cid}")
+    coordinate: ``make_full_projection`` under its own name."""
+    return replace(make_full_projection(c), fid=f"hull@{c.cid}")
 
 
 class _Bounds(NamedTuple):

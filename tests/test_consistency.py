@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -273,6 +274,27 @@ class TestAchieveRelational:
         assert equivalent(csp, out)
 
 
+# u(1,3) and x share (1,2) and merge into u(1,3)&x; the universal constraint
+# on (1,3) must not take the merged-away id u(1,3)
+MERGED_AWAY = CSP(
+    (D01, D01, D01),
+    (ext("u(1,3)", (1, 2), {(0, 0), (1, 0), (1, 1)}),
+     ext("x", (1, 2), {(0, 0), (0, 1), (1, 1)}),
+     ext("b", (2, 3), {(0, 0), (1, 1)})))
+
+
+@pytest.mark.parametrize("goal", ["path", "rel:1", "rel:2"])
+def test_a_universal_never_takes_a_merged_away_id(goal):
+    steps = []
+    out, _ = achieve(MERGED_AWAY, parse_goal(goal), observer=steps.append)
+    assert equivalent(MERGED_AWAY, out)
+    assert "u(1,3)" not in out.cids
+    if "u(1,3)'" in out.cids:
+        assert out.constraint("u(1,3)'").scheme == (1, 3)
+    # a relational function's id names its members, commas escaped
+    assert not any(re.search(r"[(,]u\(1\\,3\)[,)]", s.fid) for s in steps)
+
+
 PATH_INSTANCE = CSP(
     (D01, D01, D01),
     (ext("c12", (1, 2), {(0, 0), (0, 1)}),
@@ -460,6 +482,8 @@ class TestDirectionalPath:
                     assert sorted(fids) == sorted(later), mode
                     ranks = [later[f] for f in fids]
                     assert ranks == sorted(ranks, reverse=True), mode
+                    # and by fid within one third index
+                    assert fids == sorted(fids, key=lambda f: (-later[f], f)), mode
 
 
 class TestEquivalencePreservation:

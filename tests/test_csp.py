@@ -11,8 +11,8 @@ import pytest
 from conftest import brute_force_join, random_set_csp
 from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
-    Relation, Scheme, SetDomain, equivalent, join_constraints, project,
-    reselect, scheme_union, solutions, tuple_restrict, validate,
+    Relation, Scheme, SetDomain, equivalent, join_constraints, reselect,
+    scheme_union, solutions, tuple_restrict, validate,
 )
 from propeng.errors import ConfigError, DataError, ResourceLimitError
 
@@ -209,32 +209,6 @@ class TestJoin:
         assert len(join_constraints([c1, c2], cap=4, onto=Scheme((1, 3))).tuples) == 4
         with pytest.raises(ResourceLimitError):
             join_constraints([c1, c2], cap=3, onto=Scheme((1, 3)))
-
-
-class TestProject:
-    def test_worked_example(self):
-        c = ext("c", (1, 2, 3), {(0, 0, 1), (1, 0, 0)})
-        assert project(c, Scheme((2,))).tuples == frozenset({(0,)})
-
-    def test_identity_projection(self):
-        c = ext("c", (1, 2), {(0, 1)})
-        assert project(c, c.scheme).tuples == c.tuples
-
-    def test_empty(self):
-        assert project(ext("c", (1, 2), set()), Scheme((1,))).tuples == frozenset()
-
-    def test_non_subsequence_rejected(self):
-        with pytest.raises(ValueError) as exc:
-            project(ext("c", (1, 2, 3), {(0, 0, 0)}), Scheme((2, 1)))
-        assert str(exc.value) == "(2, 1) is not a subsequence of scheme (1, 2, 3)"
-
-    def test_subsequence_picks_its_coordinates(self):
-        c = ext("c", (4, 1, 3, 2), {(0, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)})
-        for r in range(5):
-            for s in itertools.combinations(c.scheme, r):
-                got = project(c, Scheme(s))
-                assert got.scheme == s and got.cid == "proj(c)"
-                assert got.tuples == select(c.scheme, c.tuples, s)
 
 
 class TestSolutions:

@@ -8,49 +8,12 @@ import pytest
 
 from propeng.errors import ConfigError
 from propeng.lattice import (
-    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue,
-    ProductValue, bottom_like, has_finite_chains, interval_hull,
-    interval_intersect, join, leq,
+    GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, interval_hull, leq,
 )
 
 
 def ival(lo, hi, grid=IntGrid(0, 9)):
     return GridInterval(grid, lo, hi)
-
-
-class TestIntervalIntersect:
-    def test_worked_example(self):
-        grid = IntGrid(0, 20)
-        got = interval_intersect(GridInterval(grid, 3, 9), GridInterval(grid, 1, 4))
-        assert got == GridInterval(grid, 3, 4)
-        # membership oracle
-        members = set(GridInterval(grid, 3, 9).members()) & set(
-            GridInterval(grid, 1, 4).members())
-        assert set(got.members()) == members == {3, 4}
-
-    def test_full_interval_is_identity(self):
-        grid = IntGrid(-3, 7)
-        a = GridInterval(grid, -1, 5)
-        assert interval_intersect(a, GridInterval.full(grid)) == a
-
-    def test_disjoint_is_canonical_empty(self):
-        got = interval_intersect(ival(0, 1), ival(2, 3))
-        assert got == GridInterval.empty(IntGrid(0, 9))
-        assert got.is_empty
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ConfigError):
-            interval_intersect(ival(0, 1, IntGrid(0, 9)), ival(0, 1, IntGrid(0, 8)))
-
-    def test_matches_membership_enumeration(self):
-        rng = random.Random(7)
-        grid = IntGrid(0, 12)
-        for _ in range(200):
-            a, b = sorted(rng.sample(range(13), 2))
-            c, d = sorted(rng.sample(range(13), 2))
-            x, y = GridInterval(grid, a, b), GridInterval(grid, c, d)
-            assert set(interval_intersect(x, y).members()) == (
-                set(x.members()) & set(y.members()))
 
 
 FLOAT_GRID = PointGrid((-math.inf, 0, 1, 2, math.inf))
@@ -95,12 +58,6 @@ class TestIntervalHull:
 
 
 class TestPowerset:
-    def test_join_is_intersection(self):
-        base = frozenset({1, 2, 3})
-        a = PowersetValue(base, frozenset({1, 2}))
-        b = PowersetValue(base, frozenset({2, 3}))
-        assert join(a, b).elements == frozenset({2})
-
     def test_bottom_below_everything(self):
         base = frozenset({1, 2, 3})
         bot = PowersetValue.bottom(base)
@@ -113,25 +70,6 @@ class TestPowerset:
 
 
 class TestProduct:
-    def test_componentwise_join(self):
-        base = frozenset({1, 2, 3})
-        grid = IntGrid(0, 9)
-        a = ProductValue((PowersetValue(base, frozenset({1, 2})), ival(0, 9, grid)))
-        b = ProductValue((PowersetValue(base, frozenset({2})), ival(3, 9, grid)))
-        got = join(a, b)
-        assert got.component(1).elements == frozenset({2})
-        assert got.component(2) == ival(3, 9, grid)
-
-    def test_bottom_like_and_finite_chains(self):
-        base = frozenset({1, 2})
-        v = ProductValue((PowersetValue(base, frozenset()), ival(2, 3)))
-        bot = bottom_like(v)
-        assert bot.component(1).elements == base
-        assert bot.component(2) == GridInterval.full(IntGrid(0, 9))
-        assert has_finite_chains(v)
-        assert not has_finite_chains(
-            ProductValue((GrowSetValue.bottom(frozenset({1})),)))
-
     def test_mixed_kind_comparison_rejected(self):
         with pytest.raises(ConfigError):
             leq(PowersetValue(frozenset({1}), frozenset()), ival(0, 1))
@@ -160,14 +98,9 @@ def test_order_laws_exhaustive(values):
     for x, y in itertools.product(values, repeat=2):
         if leq(x, y) and leq(y, x):
             assert x == y
-        j = join(x, y)
-        assert leq(x, j) and leq(y, j)
     for x, y, z in itertools.product(values, repeat=3):
         if leq(x, y) and leq(y, z):
             assert leq(x, z)
-        # join is below any other upper bound
-        if leq(x, z) and leq(y, z):
-            assert leq(join(x, y), z)
 
 
 def test_strict_chains_are_bounded():
@@ -190,7 +123,6 @@ class TestGrowSet:
         a = GrowSetValue(seed, seed | {("b",)})
         b = GrowSetValue(seed, seed | {("c",)})
         assert leq(GrowSetValue.bottom(seed), a)
-        assert join(a, b).items == seed | {("b",), ("c",)}
         assert not leq(a, b)
 
     def test_seed_must_be_contained(self):
