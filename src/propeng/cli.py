@@ -96,7 +96,8 @@ def cmd_run(args) -> int:
 
     if args.format == "json":
         # json.dumps(payload, indent=2, sort_keys=True)'s bytes, with the
-        # keys in sorted order and the reduced problem from its own writer
+        # keys in sorted order and the reduced problem and the step rows
+        # from their own writers
         fields = [f'"applications": {json.dumps(trace.total_applications)}',
                   f'"csp": {textio.csp_json(reduced, "  ")}']
         if equivalence is not None:
@@ -104,12 +105,7 @@ def cmd_run(args) -> int:
             fields.append(f'"equivalence": {json.dumps(verdict)}')
         fields.append(f'"outcome": {json.dumps(trace.outcome.value)}')
         if args.trace:
-            rows = [{"step": k, "fn": s.fid, "changed": int(s.changed),
-                     "comps": list(s.changed_components)}
-                    for k, s in enumerate(steps, start=1)]
-            # JSON text holds no raw newline, so this re-indent is exact
-            text = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
-            fields.append(f'"trace": {text}')
+            fields.append(f'"trace": {textio.trace_json(steps, "  ")}')
         print("{\n  ", ",\n  ".join(fields), "\n}", sep="")
     else:
         if args.trace:

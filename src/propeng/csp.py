@@ -295,8 +295,99 @@ def _join_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...] | Non
     return tuple(steps), _tuple_getter([union.index(i) for i in onto]), Scheme(onto)
 
 
+@lru_cache(maxsize=4096)
+def _witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]):
+    """How to search, for a tuple over ``onto``, a tuple of the join of
+    relations over ``schemes`` that it is the restriction of.  Returns the
+    membership tests on the tuple itself (member, getter of the member's
+    coordinates), then the levels, then the scheme ``onto``.  A level
+    appends a whole tuple of one member to the tuple built so far, so the
+    member's bound coordinates key its index.  It holds the member, the key
+    getter on the tuple so far, the member's key getter, and the membership
+    tests that become possible once the member is bound.  The next level's
+    member shares a bound index when some member does."""
+    joined = list(dict.fromkeys(itertools.chain.from_iterable(schemes)))
+    if not all(i in joined for i in onto):
+        raise ConfigError(f"indices {onto} not all present in {tuple(joined)}")
+    bound = list(onto)          # the index at each position of the tuple so far
+    pending = list(range(len(schemes)))
+
+    def tests():
+        ready = [j for j in pending if all(i in bound for i in schemes[j])]
+        for j in ready:
+            pending.remove(j)
+        return tuple((j, _tuple_getter([bound.index(i) for i in schemes[j]]))
+                     for j in ready)
+
+    first = tests()
+    levels = []
+    while pending:
+        j = next((j for j in pending if any(i in bound for i in schemes[j])), pending[0])
+        pending.remove(j)
+        s = schemes[j]
+        shared = [i for i in s if i in bound]
+        level = (j, _key_getter([bound.index(i) for i in shared]),
+                 _key_getter([s.index(i) for i in shared]))
+        bound += s
+        levels.append(level + (tests(),))
+    return first, tuple(levels), Scheme(onto)
+
+
+def _extends(t: tuple, levels: list, k: int) -> bool:
+    """Whether ``t`` extends through ``levels[k:]`` (each: the key getter,
+    the lookup of the member's tuples by key, the membership tests), depth
+    first, stopping at the first witness."""
+    key, get, tests = levels[k]
+    k += 1
+    last = k == len(levels)
+    for v in get(key(t), ()):
+        u = t + v
+        for pick, tuples in tests:
+            if pick(u) not in tuples:
+                break
+        else:
+            if last or _extends(u, levels, k):
+                return True
+    return False
+
+
+def _witnessed(cs: Sequence, onto: tuple, within: frozenset) -> Relation:
+    """The tuples of ``within`` (over ``onto``) that have a witness in the
+    join of ``cs``; ``within`` itself when all have one.  Each member with
+    a free coordinate is indexed on its bound ones, for this call only."""
+    first, levels, scheme = _witness_plan(tuple([c.scheme for c in cs]), onto)
+    kept = within
+    for j, pick in first:
+        tuples = cs[j].tuples
+        kept = [t for t in kept if pick(t) in tuples]
+    index = []
+    for j, key, member_key, tests in levels:
+        buckets: dict = {}
+        for u in cs[j].tuples:
+            k = member_key(u)
+            if k in buckets:
+                buckets[k].append(u)
+            else:
+                buckets[k] = [u]
+        index.append((key, buckets.get, [(pick, cs[i].tuples) for i, pick in tests]))
+    if len(index) == 1 and len(index[0][2]) == 1:
+        # one member to bind, then one test (path reduction's shape)
+        ((key, get, ((pick, tuples),)),) = index
+        out = []
+        for t in kept:
+            for v in get(key(t), ()):
+                if pick(t + v) in tuples:
+                    out.append(t)
+                    break
+        kept = out
+    elif index:
+        kept = [t for t in kept if _extends(t, index, 0)]
+    return Relation(scheme, within if len(kept) == len(within) else frozenset(kept))
+
+
 def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
-                     onto: Scheme | None = None) -> Relation:
+                     onto: Scheme | None = None,
+                     within: frozenset | None = None) -> Relation:
     """Relational join of relations or extensional constraints (anything with
     ``.scheme`` and ``.tuples``): a tuple belongs iff its restriction to every
     member scheme belongs to that member.
@@ -304,9 +395,22 @@ def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
     With ``onto``, the result is the join reselected onto ``onto``: the last
     join step emits only those coordinates, so the joined tuples are never
     held.  ``cap`` bounds the tuples each step holds (the projected ones at
-    the last step)."""
+    the last step).
+
+    With ``within`` too, a set of tuples over ``onto``, the result is the
+    tuples of ``within`` that the join, reselected onto ``onto``, holds, and
+    the join is never built: for each tuple the search looks for one witness
+    (``_witness_plan``).  A member whose coordinates are all bound is a
+    membership test; a member with a free coordinate is indexed on its bound
+    ones for the call; the search stops at the first witness.  Nothing grows
+    with the join, so ``cap`` does not apply.  When every tuple has a
+    witness, the result holds ``within`` itself."""
     if not cs:
         raise ConfigError("cannot join an empty sequence of constraints")
+    if within is not None:
+        if onto is None:
+            raise ConfigError("a join within a tuple set needs its scheme (onto)")
+        return _witnessed(cs, onto, within)
     steps, pick, scheme = _join_plan(tuple(c.scheme for c in cs), onto)
     tuples = cs[0].tuples
     if not steps:

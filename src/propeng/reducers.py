@@ -10,15 +10,18 @@ into the component's family, so ``hull`` is ``piC`` on intervals.  The other
 components hold a constraint's current tuple set (or a growing set of linear
 inequalities for cutting planes); constraint reducers shrink those.
 ``rho``, path and relational reduction share one body: intersect each target
-with the projection of the join of the members.  The projection is fused
-into the join (``join_constraints(..., onto=...)``): the last join step
-emits only the targets' coordinates, so path reduction composes ``C_km`` and
-``C_ml`` without building ``(k,m,l)`` triples, and an application that
-removes nothing returns its arguments as they were.  A variable over a set
-domain also joins as a unary constraint (``~domN``); only
-``ConstraintSpace.join`` and its inverse ``project`` know how.  A reached
-state folds back into a problem: variables into the declared families,
-extensional constraints restricted to them.
+with the projection of the join of the members.  With one target, the join
+is a witness search (``join_constraints(..., within=...)``): it keeps the
+target's tuples that extend to a tuple of the join, so path reduction keeps
+a pair of ``C_kl`` when some value of ``m`` supports it and never builds
+``C_km ∘ C_ml``.  With several targets, the projection onto the union of
+their schemes is fused into the join (``join_constraints(..., onto=...)``),
+and each target is intersected with its part.  Either way an application
+that removes nothing returns its arguments as they were.  A variable over a
+set domain also joins as a unary constraint (``~domN``); only
+``ConstraintSpace.join``, its inverse ``project`` and ``supported`` know
+how.  A reached state folds back into a problem: variables into the
+declared families, extensional constraints restricted to them.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
@@ -292,20 +295,23 @@ class ConstraintSpace:
                         f"component {key!r} at position {pos}: the variables "
                         f"take positions 1..{arity}, in order")
                 self._variables = pos
+        # each scheme exactly one extensional component has, to its position
+        self._position_of: dict[tuple, int] = {
+            s: hits[0] for s, hits in self._by_scheme.items() if len(hits) == 1}
 
     def position(self, key: str) -> int:
         if key not in self._by_key:
             raise ConfigError(f"no constraint-space component {key!r}")
         return self._by_key[key]
 
-    def position_of_scheme(self, scheme: Scheme) -> int:
-        hits = self._by_scheme.get(scheme, [])
-        if not hits:
+    def position_of_scheme(self, scheme: tuple) -> int:
+        pos = self._position_of.get(scheme)
+        if pos is None:
+            if scheme in self._by_scheme:
+                raise ConfigError(
+                    f"several constraints share scheme {scheme}; normalize first")
             raise ConfigError(f"no constraint with scheme {scheme}")
-        if len(hits) > 1:
-            raise ConfigError(
-                f"several constraints share scheme {scheme}; normalize first")
-        return hits[0]
+        return pos
 
     def bottom(self) -> ProductValue:
         # the variables' declared domains, then the constraints'
@@ -336,15 +342,29 @@ class ConstraintSpace:
         return [self._join_schemes[p] for p in positions]
 
     def join(self, positions: Sequence[int], values: Sequence,
-             onto: Scheme | None = None) -> Relation:
+             onto: Scheme | None = None, within: frozenset | None = None) -> Relation:
         """The join of the current tuple sets ``values`` of the components at
-        ``positions``, reselected onto ``onto`` when given; a variable's
-        atoms join as 1-tuples."""
+        ``positions``, reselected onto ``onto`` when given, and kept to the
+        tuples of ``within`` when given; a variable's atoms join as
+        1-tuples."""
         return join_constraints([
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
                      if p <= self._variables else v.elements)
-            for p, v in zip(positions, values)], cap=self.cap, onto=onto)
+            for p, v in zip(positions, values)], cap=self.cap, onto=onto, within=within)
+
+    def supported(self, pos: int, value, positions: Sequence[int],
+                  values: Sequence) -> frozenset:
+        """The elements of ``value``, the component at ``pos``, that are the
+        restriction of a tuple of the join of ``values`` (the components at
+        ``positions``), found by the join's witness search; ``value.elements``
+        itself when all of them are."""
+        scheme = self._join_schemes[pos]
+        if pos > self._variables:
+            return self.join(positions, values, scheme, value.elements).tuples
+        within = frozenset((a,) for a in value.elements)
+        kept = self.join(positions, values, scheme, within).tuples
+        return value.elements if kept is within else frozenset(a for (a,) in kept)
 
     def project(self, joined: Relation, pos: int) -> frozenset:
         """The inverse of ``join`` for the component at ``pos``: the joined
@@ -439,21 +459,36 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
                     members: Sequence[int], fid: str, group: str) -> ReductionFunction:
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
-    ``rho``, path and relational reduction).  The join is taken straight onto
-    the union of the targets' schemes, and a target it removes nothing from
-    is returned as it was.  It reads only its members: shrinking a target
-    that is not a member leaves it stable."""
+    ``rho``, path and relational reduction).  One target keeps the tuples
+    that have a witness in the join (``ConstraintSpace.supported``); several
+    take the join straight onto the union of their schemes, one join for all
+    of them where the witness search would run once per target.  A target it
+    removes nothing from is returned as it was.  It reads only its members:
+    shrinking a target that is not a member leaves it stable."""
     members = tuple(members)
-    union = scheme_union(space.join_schemes(members))
+    member_schemes = space.join_schemes(members)
     target_schemes = space.join_schemes(targets)
+    covered = set(itertools.chain.from_iterable(member_schemes))
     for s in target_schemes:
-        if not all(i in union for i in s):
-            raise ConfigError(
-                f"target scheme {s} is not covered by the members' scheme {union}")
-    onto = scheme_union(target_schemes)
+        if not covered.issuperset(s):
+            raise ConfigError(f"target scheme {s} is not covered by the members' "
+                              f"scheme {scheme_union(member_schemes)}")
     positions = tuple(targets) + tuple(p for p in members if p not in targets)
-    slots = tuple(positions.index(p) for p in members)
+    slots = tuple(map(positions.index, members))
     reads = None if set(targets) <= set(members) else members
+
+    if len(targets) == 1:
+        (target,) = targets
+
+        def apply(args):
+            v = args[0]
+            kept = space.supported(target, v, members, [args[k] for k in slots])
+            return args if kept is v.elements else (v.with_elements(kept),) + args[1:]
+
+        return ReductionFunction(fid, Scheme(positions), apply,
+                                 idempotent=True, group=group, reads=reads)
+
+    onto = scheme_union(target_schemes)
 
     def apply(args):
         joined = space.join(members, [args[k] for k in slots], onto)
@@ -484,13 +519,12 @@ def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
 
 
 def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> ReductionFunction:
-    """Shrink the constraint on ``(k,l)`` by composing the constraints on
-    ``(k,m)`` and ``(m,l)`` through the third index."""
+    """Shrink the constraint on ``(k,l)`` to the pairs ``(a,b)`` for which
+    some ``c`` has ``(a,c)`` on ``(k,m)`` and ``(c,b)`` on ``(m,l)``: its
+    intersection with the composition, found by the witness search."""
     if len({k, l, m}) != 3:
         raise ConfigError("path reduction needs three distinct indices")
-    target = space.position_of_scheme(Scheme((k, l)))
-    via1 = space.position_of_scheme(Scheme((k, m)))
-    via2 = space.position_of_scheme(Scheme((m, l)))
+    target, via1, via2 = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
     return join_projection(space, (target,), (via1, via2), f"path@{k},{l},{m}",
                            space.components[target - 1].key)
 

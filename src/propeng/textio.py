@@ -22,14 +22,16 @@ Python function runs per atom.
 ``csp_json`` writes the JSON form of a problem: the same bytes as
 ``json.dumps(csp_to_obj(csp), indent=2, sort_keys=True)``, built from the
 fixed shape instead of through ``json``'s pure-Python indenting encoder.
-Strings still go through ``json.dumps`` and integers through
-``int.__repr__``, as the encoder writes them.
+``trace_json`` writes a run's step rows the same way.  Strings still go
+through ``json.dumps`` and integers through ``int.__repr__``, as the encoder
+writes them.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from typing import Iterable
 
 from .csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
@@ -342,6 +344,30 @@ def csp_json(csp: CSP, pad: str = "") -> str:
         domains.append(_object(fields, nl2))
     return "".join([f'{{{nl1}"constraints": ', _array(constraints, nl1),
                     f',{nl1}"domains": ', _array(domains, nl1), nl0, "}"])
+
+
+def trace_json(steps: Iterable[tuple[str, tuple[int, ...]]], pad: str = "") -> str:
+    """``json.dumps(rows, indent=2, sort_keys=True)`` of one row per step,
+    ``{"step": k, "fn": fid, "changed": 0 or 1, "comps": [...]}`` with ``k``
+    counted from 1, every line after the first indented by ``pad``.  Written
+    straight from the fixed shape: each distinct fid goes through
+    ``json.dumps`` once, and each distinct list of changed components is
+    written once."""
+    nl0, nl1, nl2 = ("\n" + pad + "  " * k for k in range(3))
+    ints = int.__repr__
+    fids: dict[str, str] = {}
+    comps: dict[tuple, str] = {}
+    rows = []
+    for k, (fid, changed) in enumerate(steps, start=1):
+        fn = fids.get(fid)
+        if fn is None:
+            fn = fids[fid] = json.dumps(fid)
+        text = comps.get(changed)
+        if text is None:
+            text = comps[changed] = _array(list(map(ints, changed)), nl2)
+        rows.append(_object([f'"changed": {1 if changed else 0}', f'"comps": {text}',
+                             f'"fn": {fn}', f'"step": {k}'], nl1))
+    return _array(rows, nl0)
 
 
 def csp_to_obj(csp: CSP) -> dict:

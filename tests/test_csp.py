@@ -210,6 +210,35 @@ class TestJoin:
         with pytest.raises(ResourceLimitError):
             join_constraints([c1, c2], cap=3, onto=Scheme((1, 3)))
 
+    def test_within_keeps_what_the_join_holds(self):
+        # (1,3) pairs through c1 on (1,2) and c2 on (2,3): (0,1) and (1,0) have
+        # a witness, (1,1) has none
+        c1 = ext("c1", (1, 2), {(0, 0), (1, 1)})
+        c2 = ext("c2", (2, 3), {(0, 1), (1, 0)})
+        onto = Scheme((1, 3))
+        within = frozenset({(0, 1), (1, 0), (1, 1)})
+        got = join_constraints([c1, c2], onto=onto, within=within)
+        assert got == (onto, {(0, 1), (1, 0)})
+        kept = frozenset({(0, 1)})
+        assert join_constraints([c1, c2], onto=onto, within=kept).tuples is kept
+
+    def test_within_materialises_nothing(self):
+        # the join onto (1,3) holds 4 tuples, past a cap of 1
+        c1 = ext("c1", (1, 2), itertools.product((0, 1), repeat=2))
+        c2 = ext("c2", (2, 3), itertools.product((0, 1), repeat=2))
+        onto = Scheme((1, 3))
+        with pytest.raises(ResourceLimitError):
+            join_constraints([c1, c2], cap=1, onto=onto)
+        within = frozenset(itertools.product((0, 1), repeat=2))
+        assert join_constraints([c1, c2], cap=1, onto=onto, within=within).tuples is within
+
+    def test_within_needs_onto_inside_the_union(self):
+        c = ext("c", (1, 2), {(0, 0)})
+        with pytest.raises(ConfigError):
+            join_constraints([c], within=frozenset({(0, 0)}))
+        with pytest.raises(ConfigError):
+            join_constraints([c], onto=Scheme((1, 4)), within=frozenset({(0, 0)}))
+
 
 class TestSolutions:
     def test_arc_consistent_but_inconsistent(self, eq_ne_csp):

@@ -4,6 +4,7 @@ flags)."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from propeng.lattice import (
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, IneqComponent,
     build_named_reducers, csp_from_domain_state, cutting_plane, domain_bottom,
-    linear_eq_narrow, make_binary_projections, make_cut_reducer,
+    join_projection, linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection, make_linear_eq_narrowing,
     make_path_reducer, make_relational_reducer, make_solution_projection,
     universal_constraint,
@@ -337,6 +338,20 @@ class TestSolutionProjection:
         assert out[0].elements == joined == {(0, 1)}
         assert out[1].elements == {a for _, a in joined} == {1}
 
+    def test_one_embedded_domain_as_the_target(self):
+        # ~dom1 alone is the target: the atoms that some pair of c1 supports
+        c1 = ext("c1", (2, 1), {(0, 1), (0, 0)})
+        space = ConstraintSpace(CSP((D012, D01), (c1,)),
+                                (DomainComponent(1), ExtComponent(c1)))
+        f = join_projection(space, (1,), (1, 2), "support", "support")
+        start = space.bottom()
+        args = (start.component(1), start.component(2))
+        out = f.apply(args)
+        assert out[0].elements == {0, 1}
+        assert out[1] is args[1]
+        # nothing left to remove: the arguments themselves
+        assert f.apply(out) is out
+
 
 def path_space():
     c12 = ext("c12", (1, 2), {(0, 0), (0, 1)})
@@ -398,6 +413,36 @@ class TestPathReducer:
                 and (m, b) in c_ml.tuples}
             assert state.component(1).elements == frozenset(
                 (a, b) for a, b, _ in joint)
+
+    def test_matches_brute_force_over_three_values(self):
+        # C_kl, C_km and C_ml at random over {0,1,2}; now and then an empty
+        # member, or a target that keeps no pair
+        rng = random.Random(5)
+        values = (0, 1, 2)
+        pairs = list(itertools.product(values, repeat=2))
+        unchanged = 0
+        for n in range(120):
+            kl, km, ml = ({t for t in pairs if rng.random() < 0.5} for _ in range(3))
+            if n % 10 == 1:
+                (kl, km, ml)[n % 3].clear()
+            if n % 10 == 2:
+                kl = {(a, b) for a, b in kl if not any(
+                    (a, m) in km and (m, b) in ml for m in values)}
+            csp = CSP((D012,) * 3, (ext("ckl", (1, 2), kl), ext("ckm", (1, 3), km),
+                                    ext("cml", (3, 2), ml)))
+            space = ConstraintSpace(csp, tuple(map(ExtComponent, csp.constraints)))
+            g = make_path_reducer(space, 1, 2, 3)
+            args = tuple(space.bottom().components)
+            out = g.apply(args)
+            want = {(a, b) for a, b in kl
+                    if any((a, m) in km and (m, b) in ml for m in values)}
+            assert out[0].elements == want
+            assert out[1:] == args[1:]
+            if want == kl:
+                # nothing removed: the arguments themselves
+                unchanged += 1
+                assert out is args or all(map(operator.is_, out, args))
+        assert 0 < unchanged < 120
 
 
 class TestRelationalReducer:

@@ -1,5 +1,5 @@
 """Property-based round trips of the problem-file format, and the JSON
-writer against ``json.dumps`` (needs ``hypothesis``; the module is skipped
+writers against ``json.dumps`` (needs ``hypothesis``; the module is skipped
 without it)."""
 
 import json
@@ -16,7 +16,10 @@ from propeng.csp import (  # noqa: E402
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
     Scheme, SetDomain,
 )
-from propeng.textio import csp_json, csp_to_obj, parse_csp, serialize_csp  # noqa: E402
+from propeng.engine import TraceStep  # noqa: E402
+from propeng.textio import (  # noqa: E402
+    csp_json, csp_to_obj, parse_csp, serialize_csp, trace_json,
+)
 
 names = st.one_of(st.sampled_from(NAME_ATOMS),
                   st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
@@ -75,3 +78,19 @@ def test_round_trip(p, rng: random.Random):
 def test_json_writer_is_json_dumps(p, pad):
     expected = json.dumps(csp_to_obj(p), indent=2, sort_keys=True)
     assert csp_json(p, pad) == expected.replace("\n", "\n" + pad)
+
+
+# fids as the CLI prints them, with quotes, backslashes and non-ASCII text
+fids = st.text(st.sampled_from('pi1@c,;~"\\é€\U0001f600'), max_size=6)
+trace_steps = st.lists(st.builds(
+    TraceStep, fids, st.lists(st.integers(1, 300), max_size=3).map(tuple)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trace_steps, st.sampled_from(("", "  ", "\t")))
+def test_trace_writer_is_json_dumps(steps, pad):
+    rows = [{"step": k, "fn": s.fid, "changed": int(s.changed),
+             "comps": list(s.changed_components)}
+            for k, s in enumerate(steps, start=1)]
+    expected = json.dumps(rows, indent=2, sort_keys=True)
+    assert trace_json(steps, pad) == expected.replace("\n", "\n" + pad)
