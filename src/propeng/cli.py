@@ -1,8 +1,9 @@
 """Command-line front end: validate problem files, run goals or explicit
 reducer lists, and emit reduced problems, traces and statistics.
 
-Exit status: 0 converged (or stopped early on an emptied component), 1 input
-or configuration error, 2 step cap exceeded, 3 equivalence check failed.
+Exit status: 0 converged (or stopped early on an emptied component), 1 input,
+configuration or usage error, 2 step cap exceeded, 3 equivalence check
+failed.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ from . import consistency, csp as csp_mod, engine, reducers, textio
 from .errors import PropagationError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error status,
+    not argparse's 2, which here means the step cap was exceeded."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="propeng",
         description="Constraint propagation by generic fixpoint iteration.")
     sub = parser.add_subparsers(dest="command", required=True)

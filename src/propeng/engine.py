@@ -18,7 +18,11 @@ The readers are found through a component -> functions index built once
 per run; they enter the worklist in the order of the strategy's ``batch``.
 The wake list of each changed-component tuple is computed once per run and
 memoised, so a step's bookkeeping does not rescan the index for a change it
-has seen.
+has seen.  With a built-in pure ``batch`` (see ``Strategy``) the memo holds
+the list in batch order, so each wake list is also ordered once per run.
+An application that changes nothing returns its argument tuple itself, and
+``apply_step`` takes that as no change after one identity test: as in Apt's
+update rule, only a change costs bookkeeping.
 A function reads its whole scheme unless it declares ``reads``.  An
 intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
 may leave ``x`` out and still keep the invariant of generic iteration: every
@@ -84,7 +88,10 @@ class ReductionFunction:
     For a component it leaves unchanged, ``apply`` returns the argument
     object itself: ``apply_step`` takes an identical object as unchanged
     without comparing it, and compares only a new object structurally (a new
-    but equal object costs that comparison, not a wrong result).
+    but equal object costs that comparison, not a wrong result).  When it
+    changes no component, ``apply`` returns the ``args`` tuple itself, and
+    ``apply_step`` returns at once on that identity test; a new tuple of the
+    same objects is also no change, found by the per-coordinate test.
     """
 
     fid: str
@@ -157,6 +164,12 @@ class Strategy:
     receives an immutable tuple of functions (all of them, or a woken batch,
     in registration order) and returns a new list.  Every strategy is built
     from the run's seed; only ``seeded`` draws from it.
+
+    ``batch`` here and in ``LifoStrategy`` is a pure function of its
+    argument (given ``key``, which is fixed once ``reset`` has run), so
+    ``run`` calls it once per distinct wake list and keeps its order.  A
+    subclass that overrides ``batch``, as ``seeded`` does, is called on
+    every wake-up.
     """
 
     key = operator.attrgetter("fid")
@@ -266,10 +279,15 @@ def extend(f: ReductionFunction, arity: int) -> Callable[[ProductValue], Product
 
 
 def apply_step(f: ReductionFunction, d: ProductValue):
-    """Apply ``f`` in place of its scheme; returns (new product, changed idxs)."""
+    """Apply ``f`` in place of its scheme; returns (new product, changed idxs).
+    An ``apply`` that returns its argument tuple itself changed nothing:
+    the result is ``(d, ())``, without a per-coordinate test."""
     comps = d.components
     args = tuple([comps[i - 1] for i in f.scheme])
-    out = tuple(f.apply(args))
+    out = f.apply(args)
+    if out is args:
+        return d, ()
+    out = tuple(out)
     if len(out) != len(args):
         raise ConfigError(f"function {f.fid!r} returned {len(out)} components "
                           f"for a {len(args)}-ary scheme")
@@ -298,15 +316,15 @@ def probe_function(f: ReductionFunction, start: ProductValue,
         if not hasattr(b, "sample"):
             raise ConfigError(f"cannot sample values of kind {type(b).__name__}")
     for _ in range(samples):
-        x = tuple(b.sample(rng) for b in bottoms)
+        x = tuple([b.sample(rng) for b in bottoms])
         fx = tuple(f.apply(x))
         if len(fx) != len(x):
             raise ProbeRejectionError(f.fid, "wrong output arity")
-        if not all(lattice.leq(a, b) for a, b in zip(x, fx)):
+        if not all(map(lattice.leq, x, fx)):
             raise ProbeRejectionError(f.fid, "failed the inflation probe")
-        y = tuple(c.sample_above(rng) for c in x)
+        y = tuple([c.sample_above(rng) for c in x])
         fy = tuple(f.apply(y))
-        if not all(lattice.leq(a, b) for a, b in zip(fx, fy)):
+        if not all(map(lattice.leq, fx, fy)):
             raise ProbeRejectionError(f.fid, "failed the monotonicity probe")
 
 
@@ -333,7 +351,8 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     application count come back either way.
 
     The wake lists are memoised per changed-component tuple in a dict local
-    to the run; it grows with the number of distinct changed-component sets,
+    to the run, in batch order when the strategy's ``batch`` is a built-in
+    pure one; it grows with the number of distinct changed-component sets,
     never with the step count.
     """
     functions = tuple(functions)
@@ -373,23 +392,29 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         for i in set(f.scheme if f.reads is None else f.reads):
             dependents[i].append(pos)
 
-    # changed-component tuple -> the functions reading any of them, in
-    # registration order
+    # changed-component tuple -> the functions reading any of them: in batch
+    # order when the strategy's batch is a built-in pure one, which then
+    # runs once per wake list; else in registration order, and batch runs
+    # on every wake-up
+    pure_batch = type(strategy).batch in (Strategy.batch, LifoStrategy.batch)
     wake_lists: dict[tuple[int, ...], tuple[ReductionFunction, ...]] = {}
 
-    def woken(changed) -> tuple[ReductionFunction, ...]:
+    def woken(changed) -> Sequence[ReductionFunction]:
         fs = wake_lists.get(changed)
         if fs is None:
             positions = {p for i in changed for p in dependents[i]}
-            fs = wake_lists[changed] = tuple(functions[p] for p in sorted(positions))
-        return fs
+            fs = tuple(functions[p] for p in sorted(positions))
+            if pure_batch:
+                fs = tuple(strategy.batch(fs))
+            wake_lists[changed] = fs
+        return fs if pure_batch else strategy.batch(fs)
 
     queue = mode in ("ciq", "ciiq")
     keep_out = mode in ("cii", "ciiq")
     pending = deque() if queue else Pending()
     key = strategy.key
 
-    def push(batch: list[ReductionFunction]) -> None:
+    def push(batch: Sequence[ReductionFunction]) -> None:
         if queue:
             pending.extend(batch)
             return
@@ -413,7 +438,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         if observer is not None:
             observer(TraceStep(g.fid, changed))
         if changed:
-            batch = strategy.batch(woken(changed))
+            batch = woken(changed)
             # an idempotent g is stable at d2: cii/ciiq need not wake it
             push([f for f in batch if f is not g] if keep_out and g.idempotent
                  else batch)

@@ -27,7 +27,9 @@ integer grid's ends inline, its ``==`` tests identity before the field
 tuple, ``leq`` tests a pair of intervals before the other kinds and their
 grids by identity before equality, and ``ProductValue.replace`` stores its
 new tuple as it is.  An integer grid draws a point as ``randrange(lo, hi +
-1)``, the very call ``randint(lo, hi)`` makes, so the draws are the same.
+1)``, the very call ``randint(lo, hi)`` makes, so the draws are the same,
+and a drawn interval, two grid points in order, is built without
+``__post_init__``'s grid checks.
 """
 
 from __future__ import annotations
@@ -253,10 +255,16 @@ class GridInterval:
         return self if self.is_empty else self._sample_within(rng, self.lo, self.hi)
 
     def _sample_within(self, rng, lo, hi) -> "GridInterval":
+        grid = self.grid
         if rng.random() < 0.15:
-            return GridInterval.empty(self.grid)
-        a, b = self.grid.pick(rng, lo, hi), self.grid.pick(rng, lo, hi)
-        return GridInterval(self.grid, min(a, b), max(a, b))
+            return GridInterval.empty(grid)
+        a, b = grid.pick(rng, lo, hi), grid.pick(rng, lo, hi)
+        if b < a:
+            a, b = b, a
+        # two grid points in order: nothing for __post_init__ to check
+        drawn = object.__new__(GridInterval)
+        drawn.__dict__.update(grid=grid, lo=a, hi=b)
+        return drawn
 
     def fit(self, points) -> "GridInterval":
         """The hull of ``points`` (inside the interval); itself if that is it."""

@@ -17,11 +17,13 @@ a pair of ``C_kl`` when some value of ``m`` supports it and never builds
 ``C_km ∘ C_ml``.  With several targets, the projection onto the union of
 their schemes is fused into the join (``join_constraints(..., onto=...)``),
 and each target is intersected with its part.  Either way an application
-that removes nothing returns its arguments as they were.  A variable over a
-set domain also joins as a unary constraint (``~domN``); only
-``ConstraintSpace.join``, its inverse ``project`` and ``supported`` know
-how.  A reached state folds back into a problem: variables into the
-declared families, extensional constraints restricted to them.
+that removes nothing returns its ``args`` tuple itself, as every reducer of
+the catalogue does when it changes nothing, so the engine sees the no-change
+case in one identity test.  A variable over a set domain also joins as a
+unary constraint (``~domN``); only ``ConstraintSpace.join``, its inverse
+``project`` and ``supported`` know how.  A reached state folds back into a
+problem: variables into the declared families, extensional constraints
+restricted to them.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
@@ -38,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import contains
+from operator import contains, is_
 from typing import NamedTuple, Sequence
 
 from .csp import (
@@ -87,7 +89,10 @@ def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, Reduction
             if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
                 raise ConfigError("support projections need powerset components")
             kept = {t[k] for t in tuples if t[0] in x.elements and t[1] in y.elements}
-            return (x.fit(kept), y) if k == 0 else (x, y.fit(kept))
+            fitted = args[k].fit(kept)
+            if fitted is args[k]:
+                return args
+            return (fitted, y) if k == 0 else (x, fitted)
         return apply
 
     # each side is intersected with the support of the other: it reads only that
@@ -111,7 +116,8 @@ def make_full_projection(c: Constraint) -> ReductionFunction:
         # the membership test per coordinate: a powerset's frozenset, an interval itself
         sets = [v.elements if isinstance(v, PowersetValue) else v for v in args]
         live = [t for t in tuples if all(map(contains, sets, t))]
-        return tuple(v.fit({t[k] for t in live}) for k, v in enumerate(args))
+        out = tuple([v.fit({t[k] for t in live}) for k, v in enumerate(args)])
+        return args if all(map(is_, out, args)) else out
 
     return ReductionFunction(f"piC@{c.cid}", c.scheme, apply, idempotent=True, group=c.cid)
 
@@ -197,11 +203,13 @@ def make_linear_eq_narrowing(c: Constraint) -> ReductionFunction:
                 emptied = True
         if emptied:
             # an emptied coordinate means the whole box denotes no points
-            return tuple(v if v.is_empty else GridInterval.empty(v.grid) for v in args)
-        return tuple([
-            v if lo == v.lo and hi == v.hi
-            else GridInterval(v.grid, lo, hi) if lo <= hi else GridInterval.empty(v.grid)
-            for v, (lo, hi) in zip(args, _narrow_bounds(coeffs, b, args))])
+            out = [v if v.is_empty else GridInterval.empty(v.grid) for v in args]
+        else:
+            out = [v if lo == v.lo and hi == v.hi
+                   else GridInterval(v.grid, lo, hi) if lo <= hi
+                   else GridInterval.empty(v.grid)
+                   for v, (lo, hi) in zip(args, _narrow_bounds(coeffs, b, args))]
+        return args if all(map(is_, out, args)) else tuple(out)
 
     return ReductionFunction(f"lineq@{c.cid}", c.scheme, apply,
                              idempotent=False, group=c.cid)
@@ -492,13 +500,15 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
 
     def apply(args):
         joined = space.join(members, [args[k] for k in slots], onto)
-        out = list(args)
+        out = None
         for k, p in enumerate(targets):
             v = args[k]
             proj = space.project(joined, p)
             if not v.elements <= proj:
+                if out is None:
+                    out = list(args)
                 out[k] = v.with_elements(v.elements & proj)
-        return tuple(out)
+        return args if out is None else tuple(out)
 
     return ReductionFunction(fid, Scheme(positions), apply,
                              idempotent=True, group=group, reads=reads)
@@ -514,7 +524,8 @@ def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
     f = join_projection(space, positions, positions, name, name)
     if any(d.is_empty for d in space.csp.domains):
         # the problem has no solutions, so neither have the members jointly
-        f = replace(f, apply=lambda args: tuple(v.with_elements(()) for v in args))
+        f = replace(f, apply=lambda args: tuple(v.with_elements(()) for v in args)
+                    if any(v.elements for v in args) else args)
     return f
 
 
@@ -591,8 +602,8 @@ def make_cut_reducer(space: ConstraintSpace, gid: str,
 
     def apply(args):
         (v,) = args
-        if trivial:
-            return (v,)
+        if trivial or record in v.items:
+            return args
         return (v.with_items(v.items | {record}),)
 
     mult_txt = ",".join(str(Fraction(m)) for m in multipliers)

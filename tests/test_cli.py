@@ -577,3 +577,38 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: line 1: domain index {index} is below 1\n"
         assert captured.out == ""
+
+
+class TestUsage:
+    # 2 means the step cap was exceeded, so a usage error is an input error
+    @pytest.mark.parametrize("argv,message", [
+        (["--mode", "foo"], "argument --mode: invalid choice: 'foo'"),
+        (["--max-steps", "x"], "argument --max-steps: invalid int value: 'x'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["bad-mode", "bad-max-steps", "unknown-option"])
+    def test_run_usage_error_exits_1(self, eq_ne_file, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", eq_ne_file, "--goal", "arc", *argv])
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: propeng ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_missing_subcommand_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([])
+        assert exit_.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: propeng ")
+        assert "the following arguments are required: command" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: propeng")
+        assert captured.err == ""

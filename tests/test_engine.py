@@ -537,6 +537,58 @@ class TestScheduling:
                         observer=observed.append)
                 assert steps[0] == steps[1], mode
 
+    def test_memoised_wake_lists_keep_every_order(self, monkeypatch):
+        # a built-in pure batch runs once per wake list, any other batch on
+        # every wake-up; the steps are those of a subclass that overrides
+        # batch, which the engine calls on every wake-up
+        rng = random.Random(79)
+        lists = []
+        for _ in range(6):
+            csp = random_set_csp(rng, max_vars=5, max_constraints=5)
+            fns = [f for c in csp.constraints if len(c.scheme) == 2
+                   for f in make_binary_projections(c)]
+            fns += [make_full_projection(c) for c in csp.constraints]
+            lists.append((fns, domain_bottom(csp)))
+            eqs = random_lineq_csp(rng)
+            lists.append(([make_linear_eq_narrowing(c) for c in eqs.constraints],
+                          domain_bottom(eqs)))
+        repeated = 0    # runs that wake a changed-component tuple twice
+        for name, base in STRATEGIES.items():
+            class Listing(base):
+                calls = 0
+
+                def batch(self, functions):
+                    self.calls += 1
+                    return list(super().batch(functions))
+
+            # the class whose batch the built-in strategy runs, counted
+            owner = next(c for c in base.__mro__ if "batch" in vars(c))
+            original = vars(owner)["batch"]
+            calls = []
+
+            def counting(self, functions):
+                calls.append(functions)
+                return original(self, functions)
+
+            for fns, start in lists:
+                for mode in MODES:
+                    steps, listed = [], []
+                    calls.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(owner, "batch", counting)
+                        run(fns, start, mode=mode, strategy=make_strategy(name, 3),
+                            validate=False, observer=steps.append)
+                    listing = Listing(3)
+                    run(fns, start, mode=mode, strategy=listing, validate=False,
+                        observer=listed.append)
+                    assert steps == listed, (name, mode)
+                    woken = [s.changed_components for s in steps if s.changed]
+                    assert listing.calls == 1 + len(woken)
+                    memoised = name != "seeded"
+                    assert len(calls) == 1 + len(set(woken) if memoised else woken)
+                    repeated += len(set(woken)) < len(woken)
+        assert repeated > 0
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):
             make_strategy("fastest")

@@ -179,3 +179,46 @@ def test_pinned_draws(case, seed):
     v, rng = DRAW_CASES[case], random.Random(seed)
     got = [(_plain(v.sample(rng)), _plain(v.sample_above(rng))) for _ in range(3)]
     assert got == PINNED_DRAWS[case, seed]
+
+
+# the first 20 (sample, sample_above) pairs from random.Random(7), each
+# sample_above drawn above the sample before it, as the draws were made when
+# every drawn interval went through __post_init__'s grid checks
+WIDE_GRIDS = {
+    "int": IntGrid(0, 1000),
+    "point": PointGrid((-INF, -3, 0, 2.5, 7, 10, 11, 40, INF)),
+}
+PINNED_WIDE_DRAWS = {
+    "int": [
+        ((154, 404), (172, 364)), ((374, 596), None), ((38, 88), (42, 53)),
+        (None, None), ((579, 846), None), ((596, 642), (632, 633)), ((226, 999), None),
+        ((296, 429), None), (None, None), ((698, 835), (746, 793)), (None, None),
+        ((61, 577), (498, 569)), ((476, 599), (514, 522)), ((184, 715), (267, 491)),
+        ((351, 896), (425, 645)), (None, None), ((350, 775), (565, 600)), (None, None),
+        ((571, 782), (651, 780)), ((358, 608), (474, 562)),
+    ],
+    "point": [
+        ((0, 11), (0, 11)), (None, None), ((2.5, INF), None), ((-3, 2.5), None),
+        ((-3, 2.5), (-3, 2.5)), ((-INF, 11), (-INF, 7)), ((7, 11), None), (None, None),
+        ((-3, 0), (-3, 0)), (None, None), ((-INF, 2.5), (0, 2.5)),
+        ((10, 40), (10, 40)), ((-3, 7), (2.5, 7)), ((-3, -3), (-3, -3)),
+        ((11, 40), None), ((10, INF), (40, INF)), ((-3, 40), (2.5, 7)),
+        ((-INF, -3), (-3, -3)), ((10, 11), None), ((-3, 0), (-3, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(WIDE_GRIDS))
+def test_pinned_draws_over_wide_grids(grid):
+    rng = random.Random(7)
+    full = GridInterval.full(WIDE_GRIDS[grid])
+    got = []
+    for _ in range(20):
+        s = full.sample(rng)
+        above = s.sample_above(rng)
+        for v in (s, above):
+            # a draw is the interval the checked constructor builds
+            assert type(v) is GridInterval
+            assert vars(v) == vars(GridInterval(v.grid, v.lo, v.hi))
+        got.append((_plain(s), _plain(above)))
+    assert got == PINNED_WIDE_DRAWS[grid]

@@ -246,10 +246,42 @@ class TestLinearEqNarrow:
                 assert (new is old) == (new == old)
 
     def test_apply_step_at_fixpoint_returns_the_same_product(self):
+        # ReductionFunction's contract: an application that changes no
+        # component returns the args tuple itself, and apply_step then
+        # returns the product it was given
+        def assert_no_change(f, d):
+            args = tuple(d.component(i) for i in f.scheme)
+            assert f.apply(args) is args, f.fid
+            out, changed = apply_step(f, d)
+            assert out is d and changed == (), f.fid
+
         f = make_linear_eq_narrowing(Constraint("e", Scheme((1, 2)), self.EQ))
-        d = ProductValue((GridInterval(IntGrid(0, 9), 3, 8), GridInterval(IntGrid(1, 8), 1, 4)))
-        out, changed = apply_step(f, d)
-        assert out is d and changed == ()
+        assert_no_change(f, ProductValue(
+            (GridInterval(IntGrid(0, 9), 3, 8), GridInterval(IntGrid(1, 8), 1, 4))))
+        rng = random.Random(73)
+        kinds = set()
+        for _ in range(20):
+            cases = [(f, box_for(csp, rng)) for csp, f in domain_reducer_zoo(rng)]
+            cases += [(g, random_constraint_state(space, rng))
+                      for space, g in constraint_reducer_zoo(rng)]
+            for f, d in cases:
+                for _ in range(DEFAULT_STEP_CAP):    # lineq may need several steps
+                    d, changed = apply_step(f, d)
+                    if not changed:
+                        break
+                assert_no_change(f, d)
+                kinds.add(f.fid.split("@")[0].split("(")[0])    # rel(...): the goal's
+        assert kinds == {"pi1", "pi2", "piC", "hull", "lineq", "path", "rho", "rel"}
+
+        i1 = Constraint("i1", Scheme((1, 2)), LinearIneqBody((1, 1), 1))
+        i2 = Constraint("i2", Scheme((1, 2)), LinearIneqBody((1, -1), 0))
+        space = ConstraintSpace(CSP((IntDomain(-2, 3), IntDomain(-2, 3)), (i1, i2)),
+                                (IneqComponent("g", (i1, i2)),))
+        assert_no_change(make_cut_reducer(space, "g", [0, 0]), space.bottom())
+        cut = make_cut_reducer(space, "g", [Fraction(1, 2), Fraction(1, 2)])
+        once, changed = apply_step(cut, space.bottom())
+        assert changed == (1,)
+        assert_no_change(cut, once)
 
     @pytest.mark.parametrize("other", [
         GridInterval(PointGrid((0, 1, 2)), 0, 2),
