@@ -6,14 +6,16 @@ fixpoint.  A directional goal is the same run under a schedule that follows
 its variable order: each of its functions wakes only functions later in the
 pass, so the run applies every function once.
 
-The relational goal ``rel:<m>`` (Dechter and van Beek) runs on a constraint
-space with one component per merged input constraint, in its own
-orientation and under its id, plus a synthetic universal constraint
-``u(i,j,...)``, in sorted orientation, for each nonempty variable set that no
-input constraint covers (primed, ``u(i,j,...)'``, while an input constraint
-has that id).  Each m-subset S of the components gets one
-reducer, ``rel(<member ids>)`` (a comma or backslash in an id is escaped
-with a backslash): every component whose variables lie inside S's scopes is
+The path goals and ``rel:<m>`` take their constraint components from the
+rule a named ``rel@`` target follows too, ``reducers.constraint_components``:
+the constraints sharing a listed scheme merged (``a&b``), a universal
+constraint ``u(i,j,...)`` (primed, ``u(i,j,...)'``, while an input constraint
+has that id) for a listed scheme that none has.  ``path`` lists every ordered
+pair; ``rel:<m>`` (Dechter and van Beek) the input schemes, then each
+nonempty variable set that no input constraint covers, in sorted order.
+Under ``rel:<m>`` each m-subset S of the components gets one reducer,
+``rel(<member ids>)`` (a comma or backslash in an id is escaped with a
+backslash): every component whose variables lie inside S's scopes is
 intersected with the projection of the join of S.  With k components that
 is C(k, m) functions: 15 for ``rel:1`` and 105 for ``rel:2`` on four
 variables whose constraints cover distinct variable sets.
@@ -27,15 +29,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .csp import (
-    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, Scheme, SetDomain,
-    join_constraints, reselect,
+    CSP, DEFAULT_ENUM_CAP, Relation, Scheme, SetDomain, join_constraints, reselect,
 )
 from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, ExtComponent, RunSetup, domain_space, join_projection,
+    ConstraintSpace, RunSetup, constraint_components, domain_space, join_projection,
     make_binary_projections, make_full_projection, make_path_reducer,
-    universal_constraint,
 )
 # not called here: the benchmark's tracer (bench/tracing.py) patches these names
 from .engine import apply_step  # noqa: F401
@@ -92,34 +92,6 @@ def is_arc_consistent(csp: CSP) -> bool:
     return True
 
 
-def _merge_same_scheme(csp: CSP) -> list[Constraint]:
-    """Replace the constraints sharing a scheme by their intersection, named
-    by the first of ``a&b``, ``a&b'``, ... that no constraint of ``csp`` and
-    no earlier intersection uses."""
-    made: set[str] = set()
-    order: list[tuple] = []
-    groups: dict[tuple, list[Constraint]] = {}
-    for c in csp.constraints:
-        if not c.is_extensional:
-            raise ConfigError(f"constraint {c.cid!r} is not extensional; unsupported")
-        if c.scheme not in groups:
-            order.append(c.scheme)
-        groups.setdefault(c.scheme, []).append(c)
-    out = []
-    for key in order:
-        cs = groups[key]
-        if len(cs) == 1:
-            out.append(cs[0])
-        else:
-            tuples = frozenset.intersection(*(c.tuples for c in cs))
-            cid = "&".join(c.cid for c in cs)
-            while cid in csp.cids or cid in made:
-                cid += "'"
-            made.add(cid)
-            out.append(Constraint(cid, cs[0].scheme, ExtensionalBody(tuples)))
-    return out
-
-
 def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Dechter and van Beek's relational m-consistency, checked exhaustively:
     for any ``m`` distinct constraints and any set ``x`` of variables in their
@@ -129,7 +101,12 @@ def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) 
     does not matter."""
     if m < 1:
         raise ConfigError("relational consistency needs m >= 1")
-    merged = _merge_same_scheme(csp)
+    tuples_on: dict[Scheme, frozenset] = {}
+    for c in csp.constraints:
+        if not c.is_extensional:
+            raise ConfigError(f"constraint {c.cid!r} is not extensional; unsupported")
+        tuples_on[c.scheme] = tuples_on.get(c.scheme, c.tuples) & c.tuples
+    merged = [Relation(s, t) for s, t in tuples_on.items()]
     scopes = [frozenset(c.scheme) for c in merged]
     work = 0
     for chosen in itertools.combinations(merged, m):
@@ -162,8 +139,7 @@ def is_relationally_m_consistent(csp: CSP, m: int, cap: int = DEFAULT_ENUM_CAP) 
 
 def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
             strategy: Strategy | None = None, step_cap: int = DEFAULT_STEP_CAP,
-            early_exit: bool = False, cap: int = DEFAULT_ENUM_CAP,
-            fn_cap: int = DEFAULT_FN_CAP,
+            early_exit: bool = False,
             observer: Callable[[TraceStep], object] | None = None,
             ) -> tuple[CSP, RunTrace]:
     """Enforce ``goal`` on ``csp``; returns the reduced, equivalent problem
@@ -174,33 +150,19 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
         setup = RunSetup(domain_space(csp),
                          [make_full_projection(c) for c in csp.constraints])
     elif goal.kind == "path":
-        setup = _path_setup(csp, cap)
+        setup = _path_setup(csp)
     elif goal.kind == "rel":
-        setup = _relational_setup(csp, goal.m, cap, fn_cap)
+        setup = _relational_setup(csp, goal.m)
     elif goal.kind == "dir-arc":
         setup, strategy = _directional_arc_setup(csp, goal.order), _PassOrder()
     elif goal.kind == "dir-path":
-        setup, strategy = _path_setup(csp, cap, _check_order(csp, goal.order)), _PassOrder()
+        setup, strategy = _path_setup(csp, _check_order(csp, goal.order)), _PassOrder()
     else:
         raise ConfigError(f"unknown goal kind {goal.kind!r}")
     result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False,
                  observer=observer)
     return setup.rebuild(result.value), result.trace
-
-
-def _merged_space(csp: CSP, schemes, cap: int) -> ConstraintSpace:
-    """One component per merged constraint, then a synthetic universal
-    constraint for each of ``schemes`` (index tuples) that none of them has,
-    named against ``csp``'s own ids: an id merged away stays taken, and a
-    merged id (it has an ``&``) is never a universal's."""
-    merged = _merge_same_scheme(csp)
-    comps = [ExtComponent(c) for c in merged]
-    have = {c.scheme for c in merged}
-    for idx in schemes:
-        if idx not in have:
-            comps.append(ExtComponent(universal_constraint(csp, Scheme(idx), cap=cap)))
-    return ConstraintSpace(CSP(csp.domains, tuple(merged)), comps, cap=cap)
 
 
 def _check_binary(csp: CSP) -> None:
@@ -211,21 +173,16 @@ def _check_binary(csp: CSP) -> None:
                 f"constraint {c.cid!r} is not binary extensional; incompatible goal")
 
 
-def _binary_pair_space(csp: CSP, cap: int) -> ConstraintSpace:
-    """Unique binary constraint per ordered index pair, universal ones filled in."""
+def _path_setup(csp, rank=None):
+    """``path@k,l,m`` for every triple of distinct indices, on one component
+    per ordered pair.  Given ``rank`` (a directional goal's checked order),
+    only the triples whose ``m`` comes after ``k`` and ``l``: the latest
+    ``m`` first, by fid within one ``m``, so one pass suffices."""
     _check_binary(csp)
-    return _merged_space(
-        csp, itertools.permutations(range(1, csp.arity + 1), 2), cap)
-
-
-def _path_setup(csp, cap, rank=None):
-    """``path@k,l,m`` for every triple of distinct indices.  Given ``rank``
-    (a directional goal's checked order), only the triples whose ``m`` comes
-    after ``k`` and ``l``: the latest ``m`` first, by fid within one ``m``,
-    so one pass suffices."""
-    space = _binary_pair_space(csp, cap)
+    indices = range(1, csp.arity + 1)
+    space = ConstraintSpace(*constraint_components(csp, itertools.permutations(indices, 2)))
     fns = []
-    for k, l, m in itertools.permutations(range(1, csp.arity + 1), 3):
+    for k, l, m in itertools.permutations(indices, 3):
         if rank is None or (rank[k] < rank[m] and rank[l] < rank[m]):
             fns.append((m, make_path_reducer(space, k, l, m)))
     if rank is not None:
@@ -233,23 +190,26 @@ def _path_setup(csp, cap, rank=None):
     return RunSetup(space, [f for _, f in fns])
 
 
-def _relational_setup(csp, m, cap, fn_cap):
+def _relational_setup(csp, m):
     if m is None or m < 1:
         raise ConfigError("relational goal needs an arity m >= 1")
     n = csp.arity
     # k components: the merged constraints (one per ordered scheme) and a
     # universal one per variable set that none of them covers
-    schemes = {c.scheme for c in csp.constraints}
+    schemes = list(dict.fromkeys(c.scheme for c in csp.constraints))
     covered = {frozenset(s) for s in schemes}
     sets = 2 ** n - 1
     k = len(schemes) + sets - len(covered)
-    if sets > fn_cap or math.comb(k, m) > fn_cap:
+    if sets > DEFAULT_FN_CAP or math.comb(k, m) > DEFAULT_FN_CAP:
         raise ResourceLimitError(
             f"relational goal over {n} variables ({sets} variable sets) needs "
-            f"C({k},{m}) functions; the cap is {fn_cap}")
-    space = _merged_space(csp, (
+            f"C({k},{m}) functions; the cap is {DEFAULT_FN_CAP}")
+    for c in csp.constraints:
+        if not c.is_extensional:
+            raise ConfigError(f"constraint {c.cid!r} is not extensional; unsupported")
+    space = ConstraintSpace(*constraint_components(csp, schemes + [
         s for r in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), r)
-        if frozenset(s) not in covered), cap)
+        if frozenset(s) not in covered]))
     comps = space.components
     scopes = [frozenset(c.scheme) for c in comps]
     # escaped, so that ids with commas in them cannot make two function ids equal

@@ -25,6 +25,11 @@ unary constraint (``~domN``); only ``ConstraintSpace.join``, its inverse
 problem: variables into the declared families, extensional constraints
 restricted to them.
 
+The constraint on a scheme is decided in one place, ``constraint_components``,
+for the path and ``rel:m`` goals and a named ``rel@`` target alike: the
+constraints on it merged (``a&b``), or a universal one when there is none; an
+index outside ``1..n`` is an error before anything is built.
+
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
 ``_narrow_bounds``, the one bound formula, reads the intervals as they are.
@@ -279,10 +284,9 @@ class ConstraintSpace:
     when it has any, then one component per constraint or inequality group;
     builds the start state and rebuilds a problem from any reached state."""
 
-    def __init__(self, csp: CSP, components: Sequence, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, csp: CSP, components: Sequence):
         self.csp = csp
         self.components = tuple(components)
-        self.cap = cap
         self._by_key: dict[str, int] = {}
         self._by_scheme: dict[tuple, list[int]] = {}
         # joinable components; a variable is added when first joined
@@ -359,7 +363,7 @@ class ConstraintSpace:
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
                      if p <= self._variables else v.elements)
-            for p, v in zip(positions, values)], cap=self.cap, onto=onto, within=within)
+            for p, v in zip(positions, values)], onto=onto, within=within)
 
     def supported(self, pos: int, value, positions: Sequence[int],
                   values: Sequence) -> frozenset:
@@ -442,21 +446,55 @@ def csp_from_domain_state(csp: CSP, state: ProductValue) -> CSP:
     return domain_space(csp).rebuild(state)
 
 
-def universal_constraint(csp: CSP, scheme: Scheme, cap: int = DEFAULT_ENUM_CAP) -> Constraint:
+def universal_constraint(csp: CSP, scheme: Scheme) -> Constraint:
     """The full product of the domains along ``scheme``, as a constraint
     named by the first of ``u(i,j,...)``, ``u(i,j,...)'``, ... that no
     constraint of ``csp`` uses."""
     size = 1
     for i in scheme:
         size *= len(csp.domain_members(i))
-        if size > cap:
+        if size > DEFAULT_ENUM_CAP:
             raise ResourceLimitError(
-                f"universal constraint over {scheme} exceeds {cap} tuples")
+                f"universal constraint over {scheme} exceeds {DEFAULT_ENUM_CAP} tuples")
     tuples = frozenset(itertools.product(*(csp.domain_members(i) for i in scheme)))
     cid = "u(" + ",".join(map(str, scheme)) + ")"
     while cid in csp.cids:
         cid += "'"
     return Constraint(cid, scheme, ExtensionalBody(tuples))
+
+
+def constraint_components(csp: CSP, schemes) -> tuple[CSP, list[ExtComponent]]:
+    """The problem a constraint space rebuilds from, and its extensional
+    components: the extensional constraints of ``csp`` in input order, those
+    sharing one of ``schemes`` merged, at the first one's place, into their
+    intersection, named by the first of ``a&b``, ``a&b'``, ... that no
+    constraint of ``csp`` and no earlier intersection uses; then a universal
+    constraint for each of ``schemes`` that none has, in the order given."""
+    schemes = list(dict.fromkeys(map(Scheme, schemes)))
+    for s in schemes:
+        if not all(1 <= i <= csp.arity for i in s):
+            raise ConfigError(f"scheme {s} has an index outside 1..{csp.arity}")
+    groups: dict[Scheme, list[Constraint]] = {s: [] for s in schemes}
+    for c in csp.constraints:
+        if c.is_extensional and c.scheme in groups:
+            groups[c.scheme].append(c)
+    base: list[Constraint] = []
+    made: dict[Scheme, str] = {}    # each merged scheme, to its intersection's id
+    for c in csp.constraints:
+        group = groups.get(c.scheme, ()) if c.is_extensional else ()
+        if len(group) < 2:
+            base.append(c)
+        elif c.scheme not in made:
+            cid = "&".join(m.cid for m in group)
+            while cid in csp.cids or cid in made.values():
+                cid += "'"
+            made[c.scheme] = cid
+            base.append(Constraint(cid, c.scheme, ExtensionalBody(
+                frozenset.intersection(*(m.tuples for m in group)))))
+    comps = [ExtComponent(c) for c in base if c.is_extensional]
+    comps.extend(ExtComponent(universal_constraint(csp, s))
+                 for s in schemes if not groups[s])
+    return CSP(csp.domains, tuple(base)), comps
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +714,10 @@ def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
     return (make_interval_hull_projection if kind == "hull" else make_linear_eq_narrowing)(c)
 
 
-def build_named_reducers(csp: CSP, names: Sequence[str],
-                         cap: int = DEFAULT_ENUM_CAP) -> RunSetup:
+def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
     """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
-    ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2`` against a problem."""
+    ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2`` against a problem; the
+    constraints are ``constraint_components(csp, <the rel@ targets>)``."""
     parsed = [_parse_name(s) for s in names]
     if not parsed:
         raise ConfigError("no reducers given")
@@ -705,20 +743,20 @@ def build_named_reducers(csp: CSP, names: Sequence[str],
     components: list = []
     if not kinds.isdisjoint(_DOMAIN_KINDS) or any(m.startswith("~dom") for m in joined):
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
+    base, extensional = csp, []
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
-        components.extend(ExtComponent(c) for c in csp.constraints if c.is_extensional)
+        base, extensional = constraint_components(
+            csp, [head for kind, _, head, _ in parsed if kind == "rel"])
+    # traces number the components: the inequality groups keep their place
+    # between the constraints and the universal ones
+    given = sum(c.is_extensional for c in base.constraints)
+    components.extend(extensional[:given])
     for cids in sorted(cut_groups):
         components.append(IneqComponent("cutset(" + ",".join(cids) + ")",
                                         tuple(map(constraint, cids))))
+    components.extend(extensional[given:])
 
-    # relational targets may need a universal constraint materialized
-    have_schemes = {c.scheme for c in csp.constraints if c.is_extensional}
-    for kind, _, t, _ in parsed:
-        if kind == "rel" and t not in have_schemes:
-            components.append(ExtComponent(universal_constraint(csp, Scheme(t), cap=cap)))
-            have_schemes.add(t)
-
-    space = ConstraintSpace(csp, components, cap=cap)
+    space = ConstraintSpace(base, components)
     fns: list[ReductionFunction] = []
     for kind, rest, head, tail in parsed:
         if kind in _DOMAIN_KINDS:

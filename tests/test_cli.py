@@ -370,6 +370,37 @@ class TestRunCommand:
         assert "constraint a&b' scheme (1,2) tuples {(0,0),(1,1)}" in lines
         assert "constraint a&b scheme (2,3) tuples {(0,0),(1,1)}" in lines
 
+    # a relational target's indices are checked against 1..n before
+    # anything is built
+    @pytest.mark.parametrize("target", ["1,9", "0,1"])
+    def test_relational_target_outside_the_domains(self, tmp_path, capsys, target):
+        p = tmp_path / "chain.csp"
+        p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                     "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                     "constraint b scheme (2,3) tuples {(0,1)}\n")
+        assert main(["run", str(p), "--reducers", f"rel@{target};a"]) == 1
+        captured = capsys.readouterr()
+        scheme = "(" + target.replace(",", ", ") + ")"
+        assert captured.err == f"error: scheme {scheme} has an index outside 1..3\n"
+        assert captured.out == ""
+
+    def test_relational_target_on_a_shared_scheme_is_merged(self, tmp_path, capsys):
+        # a and b share the target's scheme: they become one constraint, a&b,
+        # as the goals merge them
+        p = tmp_path / "shared.csp"
+        p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                     "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                     "constraint b scheme (1,2) tuples {(0,0),(0,1),(1,1)}\n"
+                     "constraint c scheme (2,3) tuples {(0,1)}\n")
+        code = main(["run", str(p), "--reducers", "rel@1,2;c,~dom1",
+                     "--check-equivalence"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line for line in lines if line.startswith("constraint")] == [
+            "constraint a&b scheme (1,2) tuples {(0,0)}",
+            "constraint c scheme (2,3) tuples {(0,1)}"]
+        assert "# equivalence: PASS" in lines
+
     def test_early_exit_flag(self, tmp_path, capsys):
         p = tmp_path / "wipe.csp"
         p.write_text(
@@ -577,6 +608,56 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: line 1: domain index {index} is below 1\n"
         assert captured.out == ""
+
+
+# well-formed but odd problems, goals, reducer lists and output modes: every
+# run ends in an exit status, never in an uncaught exception
+SWEEP_PROBLEMS = {
+    "sets": ("domain 1 set {0,1,2}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+             "constraint c1 scheme (1,2) tuples {(0,0),(1,1),(2,1)}\n"
+             "constraint c2 scheme (2,3) tuples {(0,1),(1,0)}\n"
+             "constraint c3 scheme (1,2) tuples {(0,0),(2,1)}\n"),
+    "ints": ("domain 1 int [0..3]\ndomain 2 int [0..3]\ndomain 3 int [0..3]\n"
+             "constraint c1 scheme (1,2) lineq 1*x1 + 1*x2 = 3\n"
+             "constraint c2 scheme (2,3) leq 1*x2 + 1*x3 <= 2\n"
+             "constraint c3 scheme (1,3) tuples {(0,0),(1,2),(3,1)}\n"),
+    "empty-set": ("domain 1 set {}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                  "constraint c1 scheme (1,2) tuples {}\n"
+                  "constraint c2 scheme (2,3) tuples {(0,0),(1,1)}\n"),
+    "unary": ("domain 1 set {0,1,2}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+              "constraint c1 scheme (1) tuples {(0),(2)}\n"
+              "constraint c2 scheme (1,3) tuples {(0,1),(1,1)}\n"),
+    "none": "domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {a}\n",
+    "empty-int": ("domain 1 int [1..0]\ndomain 2 int [0..2]\ndomain 3 int [0..2]\n"
+                  "constraint c1 scheme (1,2) lineq 1*x1 - 1*x2 = 0\n"
+                  "constraint c2 scheme (2,3) tuples {(0,0),(2,1)}\n"),
+}
+SWEEP_RUNS = [
+    *(["--goal", g] for g in ["arc", "path", "rel:0", "rel:1", "rel:2", "dir-arc:2,1",
+                              "dir-arc:3,1,2", "dir-path:1", "dir-path:3,2,1"]),
+    *(["--reducers", r] for r in [
+        "rel@1,9;c1", "rel@0,1;c1", "rel@4;c1,c2", "rel@1,2;c2,~dom1",
+        "rel@2,1;c1,~dom9", "rel@1,3;c1,c2", "path@1,2,9", "path@1,1,2", "path@0,1,2",
+        "path@1,2,3", "rho@c1,~dom0", "rho@c2,~dom9", "rho@c1,c2", "cut@c1;1",
+        "cut@c2;1/2", "piC@c1,pi1@c2", "lineq@c1,hull@c3",
+        "piC@c2,rel@1,2,3;c1,c2,~dom2"]),
+]
+SWEEP_OUTPUTS = [[], ["--format", "json", "--trace", "--check-equivalence"],
+                 ["--mode", "ciq", "--early-exit"]]
+
+
+@pytest.mark.parametrize("problem", sorted(SWEEP_PROBLEMS))
+def test_odd_runs_end_in_an_exit_status(tmp_path, capsys, problem):
+    p = tmp_path / "sweep.csp"
+    p.write_text(SWEEP_PROBLEMS[problem])
+    for run in SWEEP_RUNS:
+        for output in SWEEP_OUTPUTS:
+            code = main(["run", str(p), *run, *output])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (run, output)
+            assert "Traceback" not in err
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, (run, output)
 
 
 class TestUsage:

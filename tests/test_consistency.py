@@ -13,11 +13,11 @@ from conftest import (
 )
 from propeng import consistency
 from propeng.consistency import (
-    DEFAULT_FN_CAP, ConsistencyGoal, achieve, is_arc_consistent,
+    ConsistencyGoal, achieve, is_arc_consistent,
     is_relationally_m_consistent, parse_goal,
 )
 from propeng.csp import (
-    CSP, Constraint, DEFAULT_ENUM_CAP, ExtensionalBody, LinearEqBody, Scheme,
+    CSP, Constraint, ExtensionalBody, LinearEqBody, Scheme,
     SetDomain, equivalent, solutions,
 )
 from propeng.engine import MODES, STRATEGIES, Outcome, make_strategy
@@ -237,7 +237,7 @@ class TestAchieveRelational:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_function_per_m_subset(self, m):
         for csp in relational_problems(107, 8):
-            setup = consistency._relational_setup(csp, m, DEFAULT_ENUM_CAP, DEFAULT_FN_CAP)
+            setup = consistency._relational_setup(csp, m)
             assert len(setup.functions) == math.comb(len(setup.space.components), m)
 
     def test_function_cap_checked_before_building(self, monkeypatch):
@@ -248,11 +248,14 @@ class TestAchieveRelational:
         goal = ConsistencyGoal("rel", m=2)
         built = []
         with monkeypatch.context() as patch:
-            patch.setattr(consistency, "_merged_space", lambda *args: built.append(args))
+            patch.setattr(consistency, "constraint_components",
+                          lambda *args: built.append(args))
+            patch.setattr(consistency, "DEFAULT_FN_CAP", 104)
             with pytest.raises(ResourceLimitError):
-                achieve(csp, goal, fn_cap=104)
+                achieve(csp, goal)
         assert built == []
-        _, trace = achieve(csp, goal, fn_cap=105)
+        monkeypatch.setattr(consistency, "DEFAULT_FN_CAP", 105)
+        _, trace = achieve(csp, goal)
         assert trace.outcome is Outcome.CONVERGED
 
     def test_same_scheme_constraints_merged(self):
@@ -269,8 +272,9 @@ class TestAchieveRelational:
         csp = CSP((D01,) * 3,
                   (ext("a&b", (1, 2), {(0, 0), (1, 1)}), ext("c", (1, 2), {(0, 0)}),
                    ext("a", (2, 3), {(0, 0), (1, 1)}), ext("b&c", (2, 3), {(0, 0)})))
-        assert [c.cid for c in consistency._merge_same_scheme(csp)] == ["a&b&c", "a&b&c'"]
         out, _ = achieve(csp, ConsistencyGoal("rel", m=1))
+        assert [c.cid for c in out.constraints[:2]] == ["a&b&c", "a&b&c'"]
+        assert [c.scheme for c in out.constraints[:2]] == [(1, 2), (2, 3)]
         assert equivalent(csp, out)
 
 

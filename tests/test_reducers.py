@@ -12,9 +12,8 @@ import pytest
 
 from conftest import random_binary_constraint, random_set_csp
 from propeng import consistency
-from propeng.consistency import DEFAULT_FN_CAP
 from propeng.csp import (
-    CSP, DEFAULT_ENUM_CAP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
+    CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
     LinearIneqBody, Scheme, SetDomain, equivalent, solutions,
 )
 from propeng.engine import (
@@ -935,7 +934,7 @@ def constraint_reducer_zoo(rng):
     out.append((sp, make_solution_projection(sp, ["ckl", "cml"])))
     out.append((sp, make_relational_reducer(sp, Scheme((1, 2)), ["ckm", "cml"])))
     # a relational-goal reducer whose targets strictly include its members
-    rel = consistency._relational_setup(csp, 2, DEFAULT_ENUM_CAP, DEFAULT_FN_CAP)
+    rel = consistency._relational_setup(csp, 2)
     out.append((rel.space, rng.choice([f for f in rel.functions if f.reads])))
     # a domain reducer on the variables of a mixed space
     out.append((mixed_space(csp), rng.choice(make_binary_projections(c_kl))))
