@@ -295,10 +295,19 @@ def _join_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...] | Non
     return tuple(steps), _tuple_getter([union.index(i) for i in onto]), Scheme(onto)
 
 
+class WitnessPlan(NamedTuple):
+    """How ``join_constraints(..., within=...)`` searches witnesses among
+    members of fixed schemes (``witness_plan``)."""
+
+    first: tuple
+    levels: tuple
+    scheme: Scheme
+
+
 @lru_cache(maxsize=4096)
-def _witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]):
+def witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]) -> WitnessPlan:
     """How to search, for a tuple over ``onto``, a tuple of the join of
-    relations over ``schemes`` that it is the restriction of.  Returns the
+    relations over ``schemes`` that it is the restriction of: the
     membership tests on the tuple itself (member, getter of the member's
     coordinates), then the levels, then the scheme ``onto``.  A level
     appends a whole tuple of one member to the tuple built so far, so the
@@ -330,7 +339,7 @@ def _witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]):
                  _key_getter([s.index(i) for i in shared]))
         bound += s
         levels.append(level + (tests(),))
-    return first, tuple(levels), Scheme(onto)
+    return WitnessPlan(first, tuple(levels), Scheme(onto))
 
 
 def _extends(t: tuple, levels: list, k: int) -> bool:
@@ -351,25 +360,26 @@ def _extends(t: tuple, levels: list, k: int) -> bool:
     return False
 
 
-def _witnessed(cs: Sequence, onto: tuple, within: frozenset) -> Relation:
-    """The tuples of ``within`` (over ``onto``) that have a witness in the
-    join of ``cs``; ``within`` itself when all have one.  Each member with
-    a free coordinate is indexed on its bound ones, for this call only."""
-    first, levels, scheme = _witness_plan(tuple([c.scheme for c in cs]), onto)
+def _witnessed(sets: Sequence[frozenset], plan: WitnessPlan, within: frozenset) -> Relation:
+    """The tuples of ``within`` (over ``plan.scheme``) that have a witness
+    in the join of the members, whose tuple sets ``sets`` holds in the
+    plan's order; ``within`` itself when all have one.  Each member with a
+    free coordinate is indexed on its bound ones, for this call only."""
+    first, levels, scheme = plan
     kept = within
     for j, pick in first:
-        tuples = cs[j].tuples
+        tuples = sets[j]
         kept = [t for t in kept if pick(t) in tuples]
     index = []
     for j, key, member_key, tests in levels:
         buckets: dict = {}
-        for u in cs[j].tuples:
+        for u in sets[j]:
             k = member_key(u)
             if k in buckets:
                 buckets[k].append(u)
             else:
                 buckets[k] = [u]
-        index.append((key, buckets.get, [(pick, cs[i].tuples) for i, pick in tests]))
+        index.append((key, buckets.get, [(pick, sets[i]) for i, pick in tests]))
     if len(index) == 1 and len(index[0][2]) == 1:
         # one member to bind, then one test (path reduction's shape)
         ((key, get, ((pick, tuples),)),) = index
@@ -386,7 +396,7 @@ def _witnessed(cs: Sequence, onto: tuple, within: frozenset) -> Relation:
 
 
 def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
-                     onto: Scheme | None = None,
+                     onto: Scheme | WitnessPlan | None = None,
                      within: frozenset | None = None) -> Relation:
     """Relational join of relations or extensional constraints (anything with
     ``.scheme`` and ``.tuples``): a tuple belongs iff its restriction to every
@@ -400,17 +410,23 @@ def join_constraints(cs: Sequence, cap: int | None = DEFAULT_ENUM_CAP,
     With ``within`` too, a set of tuples over ``onto``, the result is the
     tuples of ``within`` that the join, reselected onto ``onto``, holds, and
     the join is never built: for each tuple the search looks for one witness
-    (``_witness_plan``).  A member whose coordinates are all bound is a
+    (``witness_plan``).  A member whose coordinates are all bound is a
     membership test; a member with a free coordinate is indexed on its bound
     ones for the call; the search stops at the first witness.  Nothing grows
     with the join, so ``cap`` does not apply.  When every tuple has a
-    witness, the result holds ``within`` itself."""
+    witness, the result holds ``within`` itself.  A caller that searches
+    among members of the same schemes on every call resolves their plan once
+    and passes it as ``onto``, with ``cs`` the members' tuple sets in the
+    order of the schemes it was resolved for."""
     if not cs:
         raise ConfigError("cannot join an empty sequence of constraints")
     if within is not None:
         if onto is None:
             raise ConfigError("a join within a tuple set needs its scheme (onto)")
-        return _witnessed(cs, onto, within)
+        if type(onto) is WitnessPlan:
+            return _witnessed(cs, onto, within)
+        return _witnessed([c.tuples for c in cs],
+                          witness_plan(tuple([c.scheme for c in cs]), onto), within)
     steps, pick, scheme = _join_plan(tuple(c.scheme for c in cs), onto)
     tuples = cs[0].tuples
     if not steps:

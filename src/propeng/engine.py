@@ -30,9 +30,11 @@ function outside the worklist is stable at the current state.  A set mode
 keeps its pending functions in a list sorted by the strategy's ``key``, which
 it maintains by bisection, and hands that list to the strategy's ``choose``;
 so one step costs O(log F + wake degree) key evaluations for F functions,
-not O(F).  Beside the list, ``Pending.recent`` keeps the wake order: a
-function woken again while pending moves to the back of it, so ``lifo``,
-which takes the back, runs the most recently woken function first.
+not O(F).  The pick deletes ``pending[0]`` without a search when that is
+the chosen function, as it always is under ``det`` and ``block``.  Beside
+the list, ``Pending.recent`` keeps the wake order: a function woken again
+while pending moves to the back of it, so ``lifo``, which takes the back,
+runs the most recently woken function first.
 
 The engine is generic over the component orders: it knows no value family.
 It compares components with ``lattice.leq`` and tests them with
@@ -418,10 +420,12 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         if queue:
             pending.extend(batch)
             return
+        recent = pending.recent
         for f in batch:
-            if pending.recent.pop(f.fid, None) is None:
+            fid = f.fid
+            if recent.pop(fid, None) is None:
                 bisect.insort(pending, f, key=key)
-            pending.recent[f.fid] = f    # a re-woken function moves to the back
+            recent[fid] = f    # a re-woken function moves to the back
 
     push(strategy.batch(functions))
     while pending:
@@ -432,7 +436,10 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
         else:
             g = strategy.choose(pending)
             del pending.recent[g.fid]
-            del pending[bisect.bisect_left(pending, key(g), key=key)]
+            if pending[0] is g:     # always so under det and block
+                del pending[0]
+            else:
+                del pending[bisect.bisect_left(pending, key(g), key=key)]
         d2, changed = apply_step(g, d)
         applications += 1
         if observer is not None:

@@ -14,16 +14,17 @@ with the projection of the join of the members.  With one target, the join
 is a witness search (``join_constraints(..., within=...)``): it keeps the
 target's tuples that extend to a tuple of the join, so path reduction keeps
 a pair of ``C_kl`` when some value of ``m`` supports it and never builds
-``C_km ∘ C_ml``.  With several targets, the projection onto the union of
-their schemes is fused into the join (``join_constraints(..., onto=...)``),
-and each target is intersected with its part.  Either way an application
-that removes nothing returns its ``args`` tuple itself, as every reducer of
-the catalogue does when it changes nothing, so the engine sees the no-change
-case in one identity test.  A variable over a set domain also joins as a
-unary constraint (``~domN``); only ``ConstraintSpace.join``, its inverse
-``project`` and ``supported`` know how.  A reached state folds back into a
-problem: variables into the declared families, extensional constraints
-restricted to them.
+``C_km ∘ C_ml``; such a reducer resolves the search's plan when it is built,
+so an application is one ``join_constraints`` call.  With several targets,
+the projection onto the union of their schemes is fused into the join
+(``join_constraints(..., onto=...)``), and each target is intersected with
+its part.  Either way an application that removes nothing returns its
+``args`` tuple itself, as every reducer of the catalogue does when it
+changes nothing, so the engine sees the no-change case in one identity test.
+A variable over a set domain also joins as a unary constraint (``~domN``);
+only ``join_projection`` and ``ConstraintSpace.join`` and ``project`` know
+how.  A reached state folds back into a problem: variables into the declared
+families, extensional constraints restricted to them.
 
 The constraint on a scheme is decided in one place, ``constraint_components``,
 for the path and ``rel:m`` goals and a named ``rel@`` target alike: the
@@ -51,7 +52,7 @@ from typing import NamedTuple, Sequence
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, Domain, ExtensionalBody, IntDomain,
     LinearEqBody, LinearIneqBody, Relation, Scheme, SetDomain,
-    join_constraints, reselect, scheme_union,
+    join_constraints, reselect, scheme_union, witness_plan,
 )
 from .engine import ReductionFunction
 from .errors import ConfigError, DataError, ResourceLimitError
@@ -354,29 +355,15 @@ class ConstraintSpace:
         return [self._join_schemes[p] for p in positions]
 
     def join(self, positions: Sequence[int], values: Sequence,
-             onto: Scheme | None = None, within: frozenset | None = None) -> Relation:
+             onto: Scheme | None = None) -> Relation:
         """The join of the current tuple sets ``values`` of the components at
-        ``positions``, reselected onto ``onto`` when given, and kept to the
-        tuples of ``within`` when given; a variable's atoms join as
-        1-tuples."""
+        ``positions``, reselected onto ``onto`` when given; a variable's
+        atoms join as 1-tuples."""
         return join_constraints([
             Relation(self._join_schemes[p],
                      frozenset((a,) for a in v.elements)
                      if p <= self._variables else v.elements)
-            for p, v in zip(positions, values)], onto=onto, within=within)
-
-    def supported(self, pos: int, value, positions: Sequence[int],
-                  values: Sequence) -> frozenset:
-        """The elements of ``value``, the component at ``pos``, that are the
-        restriction of a tuple of the join of ``values`` (the components at
-        ``positions``), found by the join's witness search; ``value.elements``
-        itself when all of them are."""
-        scheme = self._join_schemes[pos]
-        if pos > self._variables:
-            return self.join(positions, values, scheme, value.elements).tuples
-        within = frozenset((a,) for a in value.elements)
-        kept = self.join(positions, values, scheme, within).tuples
-        return value.elements if kept is within else frozenset(a for (a,) in kept)
+            for p, v in zip(positions, values)], onto=onto)
 
     def project(self, joined: Relation, pos: int) -> frozenset:
         """The inverse of ``join`` for the component at ``pos``: the joined
@@ -450,13 +437,13 @@ def universal_constraint(csp: CSP, scheme: Scheme) -> Constraint:
     """The full product of the domains along ``scheme``, as a constraint
     named by the first of ``u(i,j,...)``, ``u(i,j,...)'``, ... that no
     constraint of ``csp`` uses."""
-    size = 1
+    members = []
     for i in scheme:
-        size *= len(csp.domain_members(i))
-        if size > DEFAULT_ENUM_CAP:
+        members.append(csp.domain_members(i))
+        if math.prod(map(len, members)) > DEFAULT_ENUM_CAP:
             raise ResourceLimitError(
                 f"universal constraint over {scheme} exceeds {DEFAULT_ENUM_CAP} tuples")
-    tuples = frozenset(itertools.product(*(csp.domain_members(i) for i in scheme)))
+    tuples = frozenset(itertools.product(*members))
     cid = "u(" + ",".join(map(str, scheme)) + ")"
     while cid in csp.cids:
         cid += "'"
@@ -506,11 +493,13 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
     ``rho``, path and relational reduction).  One target keeps the tuples
-    that have a witness in the join (``ConstraintSpace.supported``); several
-    take the join straight onto the union of their schemes, one join for all
-    of them where the witness search would run once per target.  A target it
-    removes nothing from is returned as it was.  It reads only its members:
-    shrinking a target that is not a member leaves it stable."""
+    that have a witness in the join: the witness plan and the members' slots
+    are resolved here, once, and an application is one ``join_constraints``
+    call with the plan as ``onto``.  Several targets take the join straight
+    onto the union of their schemes, one join for all of them where the
+    witness search would run once per target.  A target it removes nothing
+    from is returned as it was.  It reads only its members: shrinking a
+    target that is not a member leaves it stable."""
     members = tuple(members)
     member_schemes = space.join_schemes(members)
     target_schemes = space.join_schemes(targets)
@@ -524,12 +513,23 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
     reads = None if set(targets) <= set(members) else members
 
     if len(targets) == 1:
-        (target,) = targets
+        plan = witness_plan(tuple(member_schemes), target_schemes[0])
+        # the slots of the variables, whose atoms join as 1-tuples
+        atom_slots = tuple(k for k, p in enumerate(positions)
+                           if isinstance(space.components[p - 1], DomainComponent))
 
         def apply(args):
             v = args[0]
-            kept = space.supported(target, v, members, [args[k] for k in slots])
-            return args if kept is v.elements else (v.with_elements(kept),) + args[1:]
+            within = frozenset((a,) for a in v.elements) if 0 in atom_slots else v.elements
+            kept = join_constraints(
+                [frozenset((a,) for a in args[k].elements) if k in atom_slots
+                 else args[k].elements for k in slots],
+                onto=plan, within=within).tuples
+            if kept is within:
+                return args
+            if 0 in atom_slots:
+                kept = {a for (a,) in kept}
+            return (v.with_elements(kept),) + args[1:]
 
         return ReductionFunction(fid, Scheme(positions), apply,
                                  idempotent=True, group=group, reads=reads)

@@ -243,6 +243,23 @@ class TestRunCommand:
         assert main(["run", eq_ne_file, "--goal", "arc", "--max-steps", "0"]) == 2
         assert "# outcome: step-limit applications=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("names, message", [
+        ("path@3,1,2", "no constraint with scheme (3, 1)"),
+        ("rho@a,a", "member constraints must be distinct and nonempty"),
+        ("rel@1,2;a,a", "member constraints must be distinct and nonempty"),
+    ])
+    def test_reducer_build_errors_are_input_errors(self, tmp_path, capsys, names, message):
+        # only (1,2), (2,3) and (1,3) are constrained: path@3,1,2 has no target
+        p = tmp_path / "three.csp"
+        p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                     "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                     "constraint b scheme (2,3) tuples {(0,1)}\n"
+                     "constraint c scheme (1,3) tuples {(0,1),(1,1)}\n")
+        assert main(["run", str(p), "--reducers", names]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_deterministic_trace_is_byte_identical(self, eq_ne_file, capsys):
         args = ["run", eq_ne_file, "--goal", "arc", "--trace"]
         main(args)

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from propeng.csp import Relation, Scheme, join_constraints  # noqa: E402
+from propeng.csp import Relation, Scheme, join_constraints, witness_plan  # noqa: E402
 
 ATOMS = (0, 1, 2)
 
@@ -58,3 +58,7 @@ def test_within_keeps_the_tuples_the_join_holds(case):
     assert (got.tuples is within) == (within <= joined)
     # nothing materialised, so no cap is reached
     assert join_constraints(members, cap=0, onto=onto, within=within).tuples == got.tuples
+    # a plan resolved once, with the members' bare tuple sets
+    plan = witness_plan(tuple(m.scheme for m in members), onto)
+    again = join_constraints([m.tuples for m in members], onto=plan, within=within)
+    assert again == got

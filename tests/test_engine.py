@@ -17,7 +17,7 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
 )
 from propeng.engine import (
-    MODES, STRATEGIES, Outcome, ReductionFunction, Strategy, TraceStep,
+    MODES, STRATEGIES, Outcome, Pending, ReductionFunction, Strategy, TraceStep,
     apply_step, closure_star, compare_limits, extend, make_strategy,
     probe_function, run,
 )
@@ -84,6 +84,54 @@ def named_lists(rng, count):
         setup = build_named_reducers(
             csp, rng.sample(NAMED_POOL, rng.randint(2, len(NAMED_POOL))))
         yield setup.functions, setup.start
+
+
+def path_lists(rng, count):
+    """(random ``path@`` reducers, start) over a constraint on every ordered
+    pair of three or four variables."""
+    for _ in range(count):
+        n = rng.randint(3, 4)
+        domains = [frozenset(range(rng.randint(2, 3))) for _ in range(n)]
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        csp = CSP(tuple(SetDomain(d) for d in domains), tuple(
+            random_binary_constraint(rng, domains[i - 1], domains[j - 1], f"c{i}{j}", (i, j))
+            for i, j in pairs))
+        triples = list(itertools.permutations(range(1, n + 1), 3))
+        names = ["path@%d,%d,%d" % t for t in rng.sample(triples, rng.randint(2, len(triples)))]
+        setup = build_named_reducers(csp, names)
+        yield setup.functions, setup.start
+
+
+def reference_set_run(functions, start, mode, strategy):
+    """The steps and the value of a set-mode run (``ci`` or ``cii``), by
+    Apt's generic iteration written plainly: the worklist is a dict in wake
+    order, re-sorted for every pick, and the readers of a change are found
+    by scanning every function."""
+    functions = tuple(functions)
+    strategy.reset(functions)
+    pending = {}
+
+    def push(batch):
+        for f in batch:
+            pending.pop(f.fid, None)
+            pending[f.fid] = f
+
+    push(strategy.batch(functions))
+    d, steps = start, []
+    while pending:
+        view = Pending()
+        view.extend(sorted(pending.values(), key=strategy.key))
+        view.recent.update(pending)
+        g = strategy.choose(view)
+        del pending[g.fid]
+        d, changed = apply_step(g, d)
+        steps.append(TraceStep(g.fid, changed))
+        if changed:
+            readers = tuple(f for f in functions
+                            if set(changed) & set(f.scheme if f.reads is None else f.reads))
+            push([f for f in strategy.batch(readers)
+                  if not (mode == "cii" and f is g and g.idempotent)])
+    return steps, d
 
 
 def keep_only_one(args):
@@ -588,6 +636,22 @@ class TestScheduling:
                     assert len(calls) == 1 + len(set(woken) if memoised else woken)
                     repeated += len(set(woken)) < len(woken)
         assert repeated > 0
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_set_modes_match_a_reference_worklist(self, name):
+        rng = random.Random(83)
+        lists = [*projection_lists(rng, 8), *path_lists(rng, 8)]
+        changes = 0
+        for fns, start in lists:
+            for mode in ("ci", "cii"):
+                steps = []
+                res = run(fns, start, mode=mode, strategy=make_strategy(name, 4),
+                          validate=False, observer=steps.append)
+                want, value = reference_set_run(fns, start, mode, make_strategy(name, 4))
+                assert steps == want, (name, mode, [f.fid for f in fns])
+                assert res.value == value
+                changes += sum(s.changed for s in steps)
+        assert changes > len(lists)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_binary_constraint, random_set_csp
-from propeng import consistency
+from propeng import consistency, reducers
 from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody,
     LinearIneqBody, Scheme, SetDomain, equivalent, solutions,
@@ -20,7 +20,7 @@ from propeng.engine import (
     DEFAULT_STEP_CAP, MODES, STRATEGIES, Outcome, ReductionFunction, TraceStep,
     apply_step, make_strategy, run,
 )
-from propeng.errors import ConfigError, DataError
+from propeng.errors import ConfigError, DataError, ResourceLimitError
 from propeng.lattice import (
     GridInterval, GrowSetValue, IntGrid, PointGrid, PowersetValue, ProductValue, leq,
 )
@@ -523,6 +523,26 @@ class TestUniversalConstraint:
         assert u.cid == cid and u.scheme == (1, 3)
         assert u.tuples == frozenset(itertools.product((0, 1), repeat=2))
 
+    def test_reads_each_domain_once(self, monkeypatch):
+        read = []
+        members = CSP.domain_members
+
+        def counting(self, i):
+            read.append(i)
+            return members(self, i)
+
+        monkeypatch.setattr(CSP, "domain_members", counting)
+        csp = CSP((D01, D012, IntDomain(0, 999)), ())
+        u = universal_constraint(csp, Scheme((2, 1)))
+        assert read == [2, 1]
+        assert u.tuples == frozenset(itertools.product((0, 1, 2), (0, 1)))
+        read.clear()
+        big = CSP((IntDomain(0, 999),) * 3, ())
+        with pytest.raises(ResourceLimitError) as err:
+            universal_constraint(big, Scheme((1, 2, 3)))
+        assert str(err.value) == "universal constraint over (1, 2, 3) exceeds 1000000 tuples"
+        assert read == [1, 2, 3]
+
 
 class TestNoChangeApplication:
     @pytest.mark.parametrize("name", [
@@ -540,6 +560,43 @@ class TestNoChangeApplication:
         assert all(o is a for o, a in zip(out, args))
         state, changed = apply_step(f, setup.start)
         assert changed == () and state is setup.start
+
+
+class TestOneJoinPerApplication:
+    @pytest.mark.parametrize("name", [
+        "path@1,2,3", "rel@1,2;c13,c32", "rho@c12", "rel@1,2;c13,~dom2", "rho@~dom1"])
+    def test_each_application_is_one_witness_search(self, name, monkeypatch):
+        # a one-target join reducer makes one join_constraints(..., within=...)
+        # call per application, whatever its members and whether it changes
+        # anything; the last two names join a variable's atoms, and a
+        # one-member rho never changes anything
+        join = reducers.join_constraints
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return join(*args, **kwargs)
+
+        monkeypatch.setattr(reducers, "join_constraints", counting)
+        rng = random.Random(97)
+        changed = 0
+        for _ in range(10):
+            csp = CSP((D012, D012, D012), tuple(
+                random_binary_constraint(rng, D012.values, D012.values, f"c{i}{j}", (i, j))
+                for i, j in ((1, 2), (1, 3), (3, 2))))
+            setup = build_named_reducers(csp, [name])
+            (f,) = setup.functions
+            args = tuple(setup.start.component(i) for i in f.scheme)
+            for x in [args] + [tuple(v.sample(rng) for v in args) for _ in range(3)]:
+                calls.clear()
+                changed += f.apply(x) is not x
+                assert len(calls) == 1 and calls[0].get("within") is not None
+            steps = []
+            calls.clear()
+            run([f], setup.start, strategy=make_strategy("det"), validate=False,
+                observer=steps.append)
+            assert len(calls) == len(steps)
+        assert (changed > 0) == (not name.startswith("rho@"))
 
 
 class TestCuttingPlane:
