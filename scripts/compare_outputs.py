@@ -7,12 +7,14 @@ runs under each of the 4 modes and 5 strategies with
 ``--trace --format json --seed 1``, and once with the benchmark's own
 arguments (the call's, then ``--format json``; no ``--trace``).  Each
 ``path`` call also runs ``--goal dir-path:<n..1>`` and each ``arc`` call
-``--goal dir-arc:<n..1>`` (the variables in descending order) under each of
-the 4 modes with ``--trace --format json``: 230 runs per tree.  The
-revision's ``src/`` is exported with ``git archive`` into a temporary
-directory; each tree runs all its calls in one subprocess, through
-``propeng.cli.main``.  The exit codes, stdout and stderr of the two trees
-are compared run by run.  Prints ``N of 230 identical`` and the ids of the
+``--goal dir-arc:<n..1>`` (the variables in descending order), and each of
+them the reducer lists ``rho@c,~dom<i>,~dom<j>`` and ``rel@<j>,<i>;c,~dom<j>``
+(``c`` the call's first constraint, on ``(i,j)``: both join shapes with a
+variable), each under the 4 modes with ``--trace --format json``: 270 runs
+per tree.  The revision's ``src/`` is exported with ``git archive`` into a
+temporary directory; each tree runs all its calls in one subprocess,
+through ``propeng.cli.main``.  The exit codes, stdout and stderr of the two
+trees are compared run by run.  Prints ``N of 270 identical`` and the ids of the
 runs that differ; exits 1 if any differ.  Run it from anywhere inside the
 repository.
 """
@@ -90,6 +92,14 @@ def run_all(src: Path) -> dict[str, list]:
                         argv = ["run", str(path), "--goal", goal, "--mode", mode,
                                 "--trace", "--format", "json"]
                         results[f"{w}/{call.name}/{DIRECTIONAL[w]}/{mode}"] = _outcome(cli, argv)
+                    cid, (i, j), _ = call.model.constraints[0]
+                    lists = {"rho": f"rho@{cid},~dom{i},~dom{j}",
+                             "rel": f"rel@{j},{i};{cid},~dom{j}"}
+                    for kind, names in lists.items():
+                        for mode in MODES:
+                            argv = ["run", str(path), "--reducers", names, "--mode", mode,
+                                    "--trace", "--format", "json"]
+                            results[f"{w}/{call.name}/{kind}/{mode}"] = _outcome(cli, argv)
     return results
 
 

@@ -22,8 +22,8 @@ its part.  Either way an application that removes nothing returns its
 ``args`` tuple itself, as every reducer of the catalogue does when it
 changes nothing, so the engine sees the no-change case in one identity test.
 A variable over a set domain also joins as a unary constraint (``~domN``);
-only ``join_projection`` and ``ConstraintSpace.join`` and ``project`` know
-how.  A reached state folds back into a problem: variables into the declared
+only ``join_projection`` knows how, and wires it when the reducer is built.
+A reached state folds back into a problem: variables into the declared
 families, extensional constraints restricted to them.
 
 The constraint on a scheme is decided in one place, ``constraint_components``,
@@ -283,15 +283,15 @@ def _record_constraint(record: tuple, cid: str) -> Constraint:
 class ConstraintSpace:
     """The state space of a run: its variables first, as positions ``1..k``
     when it has any, then one component per constraint or inequality group;
-    builds the start state and rebuilds a problem from any reached state."""
+    builds the start state and rebuilds a problem from any reached state.
+    It holds the layout only: how a reducer reads its components (a
+    variable's atoms as 1-tuples in a join) is the reducer's own."""
 
     def __init__(self, csp: CSP, components: Sequence):
         self.csp = csp
         self.components = tuple(components)
         self._by_key: dict[str, int] = {}
         self._by_scheme: dict[tuple, list[int]] = {}
-        # joinable components; a variable is added when first joined
-        self._join_schemes: dict[int, Scheme] = {}
         self._variables = 0
         arity = csp.arity
         for pos, comp in enumerate(self.components, start=1):
@@ -301,7 +301,6 @@ class ConstraintSpace:
             self._by_key[key] = pos
             if isinstance(comp, ExtComponent):
                 self._by_scheme.setdefault(comp.scheme, []).append(pos)
-                self._join_schemes[pos] = comp.scheme
             elif isinstance(comp, DomainComponent):
                 if comp.var != pos or pos > arity:
                     raise ConfigError(
@@ -339,40 +338,6 @@ class ConstraintSpace:
                 vals.append(GrowSetValue.bottom(
                     _ineq_record(m) for m in comp.members))
         return ProductValue(tuple(vals))
-
-    def join_schemes(self, positions: Sequence[int]) -> list[Scheme]:
-        """The schemes of the tuple sets of distinct components to be joined
-        (a variable is unary)."""
-        if len(set(positions)) != len(positions) or not positions:
-            raise ConfigError("member constraints must be distinct and nonempty")
-        for p in positions:
-            if p in self._join_schemes:
-                continue
-            # a variable joins only over a set domain, its atoms as 1-tuples
-            if p > self._variables or not isinstance(self.csp.domains[p - 1], SetDomain):
-                raise ConfigError(f"component {self.components[p - 1].key!r} is not joinable")
-            self._join_schemes[p] = Scheme((p,))
-        return [self._join_schemes[p] for p in positions]
-
-    def join(self, positions: Sequence[int], values: Sequence,
-             onto: Scheme | None = None) -> Relation:
-        """The join of the current tuple sets ``values`` of the components at
-        ``positions``, reselected onto ``onto`` when given; a variable's
-        atoms join as 1-tuples."""
-        return join_constraints([
-            Relation(self._join_schemes[p],
-                     frozenset((a,) for a in v.elements)
-                     if p <= self._variables else v.elements)
-            for p, v in zip(positions, values)], onto=onto)
-
-    def project(self, joined: Relation, pos: int) -> frozenset:
-        """The inverse of ``join`` for the component at ``pos``: the joined
-        tuples reselected onto its scheme (as they are when the join already
-        has that scheme); a variable's as atoms."""
-        scheme = self._join_schemes[pos]
-        proj = (joined.tuples if joined.scheme == scheme
-                else reselect(joined.scheme, joined.tuples, scheme))
-        return frozenset(a for (a,) in proj) if pos <= self._variables else proj
 
     def rebuild(self, state: ProductValue) -> CSP:
         """The problem determined by the base problem and ``state``: domains
@@ -492,17 +457,36 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
                     members: Sequence[int], fid: str, group: str) -> ReductionFunction:
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
-    ``rho``, path and relational reduction).  One target keeps the tuples
-    that have a witness in the join: the witness plan and the members' slots
-    are resolved here, once, and an application is one ``join_constraints``
-    call with the plan as ``onto``.  Several targets take the join straight
-    onto the union of their schemes, one join for all of them where the
-    witness search would run once per target.  A target it removes nothing
-    from is returned as it was.  It reads only its members: shrinking a
-    target that is not a member leaves it stable."""
+    ``rho``, path and relational reduction).  Each member's and target's
+    join scheme is resolved here, once: an extensional constraint's own, and
+    ``(p,)`` for a variable at ``p`` over a set domain, whose atoms join as
+    1-tuples; any other component is not joinable.  Members are checked
+    before targets.  One target keeps the tuples that have a witness in the
+    join: the witness plan and the members' slots are resolved here too, and
+    an application is one ``join_constraints`` call with the plan as
+    ``onto``.  Several targets take the join of the members' relations
+    straight onto the union of their schemes, one join for all of them where
+    the witness search would run once per target, and reselect it onto each
+    target.  A target it removes nothing from is returned as it was.  It
+    reads only its members: shrinking a target that is not a member leaves
+    it stable."""
     members = tuple(members)
-    member_schemes = space.join_schemes(members)
-    target_schemes = space.join_schemes(targets)
+    schemes: dict[int, Scheme] = {}
+    for ps in (members, targets):
+        if len(set(ps)) != len(ps) or not ps:
+            raise ConfigError("member constraints must be distinct and nonempty")
+        for p in ps:
+            comp = space.components[p - 1]
+            if isinstance(comp, ExtComponent):
+                schemes[p] = comp.scheme
+            # a variable joins only over a set domain, its atoms as 1-tuples
+            elif (isinstance(comp, DomainComponent)
+                  and isinstance(space.csp.domains[p - 1], SetDomain)):
+                schemes[p] = Scheme((p,))
+            else:
+                raise ConfigError(f"component {comp.key!r} is not joinable")
+    member_schemes = [schemes[p] for p in members]
+    target_schemes = [schemes[p] for p in targets]
     covered = set(itertools.chain.from_iterable(member_schemes))
     for s in target_schemes:
         if not covered.issuperset(s):
@@ -511,12 +495,12 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
     positions = tuple(targets) + tuple(p for p in members if p not in targets)
     slots = tuple(map(positions.index, members))
     reads = None if set(targets) <= set(members) else members
+    # the slots of the variables, whose atoms join as 1-tuples
+    atom_slots = tuple(k for k, p in enumerate(positions)
+                       if isinstance(space.components[p - 1], DomainComponent))
 
     if len(targets) == 1:
         plan = witness_plan(tuple(member_schemes), target_schemes[0])
-        # the slots of the variables, whose atoms join as 1-tuples
-        atom_slots = tuple(k for k, p in enumerate(positions)
-                           if isinstance(space.components[p - 1], DomainComponent))
 
         def apply(args):
             v = args[0]
@@ -535,13 +519,20 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
                                  idempotent=True, group=group, reads=reads)
 
     onto = scheme_union(target_schemes)
+    # each target's scheme, or None where the join already has it
+    picks = [None if s == onto else s for s in target_schemes]
 
     def apply(args):
-        joined = space.join(members, [args[k] for k in slots], onto)
+        joined = join_constraints(
+            [Relation(s, frozenset((a,) for a in args[k].elements) if k in atom_slots
+                      else args[k].elements) for k, s in zip(slots, member_schemes)],
+            onto=onto).tuples
         out = None
-        for k, p in enumerate(targets):
+        for k, s in enumerate(picks):
             v = args[k]
-            proj = space.project(joined, p)
+            proj = joined if s is None else reselect(onto, joined, s)
+            if k in atom_slots:
+                proj = frozenset(a for (a,) in proj)
             if not v.elements <= proj:
                 if out is None:
                     out = list(args)

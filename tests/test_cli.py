@@ -247,6 +247,7 @@ class TestRunCommand:
         ("path@3,1,2", "no constraint with scheme (3, 1)"),
         ("rho@a,a", "member constraints must be distinct and nonempty"),
         ("rel@1,2;a,a", "member constraints must be distinct and nonempty"),
+        ("rel@1,2;b", "target scheme (1, 2) is not covered by the members' scheme (2, 3)"),
     ])
     def test_reducer_build_errors_are_input_errors(self, tmp_path, capsys, names, message):
         # only (1,2), (2,3) and (1,3) are constrained: path@3,1,2 has no target

@@ -994,7 +994,12 @@ def constraint_reducer_zoo(rng):
     rel = consistency._relational_setup(csp, 2)
     out.append((rel.space, rng.choice([f for f in rel.functions if f.reads])))
     # a domain reducer on the variables of a mixed space
-    out.append((mixed_space(csp), rng.choice(make_binary_projections(c_kl))))
+    mixed = mixed_space(csp)
+    out.append((mixed, rng.choice(make_binary_projections(c_kl))))
+    # both shapes joining a variable: a several-target rho with a variable
+    # target, and a one-target rel@ with a variable member
+    out.append((mixed, make_solution_projection(mixed, ["ckl", "~dom1"])))
+    out.append((mixed, make_relational_reducer(mixed, Scheme((1, 2)), ["ckm", "~dom2"])))
     return out
 
 
