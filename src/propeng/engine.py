@@ -41,6 +41,14 @@ It compares components with ``lattice.leq`` and tests them with
 ``lattice.is_empty_value``, and the registration probes draw their inputs
 through each component's own ``sample`` and ``sample_above``.
 
+Before the loop, ``run(validate=True)`` probes every function on a few
+drawn inputs: it must be inflationary and monotonic there, and, if it
+declares ``idempotent``, idempotent too.  A component's draws come from its
+own seed (its position), so they are the same for every function that reads
+it; ``run`` draws each component once and shares the draws among its
+readers, and drops them once the last reader has been probed, so the probes
+hold the draws of the components still to be read, not of all of them.
+
 Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
 
@@ -59,7 +67,6 @@ import bisect
 import enum
 import operator
 import random
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -81,9 +88,9 @@ class ReductionFunction:
     ``apply`` takes and returns one value per scheme position.  ``idempotent``
     is a declared property: the ``cii``/``ciiq`` disciplines trust it to
     leave a function out of its own wake-up, and every other discipline
-    ignores it.  Nothing checks it, so it defaults to ``False``: a function
-    declares it only when ``f(f(d)) = f(d)`` holds.  ``group`` keys block
-    scheduling.
+    ignores it.  The registration probes test it on their samples only, so
+    it defaults to ``False``: a function declares it only when
+    ``f(f(d)) = f(d)`` holds.  ``group`` keys block scheduling.
     ``reads`` names the components of the scheme whose change can make the
     function unstable again (``None``: the whole scheme).
 
@@ -308,23 +315,58 @@ def apply_step(f: ReductionFunction, d: ProductValue):
 # Registration probes
 
 
-def probe_function(f: ReductionFunction, start: ProductValue,
-                   samples: int = 6, seed: int = 0) -> None:
-    """Spot-check that ``f`` is inflationary and monotonic on inputs its
-    components draw (``sample``, ``sample_above``); raises ``ProbeRejectionError``."""
-    rng = random.Random(zlib.crc32(f.fid.encode()) ^ seed)
-    bottoms = tuple(start.component(i) for i in f.scheme)
-    for b in bottoms:
-        if not hasattr(b, "sample"):
-            raise ConfigError(f"cannot sample values of kind {type(b).__name__}")
+def _probe_draws(b, position: int, samples: int, seed: int):
+    """Component ``position``'s probe inputs, as ``probe_function`` draws
+    them: the tuple of its ``x_c`` and the tuple of its ``x_c'``."""
+    if not hasattr(b, "sample"):
+        raise ConfigError(f"cannot sample values of kind {type(b).__name__}")
+    rng = random.Random(position ^ seed)
+    xs, above = [], []
     for _ in range(samples):
-        x = tuple([b.sample(rng) for b in bottoms])
+        x = b.sample(rng)
+        xs.append(x)
+        above.append(x.sample_above(rng))
+    return tuple(xs), tuple(above)
+
+
+def probe_function(f: ReductionFunction, start: ProductValue,
+                   samples: int = 6, seed: int = 0,
+                   draws: dict | None = None) -> None:
+    """Spot-check that ``f`` is inflationary and monotonic, and idempotent
+    if it declares so, on inputs its components draw; raises
+    ``ProbeRejectionError``.
+
+    Each component of the scheme draws ``samples`` pairs ``(x_c, x_c')``
+    from ``random.Random(position ^ seed)``: ``x_c`` by its ``sample`` and
+    ``x_c'`` by ``x_c.sample_above``.  Sample ``k`` of ``f`` is ``x``, the
+    components' ``k``-th ``x_c``, and ``y``, their ``k``-th ``x_c'``; it
+    checks ``x <= f(x)``, then ``f(f(x)) == f(x)`` if ``f`` declares
+    ``idempotent``, then ``f(x) <= f(y)``.  So the draws depend only on the
+    start component, its position, ``samples`` and ``seed``, and a probe
+    called alone sees what it sees inside ``run``.  ``draws`` maps a
+    position to its drawn pairs; ``run`` passes one such memo, for its
+    ``start`` and the default ``samples`` and ``seed``, to every probe, so a
+    component is drawn once per run, not once per function reading it.
+    """
+    if draws is None:
+        draws = {}
+    xcols, ycols = [], []
+    for i in f.scheme:
+        col = draws.get(i)
+        if col is None:
+            col = draws[i] = _probe_draws(start.component(i), i, samples, seed)
+        xcols.append(col[0])
+        ycols.append(col[1])
+    rows = zip(zip(*xcols), zip(*ycols)) if xcols else [((), ())] * samples
+    for x, y in rows:
         fx = tuple(f.apply(x))
         if len(fx) != len(x):
             raise ProbeRejectionError(f.fid, "wrong output arity")
         if not all(map(lattice.leq, x, fx)):
             raise ProbeRejectionError(f.fid, "failed the inflation probe")
-        y = tuple([c.sample_above(rng) for c in x])
+        if f.idempotent and tuple(f.apply(fx)) != fx:
+            raise ProbeRejectionError(
+                f.fid, "declares idempotent=True but failed the idempotence probe")
         fy = tuple(f.apply(y))
         if not all(map(lattice.leq, fx, fy)):
             raise ProbeRejectionError(f.fid, "failed the monotonicity probe")
@@ -371,8 +413,15 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     for f in functions:
         _check_scheme(f, n)
     if validate:
-        for f in functions:
-            probe_function(f, start)
+        # one draw per component, shared by its readers and dropped once
+        # the last of them has been probed
+        draws: dict[int, tuple] = {}
+        last = {i: k for k, f in enumerate(functions) for i in f.scheme}
+        for k, f in enumerate(functions):
+            probe_function(f, start, draws=draws)
+            for i in f.scheme:
+                if last[i] == k:
+                    draws.pop(i, None)
 
     strategy = strategy or Strategy()
     strategy.reset(functions)

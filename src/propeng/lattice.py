@@ -29,7 +29,8 @@ grids by identity before equality, and ``ProductValue.replace`` stores its
 new tuple as it is.  An integer grid draws a point as ``randrange(lo, hi +
 1)``, the very call ``randint(lo, hi)`` makes, so the draws are the same,
 and a drawn interval, two grid points in order, is built without
-``__post_init__``'s grid checks.
+``__post_init__``'s grid checks, as is an empty one, which has no
+endpoints to check.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ class GridInterval:
 
     @classmethod
     def empty(cls, grid) -> "GridInterval":
-        return cls(grid, None, None)
+        # no endpoints: nothing for __post_init__ to check
+        empty = object.__new__(cls)
+        empty.__dict__.update(grid=grid, lo=None, hi=None)
+        return empty
 
     @property
     def is_empty(self) -> bool:

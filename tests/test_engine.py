@@ -22,7 +22,7 @@ from propeng.engine import (
     probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
-from propeng.lattice import PowersetValue, ProductValue, leq
+from propeng.lattice import GridInterval, PowersetValue, ProductValue, leq
 from propeng.reducers import (
     build_named_reducers, domain_bottom, csp_from_domain_state,
     make_binary_projections, make_full_projection, make_linear_eq_narrowing,
@@ -695,6 +695,95 @@ class TestProbes:
         with pytest.raises(ConfigError) as err:
             probe_function(f, ProductValue((nested,)))
         assert str(err.value) == "cannot sample values of kind ProductValue"
+
+    @staticmethod
+    def recorded(f, calls):
+        """``f`` with every argument tuple it is applied to appended to ``calls``."""
+
+        def apply(args):
+            calls.append(args)
+            return f.apply(args)
+
+        return dataclasses.replace(f, apply=apply)
+
+    @staticmethod
+    def equation(cid, scheme, coeffs, b):
+        return make_linear_eq_narrowing(
+            Constraint(cid, Scheme(scheme), LinearEqBody(coeffs, b)))
+
+    def test_draws_are_the_same_alone_or_in_a_run(self):
+        # g1 and g2 read f's components and are probed first, so inside the
+        # run f's probe takes both components' draws from the run's memo
+        csp = CSP((IntDomain(0, 9), IntDomain(-5, 20), IntDomain(3, 40)), ())
+        start = domain_bottom(csp)
+        f = self.equation("f", (1, 3), (2, -1), 1)
+        others = [self.equation("g1", (1, 2), (1, -1), 0),
+                  self.equation("g2", (2, 3), (3, 1), 30)]
+        alone, in_run = [], []
+        probe_function(f, start)
+        probe_function(self.recorded(f, alone), start)
+        res = run([*others, self.recorded(f, in_run)], start, step_cap=0)
+        assert res.trace.total_applications == 0
+        assert len(alone) == 12
+        assert in_run == alone
+
+    @pytest.mark.parametrize("idempotent", [False, True])
+    def test_every_sample_is_applied(self, idempotent):
+        # run probes each function on probe_function's default 6 samples:
+        # f(x) and f(y) for each, and f(f(x)) too if f declares idempotence
+        c = Constraint("c", Scheme((1, 2)),
+                       ExtensionalBody(frozenset({(1, 1), (2, 2), (3, 1)})))
+        csp = CSP((SetDomain(frozenset({1, 2, 3})), SetDomain(frozenset({1, 2}))), (c,))
+        calls = {}
+        fns = []
+        for f in [*make_binary_projections(c), make_full_projection(c)]:
+            f = dataclasses.replace(f, idempotent=idempotent)
+            fns.append(self.recorded(f, calls.setdefault(f.fid, [])))
+        run(fns, domain_bottom(csp), step_cap=0)
+        assert {fid: len(args) for fid, args in calls.items()} == {
+            f.fid: (3 if idempotent else 2) * 6 for f in fns}
+
+    @staticmethod
+    def bump(idempotent):
+        """Raises ``x.lo`` by one, up to 5: monotone and inflationary, and
+        not idempotent."""
+
+        def apply(args):
+            (x,) = args
+            if x.is_empty or x.lo >= 5:
+                return args
+            return (GridInterval(x.grid, x.lo + 1, x.hi),)
+
+        return ReductionFunction("bump", Scheme((1,)), apply, idempotent=idempotent)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_false_idempotence_declaration_rejected(self, mode):
+        start = domain_bottom(CSP((IntDomain(0, 10),), ()))
+        with pytest.raises(ProbeRejectionError,
+                           match="'bump' rejected: declares idempotent=True"):
+            run([self.bump(True)], start, mode=mode)
+        res = run([self.bump(False)], start, mode=mode)
+        assert res.value.component(1).lo == 5
+
+    def test_shared_draws_do_not_raise_the_peak(self):
+        # a 200-equality chain: each component's draws are freed once its
+        # last reader is probed, so the probes' peak stays near the run's
+        rng = random.Random(5)
+        d = IntDomain(0, 10**6)
+        fns = []
+        for k in range(1, 201):
+            a = rng.randint(1, 9)
+            fns.append(self.equation(f"e{k}", (k, k + 1), (a, -a), a * rng.randint(-4, 4)))
+        start = domain_bottom(CSP((d,) * 201, ()))
+        peaks = []
+        for validate in (False, True):
+            tracemalloc.start()
+            try:
+                run(fns, start, step_cap=0, validate=validate)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 class TestClosureStar:
