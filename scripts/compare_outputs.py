@@ -10,12 +10,14 @@ arguments (the call's, then ``--format json``; no ``--trace``).  Each
 ``--goal dir-arc:<n..1>`` (the variables in descending order), and each of
 them the reducer lists ``rho@c,~dom<i>,~dom<j>`` and ``rel@<j>,<i>;c,~dom<j>``
 (``c`` the call's first constraint, on ``(i,j)``: both join shapes with a
-variable), each under the 4 modes with ``--trace --format json``: 270 runs
-per tree.  The revision's ``src/`` is exported with ``git archive`` into a
-temporary directory; each tree runs all its calls in one subprocess,
-through ``propeng.cli.main``.  The exit codes, stdout and stderr of the two
-trees are compared run by run.  Prints ``N of 270 identical`` and the ids of the
-runs that differ; exits 1 if any differ.  Run it from anywhere inside the
+variable), and each ``path`` call the list of every ``path@k,l,m`` with
+``k < m < l`` (the named route to the path reducers), each under the 4
+modes with ``--trace --format json``: 282 runs per tree.  The revision's
+``src/`` is exported with ``git archive`` into a temporary directory; each
+tree runs all its calls in one subprocess, through ``propeng.cli.main``.
+The exit codes, stdout and stderr of the two trees are compared run by
+run.  Prints ``N of 282 identical`` and the ids of the runs that differ;
+exits 1 if any differ.  Run it from anywhere inside the
 repository.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -95,6 +98,12 @@ def run_all(src: Path) -> dict[str, list]:
                     cid, (i, j), _ = call.model.constraints[0]
                     lists = {"rho": f"rho@{cid},~dom{i},~dom{j}",
                              "rel": f"rel@{j},{i};{cid},~dom{j}"}
+                    if w == "path":
+                        # the named route to the path reducers, over the
+                        # call's own constraints on every pair i < j
+                        lists["path@"] = ",".join(
+                            f"path@{k},{l},{m}" for k, m, l in itertools.combinations(
+                                range(1, len(call.model.domains) + 1), 3))
                     for kind, names in lists.items():
                         for mode in MODES:
                             argv = ["run", str(path), "--reducers", names, "--mode", mode,

@@ -11,7 +11,9 @@ rule a named ``rel@`` target follows too, ``reducers.constraint_components``:
 the constraints sharing a listed scheme merged (``a&b``), a universal
 constraint ``u(i,j,...)`` (primed, ``u(i,j,...)'``, while an input constraint
 has that id) for a listed scheme that none has.  ``path`` lists every ordered
-pair; ``rel:<m>`` (Dechter and van Beek) the input schemes, then each
+pair, and its reducers, one per triple of distinct indices (336 on eight
+variables), come from ``reducers.make_path_reducers`` with one shared
+``apply``; ``rel:<m>`` (Dechter and van Beek) the input schemes, then each
 nonempty variable set that no input constraint covers, in sorted order.
 Under ``rel:<m>`` each m-subset S of the components gets one reducer,
 ``rel(<member ids>)`` (a comma or backslash in an id is escaped with a
@@ -35,7 +37,7 @@ from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
     ConstraintSpace, RunSetup, constraint_components, domain_space, join_projection,
-    make_binary_projections, make_full_projection, make_path_reducer,
+    make_binary_projections, make_full_projection, make_path_reducers,
 )
 # not called here: the benchmark's tracer (bench/tracing.py) patches these names
 from .engine import apply_step  # noqa: F401
@@ -181,13 +183,13 @@ def _path_setup(csp, rank=None):
     _check_binary(csp)
     indices = range(1, csp.arity + 1)
     space = ConstraintSpace(*constraint_components(csp, itertools.permutations(indices, 2)))
-    fns = []
-    for k, l, m in itertools.permutations(indices, 3):
-        if rank is None or (rank[k] < rank[m] and rank[l] < rank[m]):
-            fns.append((m, make_path_reducer(space, k, l, m)))
+    triples = [(k, l, m) for k, l, m in itertools.permutations(indices, 3)
+               if rank is None or (rank[k] < rank[m] and rank[l] < rank[m])]
+    fns = make_path_reducers(space, triples)
     if rank is not None:
-        fns.sort(key=lambda pair: (-rank[pair[0]], pair[1].fid))
-    return RunSetup(space, [f for _, f in fns])
+        fns = [f for _, f in sorted(zip(triples, fns),
+                                    key=lambda tf: (-rank[tf[0][2]], tf[1].fid))]
+    return RunSetup(space, fns)
 
 
 def _relational_setup(csp, m):

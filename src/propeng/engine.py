@@ -27,14 +27,15 @@ A function reads its whole scheme unless it declares ``reads``.  An
 intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
 may leave ``x`` out and still keep the invariant of generic iteration: every
 function outside the worklist is stable at the current state.  A set mode
-keeps its pending functions in a list sorted by the strategy's ``key``, which
-it maintains by bisection, and hands that list to the strategy's ``choose``;
-so one step costs O(log F + wake degree) key evaluations for F functions,
-not O(F).  The pick deletes ``pending[0]`` without a search when that is
-the chosen function, as it always is under ``det`` and ``block``.  Beside
-the list, ``Pending.recent`` keeps the wake order: a function woken again
-while pending moves to the back of it, so ``lifo``, which takes the back,
-runs the most recently woken function first.
+keeps its pending functions in a list sorted by the strategy's ``key``: it
+sorts the first batch once, then keeps the order by bisection, and hands
+that list to the strategy's ``choose``; so one step costs O(log F + wake
+degree) key evaluations for F functions, not O(F).  The pick deletes
+``pending[0]`` without a search when that is the chosen function, as it
+always is under ``det`` and ``block``.  Beside the list, ``Pending.recent``
+keeps the wake order: a function woken again while pending moves to the
+back of it, so ``lifo``, which takes the back, runs the most recently woken
+function first.
 
 The engine is generic over the component orders: it knows no value family.
 It compares components with ``lattice.leq`` and tests them with
@@ -265,10 +266,10 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
 
 
 def _check_scheme(f: ReductionFunction, arity: int) -> None:
-    if any(i < 1 or i > arity for i in f.scheme):
+    if f.scheme and (min(f.scheme) < 1 or max(f.scheme) > arity):
         raise ConfigError(
             f"function {f.fid!r} has scheme {f.scheme} outside 1..{arity}")
-    if not set(f.reads or ()) <= set(f.scheme):
+    if f.reads is not None and not set(f.scheme).issuperset(f.reads):
         raise ConfigError(
             f"function {f.fid!r} reads {f.reads} outside its scheme {f.scheme}")
 
@@ -476,7 +477,14 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
                 bisect.insort(pending, f, key=key)
             recent[fid] = f    # a re-woken function moves to the back
 
-    push(strategy.batch(functions))
+    # the first batch in one pass: its fids are distinct, so in a set mode
+    # pushing it one by one would leave it sorted by key, in batch order in
+    # ``recent``
+    first = strategy.batch(functions)
+    pending.extend(first)
+    if not queue:
+        pending.sort(key=key)
+        pending.recent.update((f.fid, f) for f in first)
     while pending:
         if applications >= step_cap:
             return FixpointResult(d, RunTrace(applications, Outcome.STEP_LIMIT))

@@ -15,12 +15,15 @@ is a witness search (``join_constraints(..., within=...)``): it keeps the
 target's tuples that extend to a tuple of the join, so path reduction keeps
 a pair of ``C_kl`` when some value of ``m`` supports it and never builds
 ``C_km ∘ C_ml``; such a reducer resolves the search's plan when it is built,
-so an application is one ``join_constraints`` call.  With several targets,
-the projection onto the union of their schemes is fused into the join
-(``join_constraints(..., onto=...)``), and each target is intersected with
-its part.  Either way an application that removes nothing returns its
-``args`` tuple itself, as every reducer of the catalogue does when it
-changes nothing, so the engine sees the no-change case in one identity test.
+so an application is one ``join_constraints`` call.  That plan is the same
+for every path triple, so ``make_path_reducers`` resolves it once and its
+reducers share one ``apply``, each over its own three components.  With
+several targets, the projection onto the union of their schemes is fused
+into the join (``join_constraints(..., onto=...)``), and each target is
+intersected with its part.  Either way an application that removes nothing
+returns its ``args`` tuple itself, as every reducer of the catalogue does
+when it changes nothing, so the engine sees the no-change case in one
+identity test.
 A variable over a set domain also joins as a unary constraint (``~domN``);
 only ``join_projection`` knows how, and wires it when the reducer is built.
 A reached state folds back into a problem: variables into the declared
@@ -29,7 +32,8 @@ families, extensional constraints restricted to them.
 The constraint on a scheme is decided in one place, ``constraint_components``,
 for the path and ``rel:m`` goals and a named ``rel@`` target alike: the
 constraints on it merged (``a&b``), or a universal one when there is none; an
-index outside ``1..n`` is an error before anything is built.
+index outside ``1..n`` is an error before anything is built, as it is for a
+path triple.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
@@ -562,11 +566,33 @@ def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> Reducti
     """Shrink the constraint on ``(k,l)`` to the pairs ``(a,b)`` for which
     some ``c`` has ``(a,c)`` on ``(k,m)`` and ``(c,b)`` on ``(m,l)``: its
     intersection with the composition, found by the witness search."""
-    if len({k, l, m}) != 3:
-        raise ConfigError("path reduction needs three distinct indices")
-    target, via1, via2 = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
-    return join_projection(space, (target,), (via1, via2), f"path@{k},{l},{m}",
-                           space.components[target - 1].key)
+    return make_path_reducers(space, [(k, l, m)])[0]
+
+
+def make_path_reducers(space: ConstraintSpace, triples) -> list[ReductionFunction]:
+    """``make_path_reducer`` for each ``(k,l,m)`` of ``triples``, in order,
+    sharing one ``apply``.  Each triple's three components are found by
+    scheme, so they are extensional constraints over ``(k,l)``, ``(k,m)``
+    and ``(m,l)``, and the witness plan of ``((k,m),(m,l))`` onto ``(k,l)``
+    is positional: bind the ``(k,m)`` member on the target's first
+    coordinate, then test ``(m,l)`` on coordinates 3 and 1 of the tuple so
+    far, whatever ``k``, ``l`` and ``m`` are.  So the first triple is built
+    by ``join_projection`` and every other one takes its ``apply``."""
+    n = space.csp.arity
+    fns: list[ReductionFunction] = []
+    for k, l, m in triples:
+        if k == l or k == m or l == m:
+            raise ConfigError("path reduction needs three distinct indices")
+        if not (0 < k <= n and 0 < l <= n and 0 < m <= n):
+            raise ConfigError(f"path@{k},{l},{m} has an index outside 1..{n}")
+        t, a, b = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
+        fid, group = f"path@{k},{l},{m}", space.components[t - 1].key
+        if fns:
+            fns.append(ReductionFunction(fid, Scheme((t, a, b)), fns[0].apply,
+                                         idempotent=True, group=group, reads=(a, b)))
+        else:
+            fns.append(join_projection(space, (t,), (a, b), fid, group))
+    return fns
 
 
 def make_relational_reducer(space: ConstraintSpace, t: Scheme,

@@ -402,6 +402,18 @@ class TestRunCommand:
         assert captured.err == f"error: scheme {scheme} has an index outside 1..3\n"
         assert captured.out == ""
 
+    # so are a named path reducer's, whichever of its three is outside
+    @pytest.mark.parametrize("triple", ["1,2,9", "0,1,2", "1,4,2"])
+    def test_path_index_outside_the_domains(self, tmp_path, capsys, triple):
+        p = tmp_path / "chain.csp"
+        p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                     "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                     "constraint b scheme (2,3) tuples {(0,1)}\n")
+        assert main(["run", str(p), "--reducers", f"path@{triple}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: path@{triple} has an index outside 1..3\n"
+        assert captured.out == ""
+
     def test_relational_target_on_a_shared_scheme_is_merged(self, tmp_path, capsys):
         # a and b share the target's scheme: they become one constraint, a&b,
         # as the goals merge them

@@ -20,8 +20,9 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, LinearEqBody, Scheme,
     SetDomain, equivalent, solutions,
 )
-from propeng.engine import MODES, STRATEGIES, Outcome, make_strategy
+from propeng.engine import MODES, STRATEGIES, Outcome, apply_step, make_strategy
 from propeng.errors import ConfigError, ResourceLimitError
+from propeng.reducers import join_projection
 
 D01 = SetDomain(frozenset({0, 1}))
 
@@ -488,6 +489,60 @@ class TestDirectionalPath:
                     assert ranks == sorted(ranks, reverse=True), mode
                     # and by fid within one third index
                     assert fids == sorted(fids, key=lambda f: (-later[f], f)), mode
+
+
+def random_oriented_csp(rng, n):
+    """A binary problem over ``n`` variables with domains inside {0,1,2}:
+    each pair constrained or not, in a random orientation, now and then in
+    both, and now and then twice in one."""
+    domains = tuple(SetDomain(frozenset(rng.sample((0, 1, 2), rng.randint(1, 3))))
+                    for _ in range(n))
+    constraints = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        r = rng.random()
+        schemes = ([] if r < 0.2 else [(i, j), (j, i)] if r < 0.4
+                   else [rng.choice([(i, j), (j, i)])] * (1 + (r > 0.9)))
+        for s in schemes:
+            pairs = itertools.product(*(sorted(domains[x - 1].values) for x in s))
+            constraints.append(ext(f"c{len(constraints)}", s,
+                                   {t for t in pairs if rng.random() < 0.6}))
+    return CSP(domains, tuple(constraints))
+
+
+class TestPathReducers:
+    """Each reducer of the ``path`` and ``dir-path`` set-ups, against the
+    composition computed here on random sub-relations of its components."""
+
+    def test_each_reducer_intersects_with_the_composition(self):
+        rng = random.Random(29)
+        checked = 0
+        for n in (3, 4, 5, 6) * 6:
+            csp = random_oriented_csp(rng, n)
+            order = tuple(rng.sample(range(1, n + 1), n))
+            for rank in (None, consistency._check_order(csp, order)):
+                setup = consistency._path_setup(csp, rank)
+                space, fns = setup.space, setup.functions
+                at = {comp.scheme: p for p, comp in enumerate(space.components, start=1)}
+                assert len({id(f.apply) for f in fns}) == 1
+                for _ in range(2):
+                    state = setup.start.replace({
+                        p: v.with_elements(x for x in v.elements if rng.random() < 0.7)
+                        for p, v in enumerate(setup.start.components, start=1)})
+                    for f in fns:
+                        k, l, m = map(int, f.fid.removeprefix("path@").split(","))
+                        t, a, b = at[(k, l)], at[(k, m)], at[(m, l)]
+                        built = join_projection(space, (t,), (a, b), f.fid,
+                                                space.components[t - 1].key)
+                        assert ((f.fid, f.scheme, f.group, f.reads, f.idempotent)
+                                == (built.fid, built.scheme, built.group,
+                                    built.reads, built.idempotent))
+                        kl, km, ml = (state.component(p).elements for p in (t, a, b))
+                        through = {(x, y) for x, c in km for c2, y in ml if c == c2}
+                        out, changed = apply_step(f, state)
+                        assert out.component(t).elements == kl & through, f.fid
+                        assert set(changed) <= {t}
+                        checked += 1
+        assert checked > 3000
 
 
 class TestEquivalencePreservation:
