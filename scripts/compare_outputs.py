@@ -10,13 +10,15 @@ arguments (the call's, then ``--format json``; no ``--trace``).  Each
 ``--goal dir-arc:<n..1>`` (the variables in descending order), and each of
 them the reducer lists ``rho@c,~dom<i>,~dom<j>`` and ``rel@<j>,<i>;c,~dom<j>``
 (``c`` the call's first constraint, on ``(i,j)``: both join shapes with a
-variable), and each ``path`` call the list of every ``path@k,l,m`` with
-``k < m < l`` (the named route to the path reducers), each under the 4
-modes with ``--trace --format json``: 282 runs per tree.  The revision's
+variable), each ``path`` call the list of every ``path@k,l,m`` with
+``k < m < l`` (the named route to the path reducers) and each ``arc`` call
+the list of ``pi1@c,pi2@c`` over every constraint ``c`` of the call (the
+support projections, probed, as the ``dir-arc`` goal's are not), each under
+the 4 modes with ``--trace --format json``: 290 runs per tree.  The revision's
 ``src/`` is exported with ``git archive`` into a temporary directory; each
 tree runs all its calls in one subprocess, through ``propeng.cli.main``.
 The exit codes, stdout and stderr of the two trees are compared run by
-run.  Prints ``N of 282 identical`` and the ids of the runs that differ;
+run.  Prints ``N of 290 identical`` and the ids of the runs that differ;
 exits 1 if any differ.  Run it from anywhere inside the
 repository.
 """
@@ -104,6 +106,11 @@ def run_all(src: Path) -> dict[str, list]:
                         lists["path@"] = ",".join(
                             f"path@{k},{l},{m}" for k, m, l in itertools.combinations(
                                 range(1, len(call.model.domains) + 1), 3))
+                    else:
+                        # both support projections of every constraint,
+                        # probed, unlike the dir-arc goal's
+                        lists["pi"] = ",".join(
+                            f"pi1@{c},pi2@{c}" for c, *_ in call.model.constraints)
                     for kind, names in lists.items():
                         for mode in MODES:
                             argv = ["run", str(path), "--reducers", names, "--mode", mode,

@@ -30,7 +30,7 @@ from .reducers import (
     ConstraintSpace, cutting_plane, domain_bottom, join_projection,
     linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection,
-    make_linear_eq_narrowing, make_path_reducer, make_path_reducers,
+    make_linear_eq_narrowing, make_path_reducers,
     make_relational_reducer, make_solution_projection,
 )
 from .textio import parse_csp, serialize_csp

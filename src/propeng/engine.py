@@ -316,12 +316,12 @@ def apply_step(f: ReductionFunction, d: ProductValue):
 # Registration probes
 
 
-def _probe_draws(b, position: int, samples: int, seed: int):
+def _probe_draws(b, position: int, samples: int):
     """Component ``position``'s probe inputs, as ``probe_function`` draws
     them: the tuple of its ``x_c`` and the tuple of its ``x_c'``."""
     if not hasattr(b, "sample"):
         raise ConfigError(f"cannot sample values of kind {type(b).__name__}")
-    rng = random.Random(position ^ seed)
+    rng = random.Random(position)
     xs, above = [], []
     for _ in range(samples):
         x = b.sample(rng)
@@ -331,23 +331,22 @@ def _probe_draws(b, position: int, samples: int, seed: int):
 
 
 def probe_function(f: ReductionFunction, start: ProductValue,
-                   samples: int = 6, seed: int = 0,
-                   draws: dict | None = None) -> None:
+                   samples: int = 6, draws: dict | None = None) -> None:
     """Spot-check that ``f`` is inflationary and monotonic, and idempotent
     if it declares so, on inputs its components draw; raises
     ``ProbeRejectionError``.
 
     Each component of the scheme draws ``samples`` pairs ``(x_c, x_c')``
-    from ``random.Random(position ^ seed)``: ``x_c`` by its ``sample`` and
+    from ``random.Random(position)``: ``x_c`` by its ``sample`` and
     ``x_c'`` by ``x_c.sample_above``.  Sample ``k`` of ``f`` is ``x``, the
     components' ``k``-th ``x_c``, and ``y``, their ``k``-th ``x_c'``; it
     checks ``x <= f(x)``, then ``f(f(x)) == f(x)`` if ``f`` declares
     ``idempotent``, then ``f(x) <= f(y)``.  So the draws depend only on the
-    start component, its position, ``samples`` and ``seed``, and a probe
-    called alone sees what it sees inside ``run``.  ``draws`` maps a
-    position to its drawn pairs; ``run`` passes one such memo, for its
-    ``start`` and the default ``samples`` and ``seed``, to every probe, so a
-    component is drawn once per run, not once per function reading it.
+    start component, its position and ``samples``, and a probe called alone
+    sees what it sees inside ``run``.  ``draws`` maps a position to its drawn
+    pairs; ``run`` passes one such memo, for its ``start`` and the default
+    ``samples``, to every probe, so a component is drawn once per run, not
+    once per function reading it.
     """
     if draws is None:
         draws = {}
@@ -355,7 +354,7 @@ def probe_function(f: ReductionFunction, start: ProductValue,
     for i in f.scheme:
         col = draws.get(i)
         if col is None:
-            col = draws[i] = _probe_draws(start.component(i), i, samples, seed)
+            col = draws[i] = _probe_draws(start.component(i), i, samples)
         xcols.append(col[0])
         ycols.append(col[1])
     rows = zip(zip(*xcols), zip(*ycols)) if xcols else [((), ())] * samples

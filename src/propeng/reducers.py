@@ -5,8 +5,8 @@ reducers has the variables as its components ``1..n``, each holding its
 domain in the declared family: a powerset of the declared atoms for a set
 domain, a grid interval for an integer range.  Domain reducers (projections,
 linear-equality narrowing) shrink those, and their schemes name them as they
-are.  A projection fits each coordinate of the tuples inside the current box
-into the component's family, so ``hull`` is ``piC`` on intervals.  The other
+are.  One projection body fits each coordinate it writes of the tuples in the
+box into its family, so ``hull`` is ``piC`` on intervals.  The other
 components hold a constraint's current tuple set (or a growing set of linear
 inequalities for cutting planes); constraint reducers shrink those.
 ``rho``, path and relational reduction share one body: intersect each target
@@ -30,10 +30,10 @@ A reached state folds back into a problem: variables into the declared
 families, extensional constraints restricted to them.
 
 The constraint on a scheme is decided in one place, ``constraint_components``,
-for the path and ``rel:m`` goals and a named ``rel@`` target alike: the
-constraints on it merged (``a&b``), or a universal one when there is none; an
-index outside ``1..n`` is an error before anything is built, as it is for a
-path triple.
+for the path and ``rel:m`` goals and a named ``rel@`` target or ``path@``
+triple alike: the constraints on it merged (``a&b``), or a universal one when
+there is none; an index outside ``1..n`` is an error before any reducer is
+built.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
@@ -86,50 +86,49 @@ def _restrict(scheme: Scheme, tuples, domains: Sequence[Domain]) -> frozenset:
 # Domain reduction functions
 
 
-def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, ReductionFunction]:
-    """The two support projections of a binary constraint: each keeps, on one
-    side, only the values that some pair of the constraint supports."""
-    if not c.is_extensional or len(c.scheme) != 2:
-        raise ConfigError(f"constraint {c.cid!r} is not a binary extensional constraint")
+_FITTING_KINDS = (PowersetValue, GridInterval)
+_POWERSET_KINDS = (PowersetValue,)
+
+
+def _projection(c: Constraint, fid: str, writes, kinds: tuple, reads=None) -> ReductionFunction:
+    """Fit the coordinates ``writes`` to the tuples that survive the box."""
+    if not c.is_extensional:
+        raise ConfigError(f"constraint {c.cid!r} is not extensional")
     tuples = c.tuples
 
-    def support(k):
-        def apply(args):
-            x, y = args
-            if not isinstance(x, PowersetValue) or not isinstance(y, PowersetValue):
-                raise ConfigError("support projections need powerset components")
-            kept = {t[k] for t in tuples if t[0] in x.elements and t[1] in y.elements}
-            fitted = args[k].fit(kept)
-            if fitted is args[k]:
-                return args
-            return (fitted, y) if k == 0 else (x, fitted)
-        return apply
+    def apply(args):
+        live = tuples
+        for k, v in enumerate(args):
+            if not isinstance(v, kinds):
+                raise ConfigError(f"cannot project onto component kind {type(v).__name__}")
+            # the membership test: a powerset's frozenset, an interval itself
+            within = v.elements if isinstance(v, PowersetValue) else v
+            live = [t for t in live if t[k] in within]
+        out = list(args)
+        for k in writes:
+            out[k] = args[k].fit({t[k] for t in live})
+        return args if all(map(is_, out, args)) else tuple(out)
 
-    # each side is intersected with the support of the other: it reads only that
-    return tuple(ReductionFunction(f"pi{k + 1}@{c.cid}", c.scheme, support(k),
-                                   idempotent=True, group=c.cid,
-                                   reads=(c.scheme[1 - k],))
+    return ReductionFunction(fid, c.scheme, apply, idempotent=True, group=c.cid, reads=reads)
+
+
+def make_binary_projections(c: Constraint) -> tuple[ReductionFunction, ReductionFunction]:
+    """The two support projections of a binary constraint: each keeps, on one
+    side, only the values that some pair of the constraint supports.  They
+    accept powersets only: each declares that it reads the other side alone,
+    which holds where fitting is intersection (``x := x ∩ S(y)``), but a
+    hull of ``x ∩ S(y)`` is not of the form ``x := x ∩ h(y)``."""
+    if not c.is_extensional or len(c.scheme) != 2:
+        raise ConfigError(f"constraint {c.cid!r} is not a binary extensional constraint")
+    return tuple(_projection(c, f"pi{k + 1}@{c.cid}", (k,), _POWERSET_KINDS,
+                             reads=(c.scheme[1 - k],))
                  for k in (0, 1))
 
 
 def make_full_projection(c: Constraint) -> ReductionFunction:
     """Shrink every component of the constraint's scheme to the projection of
     the tuples that survive the current box (hulled on interval components)."""
-    if not c.is_extensional:
-        raise ConfigError(f"constraint {c.cid!r} is not extensional")
-    tuples = c.tuples
-
-    def apply(args):
-        for v in args:
-            if not hasattr(v, "fit"):
-                raise ConfigError(f"cannot project onto component kind {type(v).__name__}")
-        # the membership test per coordinate: a powerset's frozenset, an interval itself
-        sets = [v.elements if isinstance(v, PowersetValue) else v for v in args]
-        live = [t for t in tuples if all(map(contains, sets, t))]
-        out = tuple([v.fit({t[k] for t in live}) for k, v in enumerate(args)])
-        return args if all(map(is_, out, args)) else out
-
-    return ReductionFunction(f"piC@{c.cid}", c.scheme, apply, idempotent=True, group=c.cid)
+    return _projection(c, f"piC@{c.cid}", range(len(c.scheme)), _FITTING_KINDS)
 
 
 def make_interval_hull_projection(c: Constraint) -> ReductionFunction:
@@ -547,13 +546,13 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
                              idempotent=True, group=group, reads=reads)
 
 
-def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
-                             fid: str | None = None) -> ReductionFunction:
+def make_solution_projection(space: ConstraintSpace,
+                             member_keys: Sequence[str]) -> ReductionFunction:
     """Replace every member constraint by the projection, onto its scheme, of
     the joint solutions of all the members (the strongest constraint reducer
     over those components)."""
     positions = tuple(space.position(k) for k in member_keys)
-    name = fid or ("rho@" + ",".join(member_keys))
+    name = "rho@" + ",".join(member_keys)
     f = join_projection(space, positions, positions, name, name)
     if any(d.is_empty for d in space.csp.domains):
         # the problem has no solutions, so neither have the members jointly
@@ -562,16 +561,11 @@ def make_solution_projection(space: ConstraintSpace, member_keys: Sequence[str],
     return f
 
 
-def make_path_reducer(space: ConstraintSpace, k: int, l: int, m: int) -> ReductionFunction:
-    """Shrink the constraint on ``(k,l)`` to the pairs ``(a,b)`` for which
-    some ``c`` has ``(a,c)`` on ``(k,m)`` and ``(c,b)`` on ``(m,l)``: its
-    intersection with the composition, found by the witness search."""
-    return make_path_reducers(space, [(k, l, m)])[0]
-
-
 def make_path_reducers(space: ConstraintSpace, triples) -> list[ReductionFunction]:
-    """``make_path_reducer`` for each ``(k,l,m)`` of ``triples``, in order,
-    sharing one ``apply``.  Each triple's three components are found by
+    """One path reducer per ``(k,l,m)`` of ``triples``, in order, sharing one
+    ``apply``: it keeps the pairs ``(a,b)`` on ``(k,l)`` for which the
+    witness search finds a ``c`` with ``(a,c)`` on ``(k,m)`` and ``(c,b)`` on
+    ``(m,l)``.  Each triple's three components are found by
     scheme, so they are extensional constraints over ``(k,l)``, ``(k,m)``
     and ``(m,l)``, and the witness plan of ``((k,m),(m,l))`` onto ``(k,l)``
     is positional: bind the ``(k,m)`` member on the target's first
@@ -734,7 +728,8 @@ def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
 def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
     """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
     ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2`` against a problem; the
-    constraints are ``constraint_components(csp, <the rel@ targets>)``."""
+    constraints are ``constraint_components(csp, <the schemes named>)``: each
+    ``rel@`` target, each ``path@k,l,m``'s ``(k,l)``, ``(k,m)`` and ``(m,l)``."""
     parsed = [_parse_name(s) for s in names]
     if not parsed:
         raise ConfigError("no reducers given")
@@ -762,8 +757,16 @@ def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
     base, extensional = csp, []
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
-        base, extensional = constraint_components(
-            csp, [head for kind, _, head, _ in parsed if kind == "rel"])
+        # in the names' order; a triple make_path_reducers rejects (an index
+        # repeated or outside 1..n) names none
+        schemes, variables = [], range(1, csp.arity + 1)
+        for kind, _, head, _ in parsed:
+            if kind == "rel":
+                schemes.append(head)
+            elif kind == "path" and len(set(head).intersection(variables)) == 3:
+                k, l, m = head
+                schemes += [(k, l), (k, m), (m, l)]
+        base, extensional = constraint_components(csp, schemes)
     # traces number the components: the inequality groups keep their place
     # between the constraints and the universal ones
     given = sum(c.is_extensional for c in base.constraints)
@@ -781,7 +784,7 @@ def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
         elif kind == "rho":
             fns.append(make_solution_projection(space, head))
         elif kind == "path":
-            fns.append(make_path_reducer(space, *head))
+            fns.append(make_path_reducers(space, [head])[0])
         elif kind == "rel":
             fns.append(make_relational_reducer(space, Scheme(head), tail))
         else:

@@ -119,10 +119,7 @@ def _parse_tuple_set(text: str, where: str, atoms: dict) -> frozenset:
 
 
 def _parse_scheme(text: str, where: str) -> Scheme:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise DataError(f"{where}: expected a (i,j,...) scheme")
-    inner = text[1:-1]
+    inner = text[1:-1]    # _CONSTRAINT captures the parentheses, no blanks
     try:
         # every entry must hold an index; only "()" is the empty scheme
         return Scheme(inner.split(",") if inner.strip() else ())

@@ -29,7 +29,7 @@ from propeng.lattice import leq
 from propeng.reducers import (
     ConstraintSpace, DomainComponent, ExtComponent, csp_from_domain_state,
     cutting_plane, domain_bottom, linear_eq_narrow, make_binary_projections,
-    make_full_projection, make_linear_eq_narrowing, make_path_reducer,
+    make_full_projection, make_linear_eq_narrowing, make_path_reducers,
     make_solution_projection, universal_constraint,
 )
 
@@ -147,7 +147,7 @@ def _hybrid_case(rng):
 
     fns = []
     for k, l, m in rng.sample(list(itertools.permutations((1, 2, 3), 3)), 3):
-        fns.append(make_path_reducer(space, k, l, m))
+        fns.append(make_path_reducers(space, [(k, l, m)])[0])
     ext_keys = [c.key for c in comps if isinstance(c, ExtComponent)]
     members = rng.sample(ext_keys, 2)
     fns.append(make_solution_projection(space, members))

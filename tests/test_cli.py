@@ -1,12 +1,17 @@
 """File format round-trips and the command-line surface."""
 
+import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from propeng.cli import main
 from propeng.consistency import is_relationally_m_consistent
-from propeng.csp import CSP, IntDomain, LinearIneqBody
+from propeng.csp import (
+    CSP, Constraint, IntDomain, LinearEqBody, LinearIneqBody, Scheme, validate,
+)
 from propeng.errors import DataError
 from propeng.textio import csp_to_obj, parse_csp, serialize_csp
 
@@ -144,6 +149,37 @@ class TestValidateCommand:
         assert main(["validate", str(p)]) == 1
         assert "repeats" in capsys.readouterr().err
 
+    # the parser takes a repeated id and a tuple of the wrong arity; validate
+    # reports each on its own line
+    INVALID = ("domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+               "constraint c scheme (1,2) tuples {(0,1)}\n"
+               "constraint c scheme (1) tuples {(0,1),(1)}\n")
+    INVALID_ISSUES = ["constraint 'c': duplicate constraint id",
+                      "constraint 'c': tuple (0, 1) has arity 2, scheme needs 1"]
+
+    def test_duplicate_id_and_tuple_arity(self, tmp_path, capsys):
+        p = tmp_path / "bad.csp"
+        p.write_text(self.INVALID)
+        assert main(["validate", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == self.INVALID_ISSUES
+        assert captured.out == ""
+
+    def test_coefficient_count(self):
+        # a linear form the parser cannot write: three coefficients, two variables
+        csp = CSP((IntDomain(0, 3), IntDomain(0, 3)), (Constraint(
+            "e", Scheme((1, 2)), LinearEqBody((1, 2, 3), 4)),))
+        assert validate(csp) == ["constraint 'e': 3 coefficients for a 2-ary scheme"]
+
+    def test_run_rejects_an_invalid_problem(self, tmp_path, capsys):
+        p = tmp_path / "bad.csp"
+        p.write_text(self.INVALID)
+        assert main(["run", str(p), "--goal", "arc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid problem:\n" + "".join(
+            f"  {issue}\n" for issue in self.INVALID_ISSUES)
+        assert captured.out == ""
+
 
 class TestRunCommand:
     def test_arc_on_consistent_file_is_identity(self, eq_ne_file, capsys):
@@ -244,13 +280,11 @@ class TestRunCommand:
         assert "# outcome: step-limit applications=0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("names, message", [
-        ("path@3,1,2", "no constraint with scheme (3, 1)"),
         ("rho@a,a", "member constraints must be distinct and nonempty"),
         ("rel@1,2;a,a", "member constraints must be distinct and nonempty"),
         ("rel@1,2;b", "target scheme (1, 2) is not covered by the members' scheme (2, 3)"),
     ])
     def test_reducer_build_errors_are_input_errors(self, tmp_path, capsys, names, message):
-        # only (1,2), (2,3) and (1,3) are constrained: path@3,1,2 has no target
         p = tmp_path / "three.csp"
         p.write_text("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
                      "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
@@ -688,6 +722,121 @@ def test_odd_runs_end_in_an_exit_status(tmp_path, capsys, problem):
             assert "Traceback" not in err
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, (run, output)
+
+
+def _tuple_set(pairs) -> str:
+    return "{" + ",".join(f"({a},{b})" for a, b in sorted(pairs)) + "}"
+
+
+def _random_binary_text(rng: random.Random) -> str:
+    """Binary constraints over 3-6 variables, each pair constrained at random
+    in either orientation, now and then twice, some pairs not at all."""
+    n = rng.randint(3, 6)
+    lines = [f"domain {i} set {{0,1,2}}" for i in range(1, n + 1)]
+    pairs = list(itertools.product(range(3), repeat=2))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            scheme = rng.choice(((i, j), (j, i)))
+            tuples = [t for t in pairs if rng.random() < 0.6]
+            lines.append(f"constraint c{len(lines)} scheme ({scheme[0]},{scheme[1]}) "
+                         f"tuples {_tuple_set(tuples)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestNamedPathReducers:
+    """``path@k,l,m`` takes the constraints on its three schemes by the rule
+    the path goal and ``rel@`` targets follow: those on one scheme merged, a
+    universal one where there is none."""
+
+    @staticmethod
+    def run(tmp_path, capsys, text, *args):
+        p = tmp_path / "model.csp"
+        p.write_text(text)
+        code = main(["run", str(p), *args])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_every_triple_is_the_path_goal(self, tmp_path, capsys, monkeypatch):
+        # the path goal's own reducers, listed by name, give its applications
+        # and its constraints; only synthetic ones may print in another order
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        texts = [call.text for call in workloads.make_calls("path", 1)]
+        rng = random.Random(29)
+        texts += [_random_binary_text(rng) for _ in range(12)]
+        for text in texts:
+            n = parse_csp(text).arity
+            names = ",".join(f"path@{k},{l},{m}"
+                             for k, l, m in itertools.permutations(range(1, n + 1), 3))
+            goal = self.run(tmp_path, capsys, text, "--goal", "path")
+            named = self.run(tmp_path, capsys, text, "--reducers", names)
+            assert goal[0] == named[0] == 0, named[2]
+            goal_lines, named_lines = goal[1].splitlines(), named[1].splitlines()
+            assert named_lines[-1] == goal_lines[-1]
+            assert named_lines[-1].startswith("# outcome: converged applications=")
+            assert sorted(named_lines) == sorted(goal_lines)
+
+    def test_unconstrained_triple_runs_on_universals(self, tmp_path, capsys):
+        # nothing is on (3,1), (3,2) or (2,1): path@3,1,2 shrinks a universal
+        # by the composition of two universals, and c on (1,3) stays as it is
+        text = ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                "constraint b scheme (2,3) tuples {(0,1)}\n"
+                "constraint c scheme (1,3) tuples {(0,1),(1,1)}\n")
+        code, out, err = self.run(tmp_path, capsys, text, "--reducers", "path@3,1,2")
+        assert (code, err) == (0, "")
+        assert out == text + "# outcome: converged applications=1\n"
+
+    def test_induced_constraint_is_the_composition(self, tmp_path, capsys):
+        # c1 on (1,2) and c2 on (2,3): path@1,3,2 derives u(1,3) = c1 o c2,
+        # printed when it is not the full product
+        rng = random.Random(17)
+        pairs = list(itertools.product(range(3), repeat=2))
+        cases = [({(0, 0), (1, 1)}, {(0, 1)})]
+        cases += [tuple({t for t in pairs if rng.random() < 0.4} for _ in "12")
+                  for _ in range(30)]
+        derived = 0
+        for c1, c2 in cases:
+            text = ("domain 1 set {0,1,2}\ndomain 2 set {0,1,2}\ndomain 3 set {0,1,2}\n"
+                    f"constraint c1 scheme (1,2) tuples {_tuple_set(c1)}\n"
+                    f"constraint c2 scheme (2,3) tuples {_tuple_set(c2)}\n")
+            code, out, _ = self.run(tmp_path, capsys, text, "--reducers", "path@1,3,2")
+            assert code == 0
+            composed = {(a, c) for a, b in c1 for b2, c in c2 if b == b2}
+            want = ([] if len(composed) == len(pairs)
+                    else [f"constraint u(1,3) scheme (1,3) tuples {_tuple_set(composed)}"])
+            assert [line for line in out.splitlines() if "u(1,3)" in line] == want
+            derived += bool(want)
+        assert derived > 20
+
+    def test_merged_target_is_the_rel_target(self, tmp_path, capsys):
+        # a and b share (1,2): path@1,2,3 merges them into a&b, as the rel@
+        # target on (1,2) with c and d as members does
+        text = ("domain 1 set {0,1,2}\ndomain 2 set {0,1,2}\ndomain 3 set {0,1,2}\n"
+                "constraint a scheme (1,2) tuples {(0,0),(0,1),(1,1),(2,2)}\n"
+                "constraint b scheme (1,2) tuples {(0,0),(1,1),(2,0),(2,2)}\n"
+                "constraint c scheme (1,3) tuples {(0,0),(1,1)}\n"
+                "constraint d scheme (3,2) tuples {(0,0),(1,2)}\n")
+        path = self.run(tmp_path, capsys, text, "--reducers", "path@1,2,3")
+        rel = self.run(tmp_path, capsys, text, "--reducers", "rel@1,2;c,d")
+        assert path == rel
+        assert path[0] == 0
+        assert "constraint a&b scheme (1,2) tuples {(0,0)}" in path[1].splitlines()
+
+    def test_merged_id_taken_by_an_input_constraint(self, tmp_path, capsys):
+        code, out, _ = self.run(tmp_path, capsys, TestRunCommand.MERGED_ID_TAKEN,
+                                "--reducers", "path@1,2,3", "--check-equivalence")
+        lines = out.splitlines()
+        assert code == 0
+        assert "constraint a&b' scheme (1,2) tuples {(0,0),(1,1)}" in lines
+        assert "# equivalence: PASS" in lines
+
+    def test_rho_on_a_constraint_merged_away(self, tmp_path, capsys):
+        # path@1,2,3 merges a and b: no component is named a any more
+        code, out, err = self.run(tmp_path, capsys, TestRunCommand.MERGED_ID_TAKEN,
+                                  "--reducers", "path@1,2,3,rho@a")
+        assert (code, out) == (1, "")
+        assert err == "error: no constraint-space component 'a'\n"
 
 
 class TestUsage:

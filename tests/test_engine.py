@@ -175,6 +175,22 @@ class TestExtend:
 
 
 class TestRun:
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError, match="unknown mode 'cx'"):
+            run([], ProductValue((pv({1}, {1}),)), mode="cx")
+
+    def test_apply_step_rejects_a_wrong_arity_result(self):
+        f = ReductionFunction("f", Scheme((1, 2)), lambda args: args[:1])
+        with pytest.raises(ConfigError, match="function 'f' returned 1 components "
+                                               "for a 2-ary scheme"):
+            apply_step(f, ProductValue((pv({1}, {1}), pv({1}, {1}))))
+
+    def test_apply_step_rejects_a_non_inflationary_step(self):
+        # a powerset grows down: putting an atom back loses information
+        f = ReductionFunction("f", Scheme((1,)), lambda args: (pv({1, 2}, {1, 2}),))
+        with pytest.raises(ProbeRejectionError, match="non-inflationary"):
+            apply_step(f, ProductValue((pv({1, 2}, {1}),)))
+
     def test_no_functions(self):
         start = ProductValue((pv({1}, {1}),))
         res = run([], start)
@@ -849,6 +865,29 @@ class TestCompareLimits:
         assert report.relation == "less"
         assert report.left.component(2).elements == frozenset({1, 2})
         assert report.right.component(2).elements == frozenset({1})
+
+
+    # c keeps 1 on each side: pi1 alone shrinks the first variable, pi2
+    # alone the second
+    ONE_PAIR = Constraint("c", Scheme((1, 2)), ExtensionalBody(frozenset({(1, 1)})))
+    ONE_PAIR_START = domain_bottom(CSP((SetDomain(frozenset({1, 2})),) * 2, (ONE_PAIR,)))
+
+    def test_more_projections_reduce_more(self):
+        pi1, pi2 = make_binary_projections(self.ONE_PAIR)
+        report = compare_limits([pi1, pi2], [pi1], self.ONE_PAIR_START, validate=False)
+        assert report.relation == "greater"
+
+    def test_projections_on_different_sides_are_incomparable(self):
+        pi1, pi2 = make_binary_projections(self.ONE_PAIR)
+        report = compare_limits([pi1], [pi2], self.ONE_PAIR_START, validate=False)
+        assert report.relation == "incomparable"
+
+    def test_a_capped_run_is_inconclusive(self):
+        # no step is allowed, so neither run converges and no limit is known
+        fns = list(make_binary_projections(self.ONE_PAIR))
+        report = compare_limits(fns, fns, self.ONE_PAIR_START, step_cap=0,
+                                validate=False)
+        assert (report.relation, report.left, report.right) == ("inconclusive", None, None)
 
 
 class TestLeastFixpoint:

@@ -29,7 +29,7 @@ from propeng.reducers import (
     build_named_reducers, csp_from_domain_state, cutting_plane, domain_bottom,
     join_projection, linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection, make_linear_eq_narrowing,
-    make_path_reducer, make_relational_reducer, make_solution_projection,
+    make_path_reducers, make_relational_reducer, make_solution_projection,
     universal_constraint,
 )
 
@@ -73,6 +73,21 @@ class TestBinaryProjections:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ConfigError):
             make_binary_projections(ext("c", (1, 2, 3), {(0, 0, 0)}))
+
+    def test_one_projection_body_for_every_kind(self):
+        c = ext("c", (1, 2), {(0, 0)})
+        fns = [*make_binary_projections(c), make_full_projection(c),
+               make_interval_hull_projection(c)]
+        assert len({f.apply.__code__ for f in fns}) == 1
+
+    def test_interval_components_rejected(self):
+        # reading only the other side holds where fitting intersects: a hull
+        # of x & S(y) is not x & h(y)
+        pi1, _ = make_binary_projections(ext("c", (1, 2), {(0, 0)}))
+        box = (GridInterval.full(IntGrid(0, 3)), GridInterval.full(IntGrid(0, 3)))
+        with pytest.raises(ConfigError) as err:
+            pi1.apply(box)
+        assert str(err.value) == "cannot project onto component kind GridInterval"
 
 
 class TestFullProjection:
@@ -396,7 +411,7 @@ def path_space():
 class TestPathReducer:
     def test_worked_example(self):
         space = path_space()
-        g = make_path_reducer(space, 1, 2, 3)
+        g = make_path_reducers(space, [(1, 2, 3)])[0]
         state, changed = apply_step(g, space.bottom())
         assert changed == (1,)
         assert state.component(1).elements == frozenset({(0, 1)})
@@ -407,13 +422,13 @@ class TestPathReducer:
         c32 = ext("c32", (3, 2), set(itertools.product((0, 1), (0, 1))))
         csp = CSP((D01, D01, D01), (c12, c13, c32))
         space = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-        g = make_path_reducer(space, 1, 2, 3)
+        g = make_path_reducers(space, [(1, 2, 3)])[0]
         _, changed = apply_step(g, space.bottom())
         assert changed == ()
 
     def test_empty_through_constraint_empties_target(self):
         space = path_space()
-        g = make_path_reducer(space, 1, 2, 3)
+        g = make_path_reducers(space, [(1, 2, 3)])[0]
         start = space.bottom()
         state = start.replace({2: start.component(2).with_elements(())})
         out, changed = apply_step(g, state)
@@ -423,7 +438,7 @@ class TestPathReducer:
     def test_missing_pair_rejected(self):
         space = path_space()
         with pytest.raises(ConfigError):
-            make_path_reducer(space, 2, 1, 3)
+            make_path_reducers(space, [(2, 1, 3)])[0]
 
     def test_matches_joint_solution_projection(self):
         # on its triple, the path function computes exactly the projection
@@ -435,7 +450,7 @@ class TestPathReducer:
             c_ml = random_binary_constraint(rng, {0, 1}, {0, 1}, "cml", (3, 2))
             csp = CSP((D01, D01, D01), (c_kl, c_km, c_ml))
             space = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-            g = make_path_reducer(space, 1, 2, 3)
+            g = make_path_reducers(space, [(1, 2, 3)])[0]
             state, _ = apply_step(g, space.bottom())
             joint = {
                 (a, b, m)
@@ -462,7 +477,7 @@ class TestPathReducer:
             csp = CSP((D012,) * 3, (ext("ckl", (1, 2), kl), ext("ckm", (1, 3), km),
                                     ext("cml", (3, 2), ml)))
             space = ConstraintSpace(csp, tuple(map(ExtComponent, csp.constraints)))
-            g = make_path_reducer(space, 1, 2, 3)
+            g = make_path_reducers(space, [(1, 2, 3)])[0]
             args = tuple(space.bottom().components)
             out = g.apply(args)
             want = {(a, b) for a, b in kl
@@ -981,13 +996,13 @@ def constraint_reducer_zoo(rng):
     """(space, reducer) pairs covering the constraint-reducer kinds."""
     out = []
     space = path_space()
-    out.append((space, make_path_reducer(space, 1, 2, 3)))
+    out.append((space, make_path_reducers(space, [(1, 2, 3)])[0]))
     c_kl = random_binary_constraint(rng, {0, 1}, {0, 1}, "ckl", (1, 2))
     c_km = random_binary_constraint(rng, {0, 1}, {0, 1}, "ckm", (1, 3))
     c_ml = random_binary_constraint(rng, {0, 1}, {0, 1}, "cml", (3, 2))
     csp = CSP((D01, D01, D01), (c_kl, c_km, c_ml))
     sp = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-    out.append((sp, make_path_reducer(sp, 1, 2, 3)))
+    out.append((sp, make_path_reducers(sp, [(1, 2, 3)])[0]))
     out.append((sp, make_solution_projection(sp, ["ckl", "cml"])))
     out.append((sp, make_relational_reducer(sp, Scheme((1, 2)), ["ckm", "cml"])))
     # a relational-goal reducer whose targets strictly include its members
@@ -1018,7 +1033,7 @@ def strongest_outputs(space, g, state):
     keys = [space.components[p - 1].key for p in g.scheme]
     if all(isinstance(space.components[p - 1], DomainComponent) for p in g.scheme):
         keys.append(g.group)
-    rho = make_solution_projection(space, keys, fid="rho-oracle")
+    rho = make_solution_projection(space, keys)
     return rho.apply(tuple(state.component(space.position(k)) for k in keys))[:len(g.scheme)]
 
 
@@ -1070,7 +1085,7 @@ class TestDeclaredReads:
         pi1, pi2 = make_binary_projections(ext("c", (2, 1), {(0, 0)}))
         assert (pi1.reads, pi2.reads) == ((1,), (2,))
         space = path_space()
-        f = make_path_reducer(space, 1, 2, 3)
+        f = make_path_reducers(space, [(1, 2, 3)])[0]
         assert f.reads == f.scheme[1:]
         assert make_solution_projection(space, ["c13", "c32"]).reads is None
 

@@ -54,6 +54,33 @@ class TestErrorMessages:
         ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
          "constraint e scheme (1,2) lineq 1*x1 + 2*x1 = 3\n",
          "line 3: variable x1 appears twice"),
+        ("domain 1\n", "line 1: malformed domain line"),
+        ("domain a set {0}\n", "line 1: bad domain index 'a'"),
+        ("domain 1 set {0}\ndomain 1 set {1}\n", "line 2: domain 1 declared twice"),
+        ("domain 1 real [0..1]\n", "line 1: unknown domain kind 'real'"),
+        ("domain 1 set {0}\nconstraint c\n", "line 2: malformed constraint line"),
+        ("domain 1 set {0}\nconstraint c scheme (1) table {(0)}\n",
+         "line 2: unknown constraint kind 'table'"),
+        ("domain 1 set {0}\nvariable 2\n", "line 2: unknown declaration 'variable'"),
+        ("# no declaration\n", "no domains declared"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) lineq 1*x1 + 1*x2 3\n",
+         "line 3: expected '=' in lineq form"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) leq 1*x1 + 1*x2 = 3\n",
+         "line 3: expected '<=' in leq form"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) lineq 1*x1 + 1*x2 = y\n",
+         "line 3: bad constant 'y'"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) lineq 1*x1 + y = 3\n",
+         "line 3: cannot read linear term at '+ y'"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) lineq 1*x1 2*x2 = 3\n",
+         "line 3: missing sign before '2*x2'"),
+        ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+         "constraint e scheme (1,2) lineq 1*x1 = 3\n",
+         "line 3: linear form must mention exactly the scheme variables"),
     ])
     def test_message_text(self, text, message):
         assert error_of(text) == message
