@@ -14,12 +14,20 @@ whether an idempotent applied function is left out of its own wake-up:
 * ``cii``, ``ciiq`` -- set, queue; an idempotent applied function is not
                        woken by its own change (it is stable there).
 
-The readers are found through a component -> functions index built once
-per run; they enter the worklist in the order of the strategy's ``batch``.
-The wake list of each changed-component tuple is computed once per run and
-memoised, so a step's bookkeeping does not rescan the index for a change it
-has seen.  With a built-in pure ``batch`` (see ``Strategy``) the memo holds
-the list in batch order, so each wake list is also ordered once per run.
+The run ranks its functions once, right after the strategy's ``reset``:
+a function's rank is its position in ``key`` order, and that sort is the
+only place the run evaluates the key.  From then on its bookkeeping works on
+ranks.  The woken functions enter the worklist in the order of the
+strategy's ``batch``.  The built-in ``batch`` is key order, ascending, or
+descending under ``lifo``, so the run follows it by rank and never calls it:
+a component -> readers index, built before the loop, holds each
+component's readers as a list of ranks in that order, a change of one
+component wakes its list as it is, and a change of several merges their
+lists once per distinct changed-component tuple.  Under ``seeded``, or a
+``Strategy`` subclass that overrides ``batch``, the index holds
+registration positions instead: the readers of each changed-component tuple
+are listed once, in registration order, and ``batch`` orders them at every
+wake-up.
 An application that changes nothing returns its argument tuple itself, and
 ``apply_step`` takes that as no change after one identity test: as in Apt's
 update rule, only a change costs bookkeeping.
@@ -27,12 +35,14 @@ A function reads its whole scheme unless it declares ``reads``.  An
 intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
 may leave ``x`` out and still keep the invariant of generic iteration: every
 function outside the worklist is stable at the current state.  A set mode
-keeps its pending functions in a list sorted by the strategy's ``key``: it
-sorts the first batch once, then keeps the order by bisection, and hands
-that list to the strategy's ``choose``; so one step costs O(log F + wake
-degree) key evaluations for F functions, not O(F).  The pick deletes
-``pending[0]`` without a search when that is the chosen function, as it
-always is under ``det`` and ``block``.  Beside the list, ``Pending.recent``
+keeps its pending functions in a ``Pending`` list sorted by rank, which is
+key order, beside the list of their ranks; it finds where to insert or
+delete a function by bisecting those integers, and hands the function list
+to the strategy's ``choose``.  So one step costs O(log F + wake degree)
+integer comparisons for F functions, and no key evaluation (``roundrobin``'s
+``choose`` bisects by key, O(log F)).  The pick deletes ``pending[0]``
+without a search when that is the chosen function, as it always is under
+``det`` and ``block``.  Beside the list, ``Pending.recent``
 keeps the wake order: a function woken again while pending moves to the
 back of it, so ``lifo``, which takes the back, runs the most recently woken
 function first.
@@ -151,7 +161,8 @@ class FixpointResult:
 
 
 class Pending(list):
-    """A set mode's pending functions, sorted by the strategy's ``key``.
+    """A set mode's pending functions, sorted by the strategy's ``key``: the
+    run keeps them in rank order, their position in key order.
 
     ``recent`` maps the fid of each of them to the function, in wake order:
     the most recently woken one is last.
@@ -168,16 +179,18 @@ class Strategy:
     woken functions enters the worklist.
 
     The base class is the deterministic policy: lowest ``key`` first.
-    ``key`` must give distinct functions distinct, comparable values.  A set
-    mode passes ``choose`` its pending functions as a ``Pending`` list,
-    already sorted by ``key``, which ``choose`` must not modify.  ``batch``
-    receives an immutable tuple of functions (all of them, or a woken batch,
-    in registration order) and returns a new list.  Every strategy is built
+    ``key`` must give distinct functions distinct, comparable values.
+    ``run`` evaluates it once per function, right after ``reset``, to rank
+    the functions, and schedules by rank from then on; a strategy's own
+    methods may still call it (``roundrobin``'s ``choose`` does).  A set mode
+    passes ``choose`` its pending functions as a ``Pending`` list, already
+    sorted by ``key``, which ``choose`` must not modify.  ``batch`` receives
+    an immutable tuple of functions (all of them, or a woken batch, in
+    registration order) and returns a new list.  Every strategy is built
     from the run's seed; only ``seeded`` draws from it.
 
-    ``batch`` here and in ``LifoStrategy`` is a pure function of its
-    argument (given ``key``, which is fixed once ``reset`` has run), so
-    ``run`` calls it once per distinct wake list and keeps its order.  A
+    ``batch`` here and in ``LifoStrategy`` is key order, ascending or
+    descending, so ``run`` follows it by rank and never calls it.  A
     subclass that overrides ``batch``, as ``seeded`` does, is called on
     every wake-up.
     """
@@ -202,12 +215,16 @@ class SeededStrategy(Strategy):
 
     def reset(self, functions):
         self._rng = random.Random(self.seed)
+        # each function's position in key order, so that ``batch`` sorts
+        # without evaluating the key again
+        self._rank = {f.fid: r for r, f in enumerate(sorted(functions, key=self.key))}
 
     def choose(self, pending):
         return self._rng.choice(pending)
 
     def batch(self, functions):
-        out = super().batch(functions)
+        rank = self._rank
+        out = sorted(functions, key=lambda f: rank[f.fid])
         self._rng.shuffle(out)
         return out
 
@@ -347,6 +364,14 @@ def probe_function(f: ReductionFunction, start: ProductValue,
     pairs; ``run`` passes one such memo, for its ``start`` and the default
     ``samples``, to every probe, so a component is drawn once per run, not
     once per function reading it.
+
+    A function that declares both ``idempotent`` and ``reads`` is stable at
+    ``z = f(x)``, and its ``reads`` says it stays so while only unread
+    components change.  So each sample also moves every unread coordinate
+    of ``z`` up, by ``sample_above`` on a stream of its own seeded by the
+    component's position (the shared draws stay as they are), and checks
+    that ``f`` is stable at the moved point.  A function that declares
+    ``reads`` but not ``idempotent`` is not checked against its ``reads``.
     """
     if draws is None:
         draws = {}
@@ -358,6 +383,9 @@ def probe_function(f: ReductionFunction, start: ProductValue,
         xcols.append(col[0])
         ycols.append(col[1])
     rows = zip(zip(*xcols), zip(*ycols)) if xcols else [((), ())] * samples
+    # the unread coordinates, each with its own stream of upward moves
+    unread = {k: random.Random(i) for k, i in enumerate(f.scheme)
+              if f.idempotent and f.reads is not None and i not in f.reads}
     for x, y in rows:
         fx = tuple(f.apply(x))
         if len(fx) != len(x):
@@ -367,6 +395,14 @@ def probe_function(f: ReductionFunction, start: ProductValue,
         if f.idempotent and tuple(f.apply(fx)) != fx:
             raise ProbeRejectionError(
                 f.fid, "declares idempotent=True but failed the idempotence probe")
+        if unread:
+            z = list(fx)
+            for k, rng in unread.items():
+                z[k] = z[k].sample_above(rng)
+            z = tuple(z)
+            if tuple(f.apply(z)) != z:
+                raise ProbeRejectionError(
+                    f.fid, f"declares reads={f.reads} but failed the reads probe")
         fy = tuple(f.apply(y))
         if not all(map(lattice.leq, fx, fy)):
             raise ProbeRejectionError(f.fid, "failed the monotonicity probe")
@@ -394,10 +430,10 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     Observing does not change the run: the same value, outcome and
     application count come back either way.
 
-    The wake lists are memoised per changed-component tuple in a dict local
-    to the run, in batch order when the strategy's ``batch`` is a built-in
-    pure one; it grows with the number of distinct changed-component sets,
-    never with the step count.
+    The readers of a change of several components, and every wake list of
+    a strategy whose ``batch`` is called, are memoised per
+    changed-component tuple in a dict local to the run; it grows with the
+    number of distinct changed-component sets, never with the step count.
     """
     functions = tuple(functions)
     if mode not in MODES:
@@ -405,11 +441,11 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if step_cap < 0:
         raise ConfigError(f"step cap must be at least 0, got {step_cap}")
     n = len(start)
-    seen: set[str] = set()
+    rank: dict[str, int] = {}   # fid -> rank, once the functions are ranked
     for f in functions:
-        if f.fid in seen:
+        if f.fid in rank:
             raise ConfigError(f"function {f.fid!r} listed twice in one run")
-        seen.add(f.fid)
+        rank[f.fid] = -1
     for f in functions:
         _check_scheme(f, n)
     if validate:
@@ -437,74 +473,103 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if early_exit and emptied(range(1, n + 1)) is not None:
         return FixpointResult(d, RunTrace(0, Outcome.EMPTY_COMPONENT))
 
-    # component -> positions of the functions reading it, built once
-    dependents: list[list[int]] = [[] for _ in range(n + 1)]
-    for pos, f in enumerate(functions):
+    # the ranks: each function's position in key order, the only place the
+    # run evaluates the key; from here on it schedules ranks
+    ranked = sorted(functions, key=strategy.key)
+    for r, f in enumerate(ranked):
+        rank[f.fid] = r
+
+    # a built-in batch is key order, ascending or, under lifo, descending,
+    # so the run follows it by rank and never calls it; any other batch is
+    # called on every wake-up, with the woken functions in registration order
+    descending = {Strategy.batch: False,
+                  LifoStrategy.batch: True}.get(type(strategy).batch)
+    by_rank = descending is not None
+
+    # component -> the functions reading it, built once: ranks in batch
+    # order, or registration positions for a batch that is called
+    readers: list[list[int]] = [[] for _ in range(n + 1)]
+    for p, f in enumerate(ranked if by_rank else functions):
         for i in set(f.scheme if f.reads is None else f.reads):
-            dependents[i].append(pos)
+            readers[i].append(p)
+    if descending:
+        for ps in readers:
+            ps.reverse()
 
-    # changed-component tuple -> the functions reading any of them: in batch
-    # order when the strategy's batch is a built-in pure one, which then
-    # runs once per wake list; else in registration order, and batch runs
-    # on every wake-up
-    pure_batch = type(strategy).batch in (Strategy.batch, LifoStrategy.batch)
-    wake_lists: dict[tuple[int, ...], tuple[ReductionFunction, ...]] = {}
-
-    def woken(changed) -> Sequence[ReductionFunction]:
-        fs = wake_lists.get(changed)
-        if fs is None:
-            positions = {p for i in changed for p in dependents[i]}
-            fs = tuple(functions[p] for p in sorted(positions))
-            if pure_batch:
-                fs = tuple(strategy.batch(fs))
-            wake_lists[changed] = fs
-        return fs if pure_batch else strategy.batch(fs)
+    # changed-component tuple -> the functions it wakes, for every change
+    # a run cannot look up in ``readers`` alone; it grows with the number of
+    # distinct changes, never with the step count
+    wake_lists: dict[tuple[int, ...], Sequence] = {}
+    if by_rank:
+        def woken(changed) -> Sequence[int]:
+            if len(changed) == 1:
+                return readers[changed[0]]
+            wake = wake_lists.get(changed)
+            if wake is None:
+                wake = wake_lists[changed] = sorted(
+                    {r for i in changed for r in readers[i]}, reverse=descending)
+            return wake
+        first = range(len(ranked))[::-1] if descending else range(len(ranked))
+    else:
+        def woken(changed) -> Sequence[int]:
+            fs = wake_lists.get(changed)
+            if fs is None:
+                fs = wake_lists[changed] = tuple(functions[p] for p in sorted(
+                    {p for i in changed for p in readers[i]}))
+            return [rank[f.fid] for f in strategy.batch(fs)]
+        first = [rank[f.fid] for f in strategy.batch(functions)]
 
     queue = mode in ("ciq", "ciiq")
     keep_out = mode in ("cii", "ciiq")
-    pending = deque() if queue else Pending()
-    key = strategy.key
-
-    def push(batch: Sequence[ReductionFunction]) -> None:
-        if queue:
-            pending.extend(batch)
-            return
+    if queue:
+        pending = deque(first)
+    else:
+        # every function is pending: in key order, and in batch order in
+        # ``recent``; ``ranks`` runs beside ``pending`` and is what the
+        # bisections search
+        pending = Pending()
+        pending.extend(ranked)
+        pending.recent.update((ranked[r].fid, ranked[r]) for r in first)
+        ranks = list(range(len(ranked)))
         recent = pending.recent
-        for f in batch:
-            fid = f.fid
-            if recent.pop(fid, None) is None:
-                bisect.insort(pending, f, key=key)
-            recent[fid] = f    # a re-woken function moves to the back
+        choose = strategy.choose
 
-    # the first batch in one pass: its fids are distinct, so in a set mode
-    # pushing it one by one would leave it sorted by key, in batch order in
-    # ``recent``
-    first = strategy.batch(functions)
-    pending.extend(first)
-    if not queue:
-        pending.sort(key=key)
-        pending.recent.update((f.fid, f) for f in first)
+    def push(wake: Sequence[int]) -> None:
+        if queue:
+            pending.extend(wake)
+            return
+        for r in wake:
+            f = ranked[r]
+            if recent.pop(f.fid, None) is None:
+                i = bisect.bisect_left(ranks, r)
+                ranks.insert(i, r)
+                pending.insert(i, f)
+            recent[f.fid] = f    # a re-woken function moves to the back
+
     while pending:
         if applications >= step_cap:
             return FixpointResult(d, RunTrace(applications, Outcome.STEP_LIMIT))
         if queue:
-            g = pending.popleft()
+            gr = pending.popleft()
+            g = ranked[gr]
         else:
-            g = strategy.choose(pending)
-            del pending.recent[g.fid]
+            g = choose(pending)
+            del recent[g.fid]
             if pending[0] is g:     # always so under det and block
-                del pending[0]
+                i = 0
             else:
-                del pending[bisect.bisect_left(pending, key(g), key=key)]
+                i = bisect.bisect_left(ranks, rank[g.fid])
+            gr = ranks.pop(i)
+            del pending[i]
         d2, changed = apply_step(g, d)
         applications += 1
         if observer is not None:
             observer(TraceStep(g.fid, changed))
         if changed:
-            batch = woken(changed)
+            wake = woken(changed)
             # an idempotent g is stable at d2: cii/ciiq need not wake it
-            push([f for f in batch if f is not g] if keep_out and g.idempotent
-                 else batch)
+            push([r for r in wake if r != gr] if keep_out and g.idempotent
+                 else wake)
             d = d2
         if early_exit and changed and emptied(changed) is not None:
             return FixpointResult(d, RunTrace(applications, Outcome.EMPTY_COMPONENT))

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -27,6 +28,7 @@ from propeng.reducers import (
     build_named_reducers, domain_bottom, csp_from_domain_state,
     make_binary_projections, make_full_projection, make_linear_eq_narrowing,
 )
+from propeng.consistency import _PassOrder
 from propeng.csp import solutions
 
 # every strategy, the seeded one under two seeds
@@ -131,6 +133,27 @@ def reference_set_run(functions, start, mode, strategy):
                             if set(changed) & set(f.scheme if f.reads is None else f.reads))
             push([f for f in strategy.batch(readers)
                   if not (mode == "cii" and f is g and g.idempotent)])
+    return steps, d
+
+
+def reference_queue_run(functions, start, mode, strategy):
+    """The steps and the value of a queue-mode run (``ciq`` or ``ciiq``), by
+    Apt's generic iteration written plainly: the worklist is a FIFO queue
+    with duplicates, the readers of a change are found by scanning every
+    function, and ``batch`` orders every wake-up."""
+    functions = tuple(functions)
+    strategy.reset(functions)
+    queue = deque(strategy.batch(functions))
+    d, steps = start, []
+    while queue:
+        g = queue.popleft()
+        d, changed = apply_step(g, d)
+        steps.append(TraceStep(g.fid, changed))
+        if changed:
+            readers = tuple(f for f in functions
+                            if set(changed) & set(f.scheme if f.reads is None else f.reads))
+            queue.extend(f for f in strategy.batch(readers)
+                         if not (mode == "ciiq" and f is g and g.idempotent))
     return steps, d
 
 
@@ -602,9 +625,10 @@ class TestScheduling:
                 assert steps[0] == steps[1], mode
 
     def test_memoised_wake_lists_keep_every_order(self, monkeypatch):
-        # a built-in pure batch runs once per wake list, any other batch on
-        # every wake-up; the steps are those of a subclass that overrides
-        # batch, which the engine calls on every wake-up
+        # a built-in key-order batch never runs: the run follows it by rank;
+        # seeded's batch runs on every wake-up.  The steps are those of a
+        # subclass that overrides batch, which the engine calls on every
+        # wake-up
         rng = random.Random(79)
         lists = []
         for _ in range(6):
@@ -648,8 +672,7 @@ class TestScheduling:
                     assert steps == listed, (name, mode)
                     woken = [s.changed_components for s in steps if s.changed]
                     assert listing.calls == 1 + len(woken)
-                    memoised = name != "seeded"
-                    assert len(calls) == 1 + len(set(woken) if memoised else woken)
+                    assert len(calls) == (1 + len(woken) if name == "seeded" else 0)
                     repeated += len(set(woken)) < len(woken)
         assert repeated > 0
 
@@ -668,6 +691,55 @@ class TestScheduling:
                 assert res.value == value
                 changes += sum(s.changed for s in steps)
         assert changes > len(lists)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_queue_modes_match_a_reference_worklist(self, name):
+        # the lineq lists change several components in one step
+        rng = random.Random(89)
+        lists = [*projection_lists(rng, 8), *path_lists(rng, 8), *lineq_lists(rng, 12)]
+        several = 0    # steps that changed several components
+        for fns, start in lists:
+            for mode in ("ciq", "ciiq"):
+                steps = []
+                res = run(fns, start, mode=mode, strategy=make_strategy(name, 4),
+                          validate=False, observer=steps.append)
+                want, value = reference_queue_run(fns, start, mode, make_strategy(name, 4))
+                assert steps == want, (name, mode, [f.fid for f in fns])
+                assert res.value == value
+                several += sum(len(s.changed_components) > 1 for s in steps)
+        assert several > 0, several
+
+    @pytest.mark.parametrize("name", ["det", "block", "lifo", "seeded", "pass order"])
+    def test_the_key_is_evaluated_only_while_ranking(self, name):
+        # eight divergent pairs of equalities, x - y = 1 and x - y = 0, run
+        # to a cap of many more steps than the ranking's key evaluations
+        base = _PassOrder if name == "pass order" else STRATEGIES[name]
+
+        class Counting(base):
+            calls = 0
+            inner = staticmethod(base.key)
+
+            @property
+            def key(self):
+                def counted(f):
+                    self.calls += 1
+                    return self.inner(f)
+                return counted
+
+            @key.setter
+            def key(self, value):     # the pass order sets its key in reset
+                self.inner = value
+
+        fns = [TestProbes.equation(f"e{k}{b}", (2 * k - 1, 2 * k), (1, -1), b)
+               for k in range(1, 9) for b in (1, 0)]
+        start = domain_bottom(CSP((IntDomain(0, 10**9),) * 16, ()))
+        bound = len(fns) * math.ceil(math.log2(len(fns))) + len(fns)
+        for mode in MODES:
+            strategy = Counting(1)
+            res = run(fns, start, mode=mode, strategy=strategy, step_cap=4000,
+                      validate=False)
+            assert res.trace.outcome is Outcome.STEP_LIMIT
+            assert 0 < strategy.calls <= bound < res.trace.total_applications, mode
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):
@@ -746,7 +818,8 @@ class TestProbes:
     @pytest.mark.parametrize("idempotent", [False, True])
     def test_every_sample_is_applied(self, idempotent):
         # run probes each function on probe_function's default 6 samples:
-        # f(x) and f(y) for each, and f(f(x)) too if f declares idempotence
+        # f(x) and f(y) for each, f(f(x)) too if f declares idempotence, and
+        # f at f(x) moved up off its reads if it declares both (pi1, pi2)
         c = Constraint("c", Scheme((1, 2)),
                        ExtensionalBody(frozenset({(1, 1), (2, 2), (3, 1)})))
         csp = CSP((SetDomain(frozenset({1, 2, 3})), SetDomain(frozenset({1, 2}))), (c,))
@@ -757,7 +830,8 @@ class TestProbes:
             fns.append(self.recorded(f, calls.setdefault(f.fid, [])))
         run(fns, domain_bottom(csp), step_cap=0)
         assert {fid: len(args) for fid, args in calls.items()} == {
-            f.fid: (3 if idempotent else 2) * 6 for f in fns}
+            f.fid: (2 + idempotent + (idempotent and f.reads is not None)) * 6
+            for f in fns}
 
     @staticmethod
     def bump(idempotent):
@@ -780,6 +854,62 @@ class TestProbes:
             run([self.bump(True)], start, mode=mode)
         res = run([self.bump(False)], start, mode=mode)
         assert res.value.component(1).lo == 5
+
+    @staticmethod
+    def a_up(reads):
+        """``y := y & [x.lo..]`` on ``(x, y)``: monotone, inflationary and
+        idempotent, and a change of ``x`` can make it unstable."""
+
+        def apply(args):
+            x, y = args
+            if y.is_empty:
+                return args
+            if x.is_empty or x.lo > y.hi:
+                return (x, GridInterval.empty(y.grid))
+            if x.lo <= y.lo:
+                return args
+            return (x, GridInterval(y.grid, x.lo, y.hi))
+
+        return ReductionFunction("a_up", Scheme((1, 2)), apply, idempotent=True,
+                                 reads=reads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_false_reads_declaration_rejected(self, mode):
+        # a_up declares that it reads y only; "up" raises x.lo to 3.  Run
+        # unprobed, the false declaration leaves a_up unstable at the end
+        up = ReductionFunction(
+            "up", Scheme((1,)),
+            lambda args: args if args[0].is_empty or args[0].lo >= 3
+            else (GridInterval(args[0].grid, 3, args[0].hi),),
+            idempotent=True)
+        start = domain_bottom(CSP((IntDomain(0, 10), IntDomain(0, 10)), ()))
+        with pytest.raises(ProbeRejectionError,
+                           match=r"'a_up' rejected: declares reads=\(2,\)"):
+            run([up, self.a_up((2,))], start, mode=mode)
+        res = run([up, self.a_up((2,))], start, mode=mode, validate=False)
+        assert res.converged and res.value.component(2).lo == 0
+        res = run([up, self.a_up(None)], start, mode=mode)
+        assert res.value.component(2).lo == 3
+
+    def test_catalogue_reads_declarations_pass(self):
+        # pi1/pi2 read the other side, path@ and a rel@ whose target is not
+        # a member read their members only
+        rng = random.Random(97)
+        names = ["pi1@c13", "pi2@c12", "path@1,2,3", "path@3,1,2",
+                 "rel@2,3;c12,c13", "rel@1,2;c13,c32"]
+        probed = set()
+        for _ in range(12):
+            domains = [frozenset(range(rng.randint(2, 3))) for _ in range(3)]
+            cs = tuple(random_binary_constraint(
+                rng, domains[i - 1], domains[j - 1], f"c{i}{j}", (i, j))
+                for i, j in ((1, 2), (1, 3), (3, 2), (2, 3)))
+            setup = build_named_reducers(
+                CSP(tuple(SetDomain(d) for d in domains), cs), names)
+            for f in setup.functions:
+                assert f.idempotent and f.reads is not None, f.fid
+                probe_function(f, setup.start, samples=20)
+                probed.add(f.fid)
+        assert probed == set(names)
 
     def test_shared_draws_do_not_raise_the_peak(self):
         # a 200-equality chain: each component's draws are freed once its
