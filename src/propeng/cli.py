@@ -9,6 +9,7 @@ failed.  ``--help`` exits 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -62,21 +63,22 @@ def _load(path: str) -> csp_mod.CSP:
     return problem
 
 
-def _trace_lines(steps: list[engine.TraceStep]) -> list[str]:
-    return [
-        f"step={k} fn={s.fid} changed={int(s.changed)} "
-        f"comps={','.join(map(str, s.changed_components))}"
-        for k, s in enumerate(steps, start=1)
-    ]
-
-
 def cmd_run(args) -> int:
     if (args.goal is None) == (args.reducers is None):
         print("error: exactly one of --goal / --reducers is required", file=sys.stderr)
         return 1
-    # the steps are kept only when they are printed, after the run
+    # a text trace prints each step as it is made; a JSON one keeps the
+    # steps for the document written after the run
     steps: list[engine.TraceStep] = []
-    observer = steps.append if args.trace else None
+    observer = None
+    if args.trace and args.format == "json":
+        observer = steps.append
+    elif args.trace:
+        count = itertools.count(1)
+
+        def observer(s: engine.TraceStep) -> None:
+            print(f"step={next(count)} fn={s.fid} changed={int(s.changed)} "
+                  f"comps={','.join(map(str, s.changed_components))}")
     try:
         problem = _load(args.input)
         strategy = engine.make_strategy(args.strategy, args.seed)
@@ -118,9 +120,6 @@ def cmd_run(args) -> int:
             fields.append(f'"trace": {textio.trace_json(steps, "  ")}')
         print("{\n  ", ",\n  ".join(fields), "\n}", sep="")
     else:
-        if args.trace:
-            for line in _trace_lines(steps):
-                print(line)
         sys.stdout.write(textio.serialize_csp(reduced))
         print(f"# outcome: {trace.outcome.value} applications={trace.total_applications}")
         if equivalence is not None:

@@ -33,7 +33,9 @@ from typing import Callable
 from .csp import (
     CSP, DEFAULT_ENUM_CAP, Relation, Scheme, SetDomain, join_constraints, reselect,
 )
-from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, run
+from .engine import (
+    DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, position_key, run,
+)
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
     ConstraintSpace, RunSetup, constraint_components, domain_space, join_projection,
@@ -230,8 +232,7 @@ class _PassOrder(Strategy):
     whose functions wake only later ones."""
 
     def reset(self, functions):
-        position = {f.fid: k for k, f in enumerate(functions)}
-        self.key = lambda f: position[f.fid]
+        self.key = position_key(functions)
 
 
 def _check_order(csp: CSP, order) -> dict[int, int]:

@@ -17,17 +17,15 @@ whether an idempotent applied function is left out of its own wake-up:
 The run ranks its functions once, right after the strategy's ``reset``:
 a function's rank is its position in ``key`` order, and that sort is the
 only place the run evaluates the key.  From then on its bookkeeping works on
-ranks.  The woken functions enter the worklist in the order of the
-strategy's ``batch``.  The built-in ``batch`` is key order, ascending, or
-descending under ``lifo``, so the run follows it by rank and never calls it:
-a component -> readers index, built before the loop, holds each
-component's readers as a list of ranks in that order, a change of one
+ranks, and the woken functions enter the worklist in rank order, which is
+key order: a component -> readers index, built before the loop, holds each
+component's readers as an ascending list of ranks, a change of one
 component wakes its list as it is, and a change of several merges their
-lists once per distinct changed-component tuple.  Under ``seeded``, or a
-``Strategy`` subclass that overrides ``batch``, the index holds
-registration positions instead: the readers of each changed-component tuple
-are listed once, in registration order, and ``batch`` orders them at every
-wake-up.
+lists once per distinct changed-component tuple.  So a strategy is a key
+and a ``choose``, and an order of its own is a key by position
+(``position_key``), set in ``reset``: ``lifo`` keys by descending fid, and
+``seeded`` by a seeded random order, drawn once per run, with a seeded
+random pick in set modes.
 An application that changes nothing returns its argument tuple itself, and
 ``apply_step`` takes that as no change after one identity test: as in Apt's
 update rule, only a change costs bookkeeping.
@@ -173,26 +171,29 @@ class Pending(list):
         self.recent: dict[str, ReductionFunction] = {}
 
 
+def position_key(order: Iterable[ReductionFunction]) -> Callable[[ReductionFunction], int]:
+    """The key that ranks each function by its position in ``order``."""
+    position = {f.fid: k for k, f in enumerate(order)}
+    return lambda f: position[f.fid]
+
+
 class Strategy:
     """Resolves the nondeterminism left open by the iteration loop: which
-    pending function a set mode picks next, and in what order a batch of
-    woken functions enters the worklist.
+    pending function a set mode picks next.  Its ``key`` also orders the
+    functions a change wakes as they enter the worklist, so a strategy is a
+    key and a ``choose``; a subclass customises ``key``, ``reset`` and
+    ``choose``.
 
     The base class is the deterministic policy: lowest ``key`` first.
     ``key`` must give distinct functions distinct, comparable values.
     ``run`` evaluates it once per function, right after ``reset``, to rank
     the functions, and schedules by rank from then on; a strategy's own
-    methods may still call it (``roundrobin``'s ``choose`` does).  A set mode
-    passes ``choose`` its pending functions as a ``Pending`` list, already
-    sorted by ``key``, which ``choose`` must not modify.  ``batch`` receives
-    an immutable tuple of functions (all of them, or a woken batch, in
-    registration order) and returns a new list.  Every strategy is built
-    from the run's seed; only ``seeded`` draws from it.
-
-    ``batch`` here and in ``LifoStrategy`` is key order, ascending or
-    descending, so ``run`` follows it by rank and never calls it.  A
-    subclass that overrides ``batch``, as ``seeded`` does, is called on
-    every wake-up.
+    methods may still call it (``roundrobin``'s ``choose`` does).  A
+    ``reset`` may set the key for the run, as ``position_key`` of an order
+    it draws from the functions.  A set mode passes ``choose`` its pending
+    functions as a ``Pending`` list, already sorted by ``key``, which
+    ``choose`` must not modify.  Every strategy is built from the run's
+    seed; only ``seeded`` draws from it.
     """
 
     key = operator.attrgetter("fid")
@@ -206,38 +207,31 @@ class Strategy:
     def choose(self, pending: Pending) -> ReductionFunction:
         return pending[0]
 
-    def batch(self, functions: Sequence[ReductionFunction]) -> list[ReductionFunction]:
-        return sorted(functions, key=self.key)
-
 
 class SeededStrategy(Strategy):
-    """Pseudo-random with a fixed seed; reproducible across runs."""
+    """A seeded random order, drawn once per run, and a seeded random pick
+    in set modes; reproducible across runs."""
 
     def reset(self, functions):
         self._rng = random.Random(self.seed)
-        # each function's position in key order, so that ``batch`` sorts
-        # without evaluating the key again
-        self._rank = {f.fid: r for r, f in enumerate(sorted(functions, key=self.key))}
+        order = sorted(functions, key=Strategy.key)
+        self._rng.shuffle(order)
+        self.key = position_key(order)
 
     def choose(self, pending):
         return self._rng.choice(pending)
 
-    def batch(self, functions):
-        rank = self._rank
-        out = sorted(functions, key=lambda f: rank[f.fid])
-        self._rng.shuffle(out)
-        return out
-
 
 class LifoStrategy(Strategy):
-    """Most recently woken function first: a set mode moves a function that
-    is woken again to the back of the wake order, and this picks the back."""
+    """Most recently woken function first: the key is descending fid order,
+    a set mode moves a function that is woken again to the back of the wake
+    order, and this picks the back."""
+
+    def reset(self, functions):
+        self.key = position_key(sorted(functions, key=Strategy.key, reverse=True))
 
     def choose(self, pending):
         return next(reversed(pending.recent.values()))
-
-    def batch(self, functions):
-        return sorted(functions, key=self.key, reverse=True)
 
 
 class RoundRobinStrategy(Strategy):
@@ -430,8 +424,7 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     Observing does not change the run: the same value, outcome and
     application count come back either way.
 
-    The readers of a change of several components, and every wake list of
-    a strategy whose ``batch`` is called, are memoised per
+    The readers of a change of several components are memoised per
     changed-component tuple in a dict local to the run; it grows with the
     number of distinct changed-component sets, never with the step count.
     """
@@ -479,57 +472,36 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     for r, f in enumerate(ranked):
         rank[f.fid] = r
 
-    # a built-in batch is key order, ascending or, under lifo, descending,
-    # so the run follows it by rank and never calls it; any other batch is
-    # called on every wake-up, with the woken functions in registration order
-    descending = {Strategy.batch: False,
-                  LifoStrategy.batch: True}.get(type(strategy).batch)
-    by_rank = descending is not None
-
-    # component -> the functions reading it, built once: ranks in batch
-    # order, or registration positions for a batch that is called
+    # component -> the ranks of the functions reading it, ascending, built once
     readers: list[list[int]] = [[] for _ in range(n + 1)]
-    for p, f in enumerate(ranked if by_rank else functions):
+    for r, f in enumerate(ranked):
         for i in set(f.scheme if f.reads is None else f.reads):
-            readers[i].append(p)
-    if descending:
-        for ps in readers:
-            ps.reverse()
+            readers[i].append(r)
 
-    # changed-component tuple -> the functions it wakes, for every change
-    # a run cannot look up in ``readers`` alone; it grows with the number of
-    # distinct changes, never with the step count
-    wake_lists: dict[tuple[int, ...], Sequence] = {}
-    if by_rank:
-        def woken(changed) -> Sequence[int]:
-            if len(changed) == 1:
-                return readers[changed[0]]
-            wake = wake_lists.get(changed)
-            if wake is None:
-                wake = wake_lists[changed] = sorted(
-                    {r for i in changed for r in readers[i]}, reverse=descending)
-            return wake
-        first = range(len(ranked))[::-1] if descending else range(len(ranked))
-    else:
-        def woken(changed) -> Sequence[int]:
-            fs = wake_lists.get(changed)
-            if fs is None:
-                fs = wake_lists[changed] = tuple(functions[p] for p in sorted(
-                    {p for i in changed for p in readers[i]}))
-            return [rank[f.fid] for f in strategy.batch(fs)]
-        first = [rank[f.fid] for f in strategy.batch(functions)]
+    # changed-component tuple -> the ranks it wakes, for a change of several
+    # components; it grows with the number of distinct changes, never with
+    # the step count
+    wake_lists: dict[tuple[int, ...], list[int]] = {}
+
+    def woken(changed) -> Sequence[int]:
+        if len(changed) == 1:
+            return readers[changed[0]]
+        wake = wake_lists.get(changed)
+        if wake is None:
+            wake = wake_lists[changed] = sorted({r for i in changed for r in readers[i]})
+        return wake
 
     queue = mode in ("ciq", "ciiq")
     keep_out = mode in ("cii", "ciiq")
     if queue:
-        pending = deque(first)
+        pending = deque(range(len(ranked)))
     else:
-        # every function is pending: in key order, and in batch order in
+        # every function is pending, in key order in the list and in
         # ``recent``; ``ranks`` runs beside ``pending`` and is what the
         # bisections search
         pending = Pending()
         pending.extend(ranked)
-        pending.recent.update((ranked[r].fid, ranked[r]) for r in first)
+        pending.recent.update((f.fid, f) for f in ranked)
         ranks = list(range(len(ranked)))
         recent = pending.recent
         choose = strategy.choose

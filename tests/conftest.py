@@ -254,9 +254,6 @@ class AlternatingStrategy(Strategy):
         self._next = "f2" if self._next == "f1" else "f1"
         return pick
 
-    def batch(self, functions):
-        return sorted(functions, key=lambda f: f.fid)
-
 
 @pytest.fixture
 def counter_fixture():

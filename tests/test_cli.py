@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from propeng import consistency
 from propeng.cli import main
 from propeng.consistency import is_relationally_m_consistent
 from propeng.csp import (
     CSP, Constraint, IntDomain, LinearEqBody, LinearIneqBody, Scheme, validate,
 )
-from propeng.errors import DataError
+from propeng.engine import TraceStep
+from propeng.errors import DataError, PropagationError
 from propeng.textio import csp_to_obj, parse_csp, serialize_csp
 
 EQ_NE = """\
@@ -249,6 +251,23 @@ class TestRunCommand:
             "step=2 fn=pi2@c2 changed=1 comps=3",
             "step=3 fn=rho@c1,c2 changed=1 comps=4",
             "step=4 fn=rho@c1,c2 changed=0 comps="]
+
+    def test_trace_lines_are_printed_while_the_run_goes(
+            self, eq_ne_file, capsys, monkeypatch):
+        # a run that fails after two steps has already printed them
+        def failing(problem, goal, *, observer, **kwargs):
+            observer(TraceStep("pi1@eq", (1,)))
+            observer(TraceStep("pi2@eq", ()))
+            raise PropagationError("the run broke off")
+
+        monkeypatch.setattr(consistency, "achieve", failing)
+        code = main(["run", eq_ne_file, "--goal", "arc", "--trace"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            "step=1 fn=pi1@eq changed=1 comps=1",
+            "step=2 fn=pi2@eq changed=0 comps="]
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("mode", ["ci", "cii", "ciq", "ciiq"])
     def test_narrowing_converges_in_every_mode(self, tmp_path, capsys, mode):

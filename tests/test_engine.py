@@ -107,18 +107,18 @@ def path_lists(rng, count):
 def reference_set_run(functions, start, mode, strategy):
     """The steps and the value of a set-mode run (``ci`` or ``cii``), by
     Apt's generic iteration written plainly: the worklist is a dict in wake
-    order, re-sorted for every pick, and the readers of a change are found
-    by scanning every function."""
+    order, re-sorted for every pick, the readers of a change are found by
+    scanning every function, and they join in key order."""
     functions = tuple(functions)
     strategy.reset(functions)
     pending = {}
 
-    def push(batch):
-        for f in batch:
+    def push(woken):
+        for f in sorted(woken, key=strategy.key):
             pending.pop(f.fid, None)
             pending[f.fid] = f
 
-    push(strategy.batch(functions))
+    push(functions)
     d, steps = start, []
     while pending:
         view = Pending()
@@ -129,10 +129,9 @@ def reference_set_run(functions, start, mode, strategy):
         d, changed = apply_step(g, d)
         steps.append(TraceStep(g.fid, changed))
         if changed:
-            readers = tuple(f for f in functions
-                            if set(changed) & set(f.scheme if f.reads is None else f.reads))
-            push([f for f in strategy.batch(readers)
-                  if not (mode == "cii" and f is g and g.idempotent)])
+            push([f for f in functions
+                  if set(changed) & set(f.scheme if f.reads is None else f.reads)
+                  and not (mode == "cii" and f is g and g.idempotent)])
     return steps, d
 
 
@@ -140,20 +139,21 @@ def reference_queue_run(functions, start, mode, strategy):
     """The steps and the value of a queue-mode run (``ciq`` or ``ciiq``), by
     Apt's generic iteration written plainly: the worklist is a FIFO queue
     with duplicates, the readers of a change are found by scanning every
-    function, and ``batch`` orders every wake-up."""
+    function, and they join in key order."""
     functions = tuple(functions)
     strategy.reset(functions)
-    queue = deque(strategy.batch(functions))
+    queue = deque(sorted(functions, key=strategy.key))
     d, steps = start, []
     while queue:
         g = queue.popleft()
         d, changed = apply_step(g, d)
         steps.append(TraceStep(g.fid, changed))
         if changed:
-            readers = tuple(f for f in functions
-                            if set(changed) & set(f.scheme if f.reads is None else f.reads))
-            queue.extend(f for f in strategy.batch(readers)
-                         if not (mode == "ciiq" and f is g and g.idempotent))
+            queue.extend(sorted(
+                (f for f in functions
+                 if set(changed) & set(f.scheme if f.reads is None else f.reads)
+                 and not (mode == "ciiq" and f is g and g.idempotent)),
+                key=strategy.key))
     return steps, d
 
 
@@ -415,13 +415,13 @@ PINNED_TRACES = {
                 "pi1@c2 pi2@c2 pi1@c2 pi2@c1",
     },
     ("seeded", 1): {
-        "ci": "pi2@c1 pi2@c2 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi1@c1",
-        "cii": "pi2@c1 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi2@c1 pi1@c2",
-        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c2 pi2@c1 pi1@c1 pi1@c1 "
-               "pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi1@c2 pi2@c2 "
-               "pi2@c1 pi1@c1",
-        "ciiq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi1@c1 pi1@c2 pi2@c2 "
-                "pi2@c1 pi1@c1 pi2@c2 pi2@c1 pi1@c2",
+        "ci": "pi2@c1 pi2@c2 pi1@c2 pi1@c2 pi1@c1 pi2@c1 pi1@c1 pi2@c2",
+        "cii": "pi2@c1 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi2@c2",
+        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi2@c2 "
+               "pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c2 pi1@c2 "
+               "pi1@c1 pi2@c1",
+        "ciiq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi1@c2 "
+                "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi2@c1",
     },
 }
 
@@ -450,9 +450,9 @@ PINNED_TRACES_READS = {
                "pi1@c2 pi2@c1",
     },
     ("seeded", 1): {
-        "ci": "pi2@c1 pi1@c2 pi2@c2 pi1@c2 pi1@c1 pi2@c1",
-        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi1@c1 pi2@c2 pi2@c2 "
-               "pi1@c1 pi2@c1 pi1@c2",
+        "ci": "pi2@c1 pi2@c2 pi1@c2 pi1@c1 pi2@c1 pi2@c2",
+        "ciq": "pi2@c2 pi1@c1 pi2@c1 pi1@c2 pi1@c2 pi2@c1 pi2@c2 pi1@c1 pi2@c2 "
+               "pi1@c1 pi1@c2 pi2@c1",
     },
 }
 
@@ -554,14 +554,22 @@ class TestScheduling:
             idempotent=True)
             for i in range(1, n + 1)]
         start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(n)))
-        base_key = STRATEGIES[name].key
+        base = STRATEGIES[name]
 
-        class Counting(STRATEGIES[name]):
+        class Counting(base):
             calls = 0
+            inner = staticmethod(base.key)
 
-            def key(self, f):
-                self.calls += 1
-                return base_key(f)
+            @property
+            def key(self):
+                def counted(f):
+                    self.calls += 1
+                    return self.inner(f)
+                return counted
+
+            @key.setter
+            def key(self, value):     # lifo and seeded set their key in reset
+                self.inner = value
 
         for mode in ("ci", "cii"):
             strategy = Counting(1)
@@ -570,11 +578,11 @@ class TestScheduling:
             per_step = strategy.calls / res.trace.total_applications
             assert per_step <= 4 * math.log2(n), (mode, per_step)
 
-    def test_two_changed_components_wake_each_reader_once(self):
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_two_changed_components_wake_each_reader_once(self, name):
         # g shrinks components 1 and 2 together, twice (so it is not
-        # idempotent): each wake-up hands batch the readers of either
-        # component once each, in registration order; the second wake-up
-        # reuses the first one's memoised tuple
+        # idempotent): in ciq each wake-up queues the readers of either
+        # component once each, in key order, after the first pass
         def shrink_both(args):
             if min(len(x.elements) for x in args) == 1:
                 return args
@@ -587,27 +595,15 @@ class TestScheduling:
         fns = [identity("rb", 2), g, identity("ra", 1, 2), identity("rc", 1),
                identity("rd", 3)]
         start = ProductValue(tuple(PowersetValue.bottom({0, 1, 2}) for _ in range(3)))
-
-        class Recording(Strategy):
-            def reset(self, functions):
-                self.batches = []
-
-            def batch(self, functions):
-                self.batches.append(functions)
-                return list(functions)
-
-        for mode in MODES:    # g is not idempotent: every mode re-applies it
-            strategy = Recording()
-            steps = []
-            run(fns, start, mode=mode, strategy=strategy, validate=False,
-                observer=steps.append)
-            first, *woken = strategy.batches
-            assert first == tuple(fns)
-            assert [[f.fid for f in w] for w in woken] == [["rb", "g", "ra", "rc"]] * 2
-            assert all(isinstance(w, tuple) for w in woken) and woken[0] is woken[1]
-            if mode == "ciq":
-                assert " ".join(s.fid for s in steps) == (
-                    "rb g ra rc rd rb g ra rc rb g ra rc")
+        strategy = make_strategy(name, 3)
+        steps = []
+        run(fns, start, mode="ciq", strategy=strategy, validate=False,
+            observer=steps.append)
+        # the strategy keeps the run's key after it
+        first = [f.fid for f in sorted(fns, key=strategy.key)]
+        wake = [fid for fid in first if fid != "rd"]
+        assert [s.fid for s in steps] == first + wake + wake
+        assert [s.changed_components for s in steps if s.changed] == [(1, 2)] * 2
 
     def test_seeded_runs_repeat_their_step_sequence(self):
         rng = random.Random(71)
@@ -624,57 +620,60 @@ class TestScheduling:
                         observer=observed.append)
                 assert steps[0] == steps[1], mode
 
-    def test_memoised_wake_lists_keep_every_order(self, monkeypatch):
-        # a built-in key-order batch never runs: the run follows it by rank;
-        # seeded's batch runs on every wake-up.  The steps are those of a
-        # subclass that overrides batch, which the engine calls on every
-        # wake-up
-        rng = random.Random(79)
-        lists = []
-        for _ in range(6):
+    def test_seeded_wakes_in_the_order_of_its_first_pass(self):
+        # in ciq the trace is the first pass, then every change's readers in
+        # the order they were queued: each such batch keeps the first pass's
+        # relative order, drawn once for the run
+        rng = random.Random(73)
+        several = 0     # batches of more than one function
+        for _ in range(10):
             csp = random_set_csp(rng, max_vars=5, max_constraints=5)
             fns = [f for c in csp.constraints if len(c.scheme) == 2
                    for f in make_binary_projections(c)]
             fns += [make_full_projection(c) for c in csp.constraints]
-            lists.append((fns, domain_bottom(csp)))
-            eqs = random_lineq_csp(rng)
-            lists.append(([make_linear_eq_narrowing(c) for c in eqs.constraints],
-                          domain_bottom(eqs)))
-        repeated = 0    # runs that wake a changed-component tuple twice
-        for name, base in STRATEGIES.items():
-            class Listing(base):
-                calls = 0
+            steps = []
+            run(fns, domain_bottom(csp), mode="ciq",
+                strategy=make_strategy("seeded", 5), validate=False,
+                observer=steps.append)
+            position = {s.fid: k for k, s in enumerate(steps[:len(fns)])}
+            assert sorted(position) == sorted(f.fid for f in fns)
+            rest = [s.fid for s in steps[len(fns):]]
+            for s in steps:
+                if not s.changed:
+                    continue
+                readers = {f.fid for f in fns if set(s.changed_components) & set(
+                    f.scheme if f.reads is None else f.reads)}
+                batch, rest = rest[:len(readers)], rest[len(readers):]
+                assert set(batch) == readers
+                assert batch == sorted(batch, key=position.__getitem__)
+                several += len(batch) > 1
+            assert rest == []
+        assert several > 0
 
-                def batch(self, functions):
-                    self.calls += 1
-                    return list(super().batch(functions))
-
-            # the class whose batch the built-in strategy runs, counted
-            owner = next(c for c in base.__mro__ if "batch" in vars(c))
-            original = vars(owner)["batch"]
-            calls = []
-
-            def counting(self, functions):
-                calls.append(functions)
-                return original(self, functions)
-
-            for fns, start in lists:
-                for mode in MODES:
-                    steps, listed = [], []
-                    calls.clear()
-                    with monkeypatch.context() as patch:
-                        patch.setattr(owner, "batch", counting)
-                        run(fns, start, mode=mode, strategy=make_strategy(name, 3),
-                            validate=False, observer=steps.append)
-                    listing = Listing(3)
-                    run(fns, start, mode=mode, strategy=listing, validate=False,
-                        observer=listed.append)
-                    assert steps == listed, (name, mode)
-                    woken = [s.changed_components for s in steps if s.changed]
-                    assert listing.calls == 1 + len(woken)
-                    assert len(calls) == (1 + len(woken) if name == "seeded" else 0)
-                    repeated += len(set(woken)) < len(woken)
-        assert repeated > 0
+    def test_seeded_draws_its_order_from_the_seed(self):
+        # seeds 0-9 draw different first passes (ciq's first len(fns)
+        # steps), and every seed reaches det's fixpoint in every mode
+        rng = random.Random(97)
+        problems = 0
+        while problems < 10:
+            csp = random_set_csp(rng, max_vars=5, max_constraints=5)
+            fns = [f for c in csp.constraints if len(c.scheme) == 2
+                   for f in make_binary_projections(c)]
+            fns += [make_full_projection(c) for c in csp.constraints]
+            if len(fns) < 2:
+                continue
+            problems += 1
+            start = domain_bottom(csp)
+            want = run(fns, start, validate=False).value
+            firsts = set()
+            for mode, seed in itertools.product(MODES, range(10)):
+                steps = []
+                res = run(fns, start, mode=mode, strategy=make_strategy("seeded", seed),
+                          validate=False, observer=steps.append)
+                assert res.value == want, (mode, seed)
+                if mode == "ciq":
+                    firsts.add(tuple(s.fid for s in steps[:len(fns)]))
+            assert len(firsts) >= 2
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_set_modes_match_a_reference_worklist(self, name):
