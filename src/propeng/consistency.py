@@ -2,25 +2,22 @@
 
 ``achieve`` turns a consistency goal into a set of reduction functions, runs
 them on the generic engine and returns the problem determined by the
-fixpoint.  A directional goal is the same run under a schedule that follows
-its variable order: each of its functions wakes only functions later in the
-pass, so the run applies every function once.
+fixpoint.  Every goal but ``rel:<m>`` is a reducer list: ``goal_records``
+lists its functions as records, which ``reducers.build_reducers`` builds as
+it builds a named list.  ``arc`` is ``piC@c`` for every constraint; ``path``
+is ``path@k,l,m`` for every triple of distinct indices, over every ordered
+pair's constraint by ``reducers.constraint_components``: those on one scheme
+merged (``a&b``), a universal ``u(i,j)`` where there is none.  A directional
+goal lists its functions in pass order and runs them in that order: each
+wakes only functions later in the pass, so the run applies each once.
 
-The path goals and ``rel:<m>`` take their constraint components from the
-rule a named ``rel@`` target follows too, ``reducers.constraint_components``:
-the constraints sharing a listed scheme merged (``a&b``), a universal
-constraint ``u(i,j,...)`` (primed, ``u(i,j,...)'``, while an input constraint
-has that id) for a listed scheme that none has.  ``path`` lists every ordered
-pair, and its reducers, one per triple of distinct indices (336 on eight
-variables), come from ``reducers.make_path_reducers`` with one shared
-``apply``; ``rel:<m>`` (Dechter and van Beek) the input schemes, then each
-nonempty variable set that no input constraint covers, in sorted order.
-Under ``rel:<m>`` each m-subset S of the components gets one reducer,
-``rel(<member ids>)`` (a comma or backslash in an id is escaped with a
-backslash): every component whose variables lie inside S's scopes is
-intersected with the projection of the join of S.  With k components that
-is C(k, m) functions: 15 for ``rel:1`` and 105 for ``rel:2`` on four
-variables whose constraints cover distinct variable sets.
+``rel:<m>`` (Dechter and van Beek) takes its components by the same rule,
+for the input schemes, then each nonempty variable set that no input
+constraint covers, in sorted order.  Each m-subset S of them gets one
+reducer, which no name form lists: ``rel(<member ids>)`` (a comma or
+backslash in an id escaped with a backslash) intersects every component
+whose variables lie inside S's scopes with the projection of the join of S.
+With k components that is C(k, m) functions.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .csp import (
     CSP, DEFAULT_ENUM_CAP, Relation, Scheme, SetDomain, join_constraints, reselect,
@@ -38,8 +35,7 @@ from .engine import (
 )
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, RunSetup, constraint_components, domain_space, join_projection,
-    make_binary_projections, make_full_projection, make_path_reducers,
+    ConstraintSpace, RunSetup, build_reducers, constraint_components, join_projection,
 )
 # not called here: the benchmark's tracer (bench/tracing.py) patches these names
 from .engine import apply_step  # noqa: F401
@@ -147,51 +143,58 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
             observer: Callable[[TraceStep], object] | None = None,
             ) -> tuple[CSP, RunTrace]:
     """Enforce ``goal`` on ``csp``; returns the reduced, equivalent problem
-    and the run's summary.  ``observer`` is passed to ``engine.run``, which
-    calls it once per step.  A directional goal lists its functions in
-    pass order and runs them in that order, whatever ``strategy`` says."""
-    if goal.kind == "arc":
-        setup = RunSetup(domain_space(csp),
-                         [make_full_projection(c) for c in csp.constraints])
-    elif goal.kind == "path":
-        setup = _path_setup(csp)
-    elif goal.kind == "rel":
-        setup = _relational_setup(csp, goal.m)
-    elif goal.kind == "dir-arc":
-        setup, strategy = _directional_arc_setup(csp, goal.order), _PassOrder()
-    elif goal.kind == "dir-path":
-        setup, strategy = _path_setup(csp, _check_order(csp, goal.order)), _PassOrder()
-    else:
-        raise ConfigError(f"unknown goal kind {goal.kind!r}")
+    and the run's summary.  Every goal but ``rel:<m>`` is its records
+    (``goal_records``), built by ``reducers.build_reducers`` as a named
+    list is.  ``observer`` is passed to ``engine.run``, which calls it once
+    per step.  A directional goal lists its functions in pass order and runs
+    them in that order, whatever ``strategy`` says."""
+    setup = (_relational_setup(csp, goal.m) if goal.kind == "rel"
+             else build_reducers(csp, *goal_records(csp, goal)))
+    if goal.kind.startswith("dir-"):
+        strategy = _PassOrder()
     result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False,
                  observer=observer)
     return setup.rebuild(result.value), result.trace
 
 
-def _check_binary(csp: CSP) -> None:
-    """Every constraint must be binary extensional."""
+def goal_records(csp: CSP, goal: ConsistencyGoal) -> tuple[list, Iterable[tuple]]:
+    """The records ``reducers.build_reducers`` builds ``goal``'s functions
+    from (any kind but ``rel``), and the schemes its space holds besides
+    theirs: every ordered pair for ``path`` and ``dir-path``, triples or not.
+    A directional goal's records are in pass order, latest variable first
+    (then by constraint id or fid), so one pass suffices."""
+    if goal.kind == "arc":
+        return [("piC", [c.cid for c in csp.constraints])], ()
+    if goal.kind not in ("path", "dir-arc", "dir-path"):
+        raise ConfigError(f"unknown goal kind {goal.kind!r}")
+    n, rank = csp.arity, {}
+    if goal.kind != "path":
+        if goal.order is None or sorted(goal.order) != list(range(1, n + 1)):
+            raise ConfigError(
+                f"directional goals need a permutation of 1..{n}, got {goal.order}")
+        rank = {idx: pos for pos, idx in enumerate(goal.order)}
     for c in csp.constraints:
         if not c.is_extensional or len(c.scheme) != 2:
             raise ConfigError(
                 f"constraint {c.cid!r} is not binary extensional; incompatible goal")
-
-
-def _path_setup(csp, rank=None):
-    """``path@k,l,m`` for every triple of distinct indices, on one component
-    per ordered pair.  Given ``rank`` (a directional goal's checked order),
-    only the triples whose ``m`` comes after ``k`` and ``l``: the latest
-    ``m`` first, by fid within one ``m``, so one pass suffices."""
-    _check_binary(csp)
-    indices = range(1, csp.arity + 1)
-    space = ConstraintSpace(*constraint_components(csp, itertools.permutations(indices, 2)))
-    triples = [(k, l, m) for k, l, m in itertools.permutations(indices, 3)
-               if rank is None or (rank[k] < rank[m] and rank[l] < rank[m])]
-    fns = make_path_reducers(space, triples)
-    if rank is not None:
-        fns = [f for _, f in sorted(zip(triples, fns),
-                                    key=lambda tf: (-rank[tf[0][2]], tf[1].fid))]
-    return RunSetup(space, fns)
+    if goal.kind == "dir-arc":
+        passes = []
+        for c in csp.constraints:
+            i, j = c.scheme
+            # the support projections apply to set domains only
+            if not all(isinstance(csp.domains[k - 1], SetDomain) for k in (i, j)):
+                raise ConfigError(
+                    f"constraint {c.cid!r} is not over finite set domains; incompatible goal")
+            # prune the earlier variable against the later one, in either orientation
+            later, kind = (j, "pi1") if rank[i] < rank[j] else (i, "pi2")
+            passes.append((-rank[later], c.cid, kind))
+        return [(kind, (cid,)) for _, cid, kind in sorted(passes, key=lambda e: e[:2])], ()
+    triples = itertools.permutations(range(1, n + 1), 3)
+    if goal.kind == "dir-path":
+        triples = sorted((t for t in triples if rank[t[0]] < rank[t[2]] > rank[t[1]]),
+                         key=lambda t: (-rank[t[2]], "path@%d,%d,%d" % t))
+    return [("path", list(triples))], itertools.permutations(range(1, n + 1), 2)
 
 
 def _relational_setup(csp, m):
@@ -233,28 +236,3 @@ class _PassOrder(Strategy):
 
     def reset(self, functions):
         self.key = position_key(functions)
-
-
-def _check_order(csp: CSP, order) -> dict[int, int]:
-    n = csp.arity
-    if order is None or sorted(order) != list(range(1, n + 1)):
-        raise ConfigError(f"directional goals need a permutation of 1..{n}, got {order}")
-    return {idx: pos for pos, idx in enumerate(order)}
-
-
-def _directional_arc_setup(csp, order):
-    rank = _check_order(csp, order)
-    _check_binary(csp)
-    chosen = []
-    for c in csp.constraints:
-        i, j = c.scheme
-        # the support projections apply to set domains only: fail at set-up
-        if not all(isinstance(csp.domains[k - 1], SetDomain) for k in (i, j)):
-            raise ConfigError(
-                f"constraint {c.cid!r} is not over finite set domains; incompatible goal")
-        # prune the earlier variable against the later one, in either orientation
-        later, k = (j, 0) if rank[i] < rank[j] else (i, 1)
-        chosen.append((-rank[later], c.cid, make_binary_projections(c)[k]))
-    # later variables first, so one pass suffices
-    chosen.sort(key=lambda entry: entry[:2])
-    return RunSetup(domain_space(csp), [f for _, _, f in chosen])

@@ -30,6 +30,8 @@ class Scheme(tuple):
     __slots__ = ()
 
     def __new__(cls, indices):
+        if type(indices) is cls:    # checked when it was built
+            return indices
         self = super().__new__(cls, map(int, indices))
         if len(set(self)) != len(self):
             raise ConfigError(f"scheme {self} repeats an index")

@@ -29,19 +29,20 @@ only ``join_projection`` knows how, and wires it when the reducer is built.
 A reached state folds back into a problem: variables into the declared
 families, extensional constraints restricted to them.
 
-The constraint on a scheme is decided in one place, ``constraint_components``,
-for the path and ``rel:m`` goals and a named ``rel@`` target or ``path@``
-triple alike: the constraints on it merged (``a&b``), or a universal one when
-there is none; an index outside ``1..n`` is an error before any reducer is
-built.
+One builder, ``build_reducers``, resolves every reducer list: the records
+that names ``kind@head[;tail]`` parse into (``build_named_reducers``) and
+those the ``arc``, ``path`` and directional goals list.  The constraint on a
+scheme is decided in one place, ``constraint_components``, for the path and
+``rel:m`` goals and a named ``rel@`` target or ``path@`` triple alike: the
+constraints on it merged (``a&b``), or a universal one when there is none;
+an index outside ``1..n`` is an error before any reducer is built.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
 ``_narrow_bounds``, the one bound formula, reads the intervals as they are.
 
 Every constructor returns an engine ``ReductionFunction``; all of them
-preserve the solution set of the problem they were built from.  Reducer
-names read ``kind@head[;tail]`` (``build_named_reducers``).
+preserve the solution set of the problem they were built from.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import contains, is_
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .csp import (
     CSP, Constraint, DEFAULT_ENUM_CAP, Domain, ExtensionalBody, IntDomain,
@@ -424,7 +425,8 @@ def constraint_components(csp: CSP, schemes) -> tuple[CSP, list[ExtComponent]]:
     sharing one of ``schemes`` merged, at the first one's place, into their
     intersection, named by the first of ``a&b``, ``a&b'``, ... that no
     constraint of ``csp`` and no earlier intersection uses; then a universal
-    constraint for each of ``schemes`` that none has, in the order given."""
+    constraint for each of ``schemes`` that none has, by length, then
+    indices, whatever order ``schemes`` come in."""
     schemes = list(dict.fromkeys(map(Scheme, schemes)))
     for s in schemes:
         if not all(1 <= i <= csp.arity for i in s):
@@ -448,7 +450,8 @@ def constraint_components(csp: CSP, schemes) -> tuple[CSP, list[ExtComponent]]:
                 frozenset.intersection(*(m.tuples for m in group)))))
     comps = [ExtComponent(c) for c in base if c.is_extensional]
     comps.extend(ExtComponent(universal_constraint(csp, s))
-                 for s in schemes if not groups[s])
+                 for s in sorted((s for s in schemes if not groups[s]),
+                                 key=lambda s: (len(s), s)))
     return CSP(csp.domains, tuple(base)), comps
 
 
@@ -572,17 +575,21 @@ def make_path_reducers(space: ConstraintSpace, triples) -> list[ReductionFunctio
     coordinate, then test ``(m,l)`` on coordinates 3 and 1 of the tuple so
     far, whatever ``k``, ``l`` and ``m`` are.  So the first triple is built
     by ``join_projection`` and every other one takes its ``apply``."""
-    n = space.csp.arity
+    n, at = space.csp.arity, space._position_of
     fns: list[ReductionFunction] = []
     for k, l, m in triples:
         if k == l or k == m or l == m:
             raise ConfigError("path reduction needs three distinct indices")
         if not (0 < k <= n and 0 < l <= n and 0 < m <= n):
             raise ConfigError(f"path@{k},{l},{m} has an index outside 1..{n}")
-        t, a, b = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
+        try:
+            t, a, b = at[k, l], at[k, m], at[m, l]
+        except KeyError:    # none or several on a scheme: the method says which
+            t, a, b = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
         fid, group = f"path@{k},{l},{m}", space.components[t - 1].key
         if fns:
-            fns.append(ReductionFunction(fid, Scheme((t, a, b)), fns[0].apply,
+            # three distinct schemes' positions: a Scheme without the repeat check
+            fns.append(ReductionFunction(fid, tuple.__new__(Scheme, (t, a, b)), fns[0].apply,
                                          idempotent=True, group=group, reads=(a, b)))
         else:
             fns.append(join_projection(space, (t,), (a, b), fid, group))
@@ -683,17 +690,19 @@ class RunSetup:
         return self.space.rebuild(state)
 
 
-def _parse_name(text: str) -> tuple[str, str, tuple, tuple]:
-    """Split a name ``kind@head[;tail]`` once.  Returns the kind, the text
-    after ``@`` (a domain reducer's constraint id), and the head and tail
-    comma lists, empty items dropped, converted to what the kind takes:
-    indices for ``path`` and the ``rel`` target, multipliers for ``cut``.
-    Only ``rel`` and ``cut`` have a tail."""
+def _parse_name(text: str) -> tuple[str, tuple]:
+    """Split a name ``kind@head[;tail]`` once into a record of one item: a
+    domain reducer's constraint id, or the head comma list (with the tail
+    one for ``rel`` and ``cut``), empty items dropped, converted to what the
+    kind takes: indices for ``path`` and the ``rel`` target, multipliers for
+    ``cut``."""
     kind, at, rest = text.partition("@")
     if not at:
         raise ConfigError(f"malformed reducer name {text!r} (expected kind@args)")
     if kind not in _DOMAIN_KINDS + _CONSTRAINT_KINDS:
         raise ConfigError(f"unknown reducer kind {kind!r}")
+    if kind in _DOMAIN_KINDS:
+        return kind, (rest,)
     head, _, tail = rest.partition(";") if kind in ("rel", "cut") else (rest, "", "")
     head = tuple(x.strip() for x in head.split(",") if x.strip())
     tail = tuple(x.strip() for x in tail.split(",") if x.strip())
@@ -710,7 +719,7 @@ def _parse_name(text: str) -> tuple[str, str, tuple, tuple]:
         raise ConfigError(f"malformed reducer name {text!r} (expected rel@t;c1,...)")
     if kind == "cut" and (not head or len(head) != len(tail)):
         raise ConfigError(f"cut@{rest}: need the same number of ids and multipliers")
-    return kind, rest, head, tail
+    return kind, (head if kind in ("rho", "path") else (head, tail),)
 
 
 def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
@@ -725,22 +734,20 @@ def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
     return (make_interval_hull_projection if kind == "hull" else make_linear_eq_narrowing)(c)
 
 
-def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
-    """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
-    ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2`` against a problem; the
-    constraints are ``constraint_components(csp, <the schemes named>)``: each
-    ``rel@`` target, each ``path@k,l,m``'s ``(k,l)``, ``(k,m)`` and ``(m,l)``."""
-    parsed = [_parse_name(s) for s in names]
-    if not parsed:
-        raise ConfigError("no reducers given")
-    by_id = {c.cid: c for c in reversed(csp.constraints)}    # the first of an id wins
-
-    def constraint(cid: str) -> Constraint:
-        if cid not in by_id:
-            raise ConfigError(f"no constraint with id {cid!r}")
-        return by_id[cid]
-
-    cut_groups = list(dict.fromkeys(cids for kind, _, cids, _ in parsed if kind == "cut"))
+def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
+                   schemes: Iterable[tuple] = ()) -> RunSetup:
+    """Resolve records, each a kind and its items, one function per item in
+    order: constraint ids for a domain kind, member ids for ``rho``,
+    ``(k,l,m)`` for ``path``, ``(target, member ids)`` for ``rel``, ``(ids,
+    multipliers)`` for ``cut``.  The constraints are
+    ``constraint_components(csp, ...)`` of ``schemes``, each ``rel`` target
+    and each triple's ``(k,l)``, ``(k,m)`` and ``(m,l)``.  One
+    ``make_path_reducers`` call builds the triples, so they share one
+    ``apply``; an item that cannot be built still fails in list order."""
+    # the first of an id wins; csp.constraint raises for an id that none has
+    by_id = {c.cid: c for c in reversed(csp.constraints)}
+    cut_groups = list(dict.fromkeys(ids for kind, items in records if kind == "cut"
+                                    for ids, _ in items))
     grouped_cids: set[str] = set()
     for cids in cut_groups:
         for cid in cids:
@@ -749,44 +756,56 @@ def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
             grouped_cids.add(cid)
 
     # the variables come first when a domain reducer or a join (``~domN``) names them
-    kinds = {kind for kind, *_ in parsed}
-    joined = [m for kind, _, head, tail in parsed
-              for m in (head if kind == "rho" else tail if kind == "rel" else ())]
+    kinds = {kind for kind, _ in records}
     components: list = []
-    if not kinds.isdisjoint(_DOMAIN_KINDS) or any(m.startswith("~dom") for m in joined):
+    if not kinds.isdisjoint(_DOMAIN_KINDS) or any(
+            m.startswith("~dom") for kind, items in records if kind in ("rho", "rel")
+            for item in items for m in (item if kind == "rho" else item[1])):
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
-    base, extensional = csp, []
+    base, extensional, given, triples = csp, [], 0, []
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
-        # in the names' order; a triple make_path_reducers rejects (an index
-        # repeated or outside 1..n) names none
-        schemes, variables = [], range(1, csp.arity + 1)
-        for kind, _, head, _ in parsed:
+        # each scheme once, a given one as the Scheme the space keeps; a triple
+        # make_path_reducers rejects (an index repeated or outside 1..n) names none
+        named, n, accepted = dict.fromkeys(map(Scheme, schemes)), csp.arity, True
+        for kind, items in records:
             if kind == "rel":
-                schemes.append(head)
-            elif kind == "path" and len(set(head).intersection(variables)) == 3:
-                k, l, m = head
-                schemes += [(k, l), (k, m), (m, l)]
-        base, extensional = constraint_components(csp, schemes)
+                named.update((t, None) for t, _ in items)
+            elif kind == "path":
+                for t in items:
+                    k, l, m = t
+                    if k != l != m != k and 0 < k <= n and 0 < l <= n and 0 < m <= n:
+                        named[k, l] = named[k, m] = named[m, l] = None
+                        if accepted:
+                            triples.append(t)
+                    else:
+                        accepted = False
+        base, extensional = constraint_components(csp, named)
+        given = sum(c.is_extensional for c in base.constraints)
     # traces number the components: the inequality groups keep their place
     # between the constraints and the universal ones
-    given = sum(c.is_extensional for c in base.constraints)
     components.extend(extensional[:given])
     for cids in sorted(cut_groups):
         components.append(IneqComponent("cutset(" + ",".join(cids) + ")",
-                                        tuple(map(constraint, cids))))
+                                        tuple(map(csp.constraint, cids))))
     components.extend(extensional[given:])
 
     space = ConstraintSpace(base, components)
-    fns: list[ReductionFunction] = []
-    for kind, rest, head, tail in parsed:
-        if kind in _DOMAIN_KINDS:
-            fns.append(_domain_function(kind, constraint(rest), csp))
-        elif kind == "rho":
-            fns.append(make_solution_projection(space, head))
-        elif kind == "path":
-            fns.append(make_path_reducers(space, [head])[0])
-        elif kind == "rel":
-            fns.append(make_relational_reducer(space, Scheme(head), tail))
-        else:
-            fns.append(make_cut_reducer(space, "cutset(" + ",".join(head) + ")", tail))
-    return RunSetup(space, fns)
+    # ``triples`` end at the first one rejected, which is built alone, and fails
+    paths = iter(make_path_reducers(space, triples))
+    return RunSetup(space, [
+        next(paths, None) or make_path_reducers(space, [item])[0] if kind == "path"
+        else _domain_function(kind, by_id.get(item) or csp.constraint(item), csp)
+        if kind in _DOMAIN_KINDS
+        else make_solution_projection(space, item) if kind == "rho"
+        else make_relational_reducer(space, Scheme(item[0]), item[1]) if kind == "rel"
+        else make_cut_reducer(space, "cutset(" + ",".join(item[0]) + ")", item[1])
+        for kind, items in records for item in items])
+
+
+def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
+    """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
+    ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2``: records of one item each."""
+    records = [_parse_name(s) for s in names]
+    if not records:
+        raise ConfigError("no reducers given")
+    return build_reducers(csp, records)

@@ -13,7 +13,7 @@ from propeng.consistency import is_relationally_m_consistent
 from propeng.csp import (
     CSP, Constraint, IntDomain, LinearEqBody, LinearIneqBody, Scheme, validate,
 )
-from propeng.engine import TraceStep
+from propeng.engine import MODES, STRATEGIES, TraceStep
 from propeng.errors import DataError, PropagationError
 from propeng.textio import csp_to_obj, parse_csp, serialize_csp
 
@@ -776,8 +776,8 @@ class TestNamedPathReducers:
         return code, captured.out, captured.err
 
     def test_every_triple_is_the_path_goal(self, tmp_path, capsys, monkeypatch):
-        # the path goal's own reducers, listed by name, give its applications
-        # and its constraints; only synthetic ones may print in another order
+        # the path goal is its reducers listed by name: the same bytes, step
+        # by step, synthetic constraints and their trace numbers included
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
         texts = [call.text for call in workloads.make_calls("path", 1)]
@@ -787,13 +787,33 @@ class TestNamedPathReducers:
             n = parse_csp(text).arity
             names = ",".join(f"path@{k},{l},{m}"
                              for k, l, m in itertools.permutations(range(1, n + 1), 3))
-            goal = self.run(tmp_path, capsys, text, "--goal", "path")
-            named = self.run(tmp_path, capsys, text, "--reducers", names)
-            assert goal[0] == named[0] == 0, named[2]
-            goal_lines, named_lines = goal[1].splitlines(), named[1].splitlines()
-            assert named_lines[-1] == goal_lines[-1]
-            assert named_lines[-1].startswith("# outcome: converged applications=")
-            assert sorted(named_lines) == sorted(goal_lines)
+            goal = self.run(tmp_path, capsys, text, "--goal", "path",
+                            "--trace", "--format", "json")
+            named = self.run(tmp_path, capsys, text, "--reducers", names,
+                             "--trace", "--format", "json")
+            assert goal == named
+            assert goal[0] == 0 and json.loads(goal[1])["outcome"] == "converged"
+
+    def test_named_universals_take_sorted_positions(self, tmp_path, capsys):
+        # named last to first, the universals still print, and are numbered
+        # in traces, in scheme order: (1,3), (2,1), (3,1), (3,2) after c1, c2
+        text = ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+                "constraint c1 scheme (1,2) tuples {(0,0),(1,1)}\n"
+                "constraint c2 scheme (2,3) tuples {(0,1)}\n")
+        names = ",".join(f"path@{k},{l},{m}"
+                         for k, l, m in reversed(list(itertools.permutations((1, 2, 3)))))
+        code, out, _ = self.run(tmp_path, capsys, text, "--reducers", names, "--trace")
+        goal = self.run(tmp_path, capsys, text, "--goal", "path")[1]
+        assert code == 0
+        position = {(1, 2): "1", (2, 3): "2", (1, 3): "3", (2, 1): "4", (3, 1): "5",
+                    (3, 2): "6"}
+        steps = [line.split() for line in out.splitlines() if line.startswith("step=")]
+        assert sum(changed == "changed=1" for _, _, changed, _ in steps) >= 3
+        for _, fn, changed, comps in steps:
+            k, l, _ = map(int, fn.removeprefix("fn=path@").split(","))
+            assert comps == "comps=" + (position[k, l] if changed == "changed=1" else "")
+        assert [line for line in out.splitlines() if line.startswith("constraint")] == [
+            line for line in goal.splitlines() if line.startswith("constraint")]
 
     def test_unconstrained_triple_runs_on_universals(self, tmp_path, capsys):
         # nothing is on (3,1), (3,2) or (2,1): path@3,1,2 shrinks a universal
@@ -856,6 +876,82 @@ class TestNamedPathReducers:
                                   "--reducers", "path@1,2,3,rho@a")
         assert (code, out) == (1, "")
         assert err == "error: no constraint-space component 'a'\n"
+
+
+class TestGoalsAreNamedLists:
+    """The ``arc``, ``path`` and directional goals are reducer lists, built by
+    the builder that serves ``--reducers``."""
+
+    run = staticmethod(TestNamedPathReducers.run)
+    TWO_ON_ONE_SCHEME = ("domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+                         "constraint a scheme (1,2) tuples {(0,0),(1,1)}\n"
+                         "constraint b scheme (1,2) tuples {(0,0),(0,1)}\n")
+    CHAIN = ("domain 1 set {0,1}\ndomain 2 set {0,1}\ndomain 3 set {0,1}\n"
+             "constraint c1 scheme (1,2) tuples {(0,0),(1,1)}\n"
+             "constraint c2 scheme (2,3) tuples {(0,1)}\n")
+
+    @staticmethod
+    def texts():
+        rng = random.Random(31)
+        return [_random_binary_text(rng) for _ in range(8)]
+
+    def test_arc_is_its_full_projections(self, tmp_path, capsys):
+        for text in self.texts():
+            names = ",".join(f"piC@{c.cid}" for c in parse_csp(text).constraints)
+            for mode, strategy in itertools.product(MODES, STRATEGIES):
+                args = ("--mode", mode, "--strategy", strategy, "--seed", "3",
+                        "--trace", "--format", "json")
+                goal = self.run(tmp_path, capsys, text, "--goal", "arc", *args)
+                assert goal == self.run(tmp_path, capsys, text, "--reducers", names, *args)
+                assert goal[0] == 0, (mode, strategy)
+
+    def test_directional_goals_reach_their_listed_reducers(self, tmp_path, capsys):
+        # under det, the pass order aside: dir-arc prunes each constraint's
+        # earlier variable, dir-path runs the triples whose m comes last
+        rng = random.Random(37)
+        for text in self.texts():
+            problem = parse_csp(text)
+            order = rng.sample(range(1, problem.arity + 1), problem.arity)
+            rank = {v: p for p, v in enumerate(order)}
+            arc = [f"pi{1 if rank[i] < rank[j] else 2}@{c.cid}"
+                   for c in problem.constraints for i, j in [c.scheme]]
+            path = [f"path@{k},{l},{m}" for k, l, m in itertools.permutations(order, 3)
+                    if rank[m] > max(rank[k], rank[l])]
+            order = ",".join(map(str, order))
+            for goal, names in ((f"dir-arc:{order}", arc), (f"dir-path:{order}", path)):
+                for mode in MODES:
+                    out = [self.run(tmp_path, capsys, text, *args, "--mode", mode,
+                                    "--format", "json")
+                           for args in (("--goal", goal), ("--reducers", ",".join(names)))]
+                    assert out[0][0] == out[1][0] == 0, out
+                    assert json.loads(out[0][1])["csp"] == json.loads(out[1][1])["csp"]
+
+    @pytest.mark.parametrize("goal", ["path", "dir-path:2,1"])
+    def test_a_goal_without_triples_still_merges(self, tmp_path, capsys, goal):
+        # two variables have no triple, yet every ordered pair has its one
+        # constraint: a and b become a&b
+        code, out, err = self.run(tmp_path, capsys, self.TWO_ON_ONE_SCHEME, "--goal", goal)
+        assert (code, err) == (0, "")
+        assert out == ("domain 1 set {0,1}\ndomain 2 set {0,1}\n"
+                       "constraint a&b scheme (1,2) tuples {(0,0)}\n"
+                       "# outcome: converged applications=0\n")
+
+    def test_arc_without_constraints_runs_no_function(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, "domain 1 set {0,1}\n", "--goal", "arc")
+        assert (code, err) == (0, "")
+        assert out == "domain 1 set {0,1}\n# outcome: converged applications=0\n"
+
+    @pytest.mark.parametrize("names, message", [
+        ("rho@zz,path@1,1,2", "no constraint-space component 'zz'"),
+        ("pi1@nope,path@1,2,9", "no constraint with id 'nope'"),
+        ("path@1,2,3,rho@zz,path@1,1,2", "no constraint-space component 'zz'"),
+        ("path@1,2,3,path@1,1,2,rho@zz", "path reduction needs three distinct indices"),
+        ("path@2,1,3,path@1,2,9,pi1@nope", "path@1,2,9 has an index outside 1..3"),
+    ])
+    def test_the_first_bad_name_reports(self, tmp_path, capsys, names, message):
+        # the path triples are built together, but fail in list order
+        assert self.run(tmp_path, capsys, self.CHAIN, "--reducers", names) == (
+            1, "", f"error: {message}\n")
 
 
 class TestUsage:

@@ -22,7 +22,7 @@ from propeng.csp import (
 )
 from propeng.engine import MODES, STRATEGIES, Outcome, apply_step, make_strategy
 from propeng.errors import ConfigError, ResourceLimitError
-from propeng.reducers import join_projection
+from propeng.reducers import build_reducers, join_projection
 
 D01 = SetDomain(frozenset({0, 1}))
 
@@ -510,8 +510,9 @@ def random_oriented_csp(rng, n):
 
 
 class TestPathReducers:
-    """Each reducer of the ``path`` and ``dir-path`` set-ups, against the
-    composition computed here on random sub-relations of its components."""
+    """Each reducer of the ``path`` and ``dir-path`` goals, built from the
+    goal's records by ``build_reducers``, against the composition computed
+    here on random sub-relations of its components."""
 
     def test_each_reducer_intersects_with_the_composition(self):
         rng = random.Random(29)
@@ -519,8 +520,8 @@ class TestPathReducers:
         for n in (3, 4, 5, 6) * 6:
             csp = random_oriented_csp(rng, n)
             order = tuple(rng.sample(range(1, n + 1), n))
-            for rank in (None, consistency._check_order(csp, order)):
-                setup = consistency._path_setup(csp, rank)
+            for goal in (ConsistencyGoal("path"), ConsistencyGoal("dir-path", order=order)):
+                setup = build_reducers(csp, *consistency.goal_records(csp, goal))
                 space, fns = setup.space, setup.functions
                 at = {comp.scheme: p for p, comp in enumerate(space.components, start=1)}
                 assert len({id(f.apply) for f in fns}) == 1

@@ -756,6 +756,32 @@ class TestNamedReducerRegistry:
         rebuilt = setup.rebuild(res.value)
         assert rebuilt.constraint("c12").tuples == frozenset({(0, 1)})
 
+    def test_named_path_triples_share_one_apply(self, chain_csp):
+        # one make_path_reducers call builds every path@ of a list, as it
+        # builds the path goal's, whatever names come between them
+        setup = build_named_reducers(
+            chain_csp, ["path@1,2,3", "rho@c1,c2", "path@3,1,2", "pi1@c1", "path@2,3,1"])
+        assert [f.fid for f in setup.functions] == [
+            "path@1,2,3", "rho@c1,c2", "path@3,1,2", "pi1@c1", "path@2,3,1"]
+        paths = setup.functions[::2]
+        assert len({id(f.apply) for f in paths}) == 1
+        for f in paths:
+            k, l, m = map(int, f.fid.removeprefix("path@").split(","))
+            at = {comp.scheme: p for p, comp in enumerate(setup.space.components, start=1)
+                  if isinstance(comp, ExtComponent)}
+            assert f.scheme == (at[k, l], at[k, m], at[m, l])
+
+    def test_universals_follow_the_constraints_in_scheme_order(self, chain_csp):
+        # named last to first, by length, then indices
+        setup = build_named_reducers(
+            chain_csp, ["rel@3,2,1;c1,c2", "path@3,2,1", "path@2,1,3"])
+        assert [c.key for c in setup.space.components] == [
+            "c1", "c2", "u(2,1)", "u(3,1)", "u(3,2)", "u(3,2,1)"]
+        _, comps = reducers.constraint_components(
+            chain_csp, [(3, 2, 1), (3, 1), (1, 2), (2, 1, 3), (2, 1), (3, 1)])
+        assert [c.scheme for c in comps] == [(1, 2), (2, 3), (2, 1), (3, 1),
+                                             (2, 1, 3), (3, 2, 1)]
+
     def test_cut_names(self):
         i1 = Constraint("i1", Scheme((1, 2)), LinearIneqBody((1, 1), 1))
         i2 = Constraint("i2", Scheme((1, 2)), LinearIneqBody((1, -1), 0))
