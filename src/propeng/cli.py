@@ -9,6 +9,7 @@ failed.  ``--help`` exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -26,7 +27,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each rebuilt parser left some of its strings
+    alive, so ``main`` called in a loop kept more memory with every call."""
     parser = _Parser(
         prog="propeng",
         description="Constraint propagation by generic fixpoint iteration.")
@@ -91,11 +95,11 @@ def cmd_run(args) -> int:
         else:
             names = [s.strip() for s in args.reducers.split(",")]
             names = _regroup_reducer_names(names)
-            setup = reducers.build_named_reducers(problem, names)
-            result = engine.run(setup.functions, setup.start, mode=args.mode,
+            space, functions = reducers.build_named_reducers(problem, names)
+            result = engine.run(functions, space.bottom(), mode=args.mode,
                                 strategy=strategy, step_cap=args.max_steps,
                                 early_exit=args.early_exit, observer=observer)
-            reduced, trace = setup.rebuild(result.value), result.trace
+            reduced, trace = space.rebuild(result.value), result.trace
         equivalence = None
         if args.check_equivalence:
             equivalence = csp_mod.equivalent(problem, reduced)

@@ -8,8 +8,8 @@ it builds a named list.  ``arc`` is ``piC@c`` for every constraint; ``path``
 is ``path@k,l,m`` for every triple of distinct indices, over every ordered
 pair's constraint by ``reducers.constraint_components``: those on one scheme
 merged (``a&b``), a universal ``u(i,j)`` where there is none.  A directional
-goal lists its functions in pass order and runs them in that order: each
-wakes only functions later in the pass, so the run applies each once.
+goal lists its functions in pass order, and its run is Apt's simple
+iteration in every mode: one application of each, in that order.
 
 ``rel:<m>`` (Dechter and van Beek) takes its components by the same rule,
 for the input schemes, then each nonempty variable set that no input
@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
-    ConstraintSpace, RunSetup, build_reducers, constraint_components, join_projection,
+    ConstraintSpace, build_reducers, constraint_components, join_projection,
 )
 # not called here: the benchmark's tracer (bench/tracing.py) patches these names
 from .engine import apply_step  # noqa: F401
@@ -146,16 +146,19 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     and the run's summary.  Every goal but ``rel:<m>`` is its records
     (``goal_records``), built by ``reducers.build_reducers`` as a named
     list is.  ``observer`` is passed to ``engine.run``, which calls it once
-    per step.  A directional goal lists its functions in pass order and runs
-    them in that order, whatever ``strategy`` says."""
-    setup = (_relational_setup(csp, goal.m) if goal.kind == "rel"
-             else build_reducers(csp, *goal_records(csp, goal)))
+    per step.  A directional goal is one pass, whatever ``mode`` and
+    ``strategy`` say: mode ``ci``, keyed by list position.  A function of
+    the pass reads none of what it writes, and only later ones read that,
+    so it wakes only pending functions: each is applied once, in order."""
+    space, functions = (_relational_setup(csp, goal.m) if goal.kind == "rel"
+                        else build_reducers(csp, *goal_records(csp, goal)))
     if goal.kind.startswith("dir-"):
-        strategy = _PassOrder()
-    result = run(setup.functions, setup.start, mode=mode, strategy=strategy,
+        mode, strategy = "ci", Strategy()
+        strategy.key = position_key(functions)
+    result = run(functions, space.bottom(), mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False,
                  observer=observer)
-    return setup.rebuild(result.value), result.trace
+    return space.rebuild(result.value), result.trace
 
 
 def goal_records(csp: CSP, goal: ConsistencyGoal) -> tuple[list, Iterable[tuple]]:
@@ -227,12 +230,4 @@ def _relational_setup(csp, m):
         targets = [p for p, scope in enumerate(scopes, start=1) if scope <= union]
         fid = "rel(" + ",".join(names[p - 1] for p in subset) + ")"
         fns.append(join_projection(space, targets, subset, fid, fid))
-    return RunSetup(space, fns)
-
-
-class _PassOrder(Strategy):
-    """A directional goal's schedule: each function's position in the pass,
-    whose functions wake only later ones."""
-
-    def reset(self, functions):
-        self.key = position_key(functions)
+    return space, fns

@@ -29,13 +29,15 @@ only ``join_projection`` knows how, and wires it when the reducer is built.
 A reached state folds back into a problem: variables into the declared
 families, extensional constraints restricted to them.
 
-One builder, ``build_reducers``, resolves every reducer list: the records
-that names ``kind@head[;tail]`` parse into (``build_named_reducers``) and
-those the ``arc``, ``path`` and directional goals list.  The constraint on a
-scheme is decided in one place, ``constraint_components``, for the path and
-``rel:m`` goals and a named ``rel@`` target or ``path@`` triple alike: the
-constraints on it merged (``a&b``), or a universal one when there is none;
-an index outside ``1..n`` is an error before any reducer is built.
+One builder, ``build_reducers``, resolves every reducer list into its space
+and its functions: the records that names ``kind@head[;tail]`` parse into
+(``build_named_reducers``) and those the ``arc``, ``path`` and directional
+goals list.  The constraint on a scheme is decided in one place,
+``constraint_components``, for the path and ``rel:m`` goals and a named
+``rel@`` target or ``path@`` triple alike: the constraints on it merged
+(``a&b``), or a universal one when there is none.  A target or triple with
+an index repeated or outside ``1..n`` names no scheme, and fails in list
+order, as every item that cannot be built does.
 
 Linear-equality narrowing (``lineq``) is Apt's bounds narrowing as one
 more reduction function: one pass checks the arguments' kinds, then
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import contains, is_
 from typing import Iterable, NamedTuple, Sequence
@@ -419,6 +421,11 @@ def universal_constraint(csp: CSP, scheme: Scheme) -> Constraint:
     return Constraint(cid, scheme, ExtensionalBody(tuples))
 
 
+def _well_formed(t: tuple, n: int) -> bool:
+    """Whether ``t``'s indices are distinct and in ``1..n``."""
+    return len(set(t)) == len(t) and all(0 < i <= n for i in t)
+
+
 def constraint_components(csp: CSP, schemes) -> tuple[CSP, list[ExtComponent]]:
     """The problem a constraint space rebuilds from, and its extensional
     components: the extensional constraints of ``csp`` in input order, those
@@ -429,7 +436,7 @@ def constraint_components(csp: CSP, schemes) -> tuple[CSP, list[ExtComponent]]:
     indices, whatever order ``schemes`` come in."""
     schemes = list(dict.fromkeys(map(Scheme, schemes)))
     for s in schemes:
-        if not all(1 <= i <= csp.arity for i in s):
+        if not _well_formed(s, csp.arity):
             raise ConfigError(f"scheme {s} has an index outside 1..{csp.arity}")
     groups: dict[Scheme, list[Constraint]] = {s: [] for s in schemes}
     for c in csp.constraints:
@@ -600,6 +607,8 @@ def make_relational_reducer(space: ConstraintSpace, t: Scheme,
                             member_keys: Sequence[str]) -> ReductionFunction:
     """Intersect the constraint with scheme ``t`` with the projection of the
     join of the named member constraints."""
+    if not _well_formed(t, space.csp.arity):
+        raise ConfigError(f"scheme {t} has an index outside 1..{space.csp.arity}")
     target = space.position_of_scheme(t)
     members = [space.position(k) for k in member_keys]
     name = "rel@" + ",".join(map(str, t)) + ";" + ",".join(member_keys)
@@ -674,22 +683,6 @@ _DOMAIN_KINDS = ("pi1", "pi2", "piC", "hull", "lineq")
 _CONSTRAINT_KINDS = ("rho", "path", "rel", "cut")
 
 
-@dataclass
-class RunSetup:
-    """Everything needed to run a reducer list: the space, the functions,
-    the start state (the space's least element) and the fold back."""
-
-    space: ConstraintSpace
-    functions: list[ReductionFunction]
-    start: ProductValue = field(init=False)
-
-    def __post_init__(self):
-        self.start = self.space.bottom()
-
-    def rebuild(self, state: ProductValue) -> CSP:
-        return self.space.rebuild(state)
-
-
 def _parse_name(text: str) -> tuple[str, tuple]:
     """Split a name ``kind@head[;tail]`` once into a record of one item: a
     domain reducer's constraint id, or the head comma list (with the tail
@@ -735,15 +728,17 @@ def _domain_function(kind: str, c: Constraint, csp: CSP) -> ReductionFunction:
 
 
 def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
-                   schemes: Iterable[tuple] = ()) -> RunSetup:
-    """Resolve records, each a kind and its items, one function per item in
-    order: constraint ids for a domain kind, member ids for ``rho``,
-    ``(k,l,m)`` for ``path``, ``(target, member ids)`` for ``rel``, ``(ids,
-    multipliers)`` for ``cut``.  The constraints are
-    ``constraint_components(csp, ...)`` of ``schemes``, each ``rel`` target
-    and each triple's ``(k,l)``, ``(k,m)`` and ``(m,l)``.  One
-    ``make_path_reducers`` call builds the triples, so they share one
-    ``apply``; an item that cannot be built still fails in list order."""
+                   schemes: Iterable[tuple] = ()
+                   ) -> tuple[ConstraintSpace, list[ReductionFunction]]:
+    """Resolve records, each a kind and its items, into the space they act
+    on and one function per item, in order: constraint ids for a domain
+    kind, member ids for ``rho``, ``(k,l,m)`` for ``path``, ``(target,
+    member ids)`` for ``rel``, ``(ids, multipliers)`` for ``cut``.  The
+    constraints are ``constraint_components(csp, ...)`` of ``schemes``, each
+    ``rel`` target and each triple's ``(k,l)``, ``(k,m)`` and ``(m,l)``.
+    One ``make_path_reducers`` call builds the triples, so they share one
+    ``apply``; an item that cannot be built still fails in list order.  A
+    run starts at ``space.bottom()`` and folds back by ``space.rebuild``."""
     # the first of an id wins; csp.constraint raises for an id that none has
     by_id = {c.cid: c for c in reversed(csp.constraints)}
     cut_groups = list(dict.fromkeys(ids for kind, items in records if kind == "cut"
@@ -764,16 +759,17 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
     base, extensional, given, triples = csp, [], 0, []
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
-        # each scheme once, a given one as the Scheme the space keeps; a triple
-        # make_path_reducers rejects (an index repeated or outside 1..n) names none
+        # each scheme once, a given one as the Scheme the space keeps; a rel
+        # target or a triple that fails when built (an index repeated or
+        # outside 1..n) names none, so its error comes in list order
         named, n, accepted = dict.fromkeys(map(Scheme, schemes)), csp.arity, True
         for kind, items in records:
             if kind == "rel":
-                named.update((t, None) for t, _ in items)
+                named.update((t, None) for t, _ in items if _well_formed(t, n))
             elif kind == "path":
                 for t in items:
-                    k, l, m = t
-                    if k != l != m != k and 0 < k <= n and 0 < l <= n and 0 < m <= n:
+                    if _well_formed(t, n):
+                        k, l, m = t
                         named[k, l] = named[k, m] = named[m, l] = None
                         if accepted:
                             triples.append(t)
@@ -792,17 +788,18 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
     space = ConstraintSpace(base, components)
     # ``triples`` end at the first one rejected, which is built alone, and fails
     paths = iter(make_path_reducers(space, triples))
-    return RunSetup(space, [
+    return space, [
         next(paths, None) or make_path_reducers(space, [item])[0] if kind == "path"
         else _domain_function(kind, by_id.get(item) or csp.constraint(item), csp)
         if kind in _DOMAIN_KINDS
         else make_solution_projection(space, item) if kind == "rho"
         else make_relational_reducer(space, Scheme(item[0]), item[1]) if kind == "rel"
         else make_cut_reducer(space, "cutset(" + ",".join(item[0]) + ")", item[1])
-        for kind, items in records for item in items])
+        for kind, items in records for item in items]
 
 
-def build_named_reducers(csp: CSP, names: Sequence[str]) -> RunSetup:
+def build_named_reducers(csp: CSP, names: Sequence[str]
+                         ) -> tuple[ConstraintSpace, list[ReductionFunction]]:
     """Resolve reducer names like ``pi1@c1``, ``rho@c1,c2``, ``path@1,2,3``,
     ``rel@1,3;c1,c2`` or ``cut@c3,c4;1/2,1/2``: records of one item each."""
     records = [_parse_name(s) for s in names]

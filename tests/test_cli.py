@@ -1,8 +1,12 @@
 """File format round-trips and the command-line surface."""
 
+import contextlib
+import gc
+import io
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -678,6 +682,20 @@ class TestRunCommand:
         assert [c.cid for c in out.constraints] == ["i1", "cutset(i1)/cut1"]
         assert serialize_csp(out) == text
 
+    def test_variable_free_infeasible_cut_is_an_empty_constraint(self, tmp_path, capsys):
+        # x1 <= 0 and -x1 <= -1 add up to 0 <= -1: no variable is left to
+        # carry the cut, so it prints as an empty relation on the group's first
+        p = tmp_path / "infeasible.csp"
+        p.write_text("domain 1 int [0..3]\n"
+                     "constraint a scheme (1) leq 1*x1 <= 0\n"
+                     "constraint b scheme (1) leq -1*x1 <= -1\n")
+        assert main(["run", str(p), "--reducers", "cut@a,b;1,1",
+                     "--check-equivalence"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[3:] == ["constraint cutset(a,b)/cut1 scheme (1) tuples {}",
+                           "# outcome: converged applications=2",
+                           "# equivalence: PASS"]
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.csp", "--goal", "arc"]) == 1
 
@@ -741,6 +759,30 @@ def test_odd_runs_end_in_an_exit_status(tmp_path, capsys, problem):
             assert "Traceback" not in err
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, (run, output)
+
+
+def test_repeated_main_calls_keep_no_memory(tmp_path):
+    # main called in a loop, as the benchmark calls it: after the first
+    # calls, 60 more keep (almost) nothing more
+    p = tmp_path / "chain.csp"
+    p.write_text(TestGoalsAreNamedLists.CHAIN)
+    argv = ["run", str(p), "--goal", "path", "--format", "json"]
+
+    def traced_after(calls):
+        for _ in range(calls):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    traced_after(5)
+    tracemalloc.start()
+    try:
+        before = traced_after(3)
+        kept = traced_after(60) - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 12 * 1024, kept
 
 
 def _tuple_set(pairs) -> str:
@@ -947,9 +989,14 @@ class TestGoalsAreNamedLists:
         ("path@1,2,3,rho@zz,path@1,1,2", "no constraint-space component 'zz'"),
         ("path@1,2,3,path@1,1,2,rho@zz", "path reduction needs three distinct indices"),
         ("path@2,1,3,path@1,2,9,pi1@nope", "path@1,2,9 has an index outside 1..3"),
+        ("rho@zz,rel@1,9;c1", "no constraint-space component 'zz'"),
+        ("rel@1,9;c1,rho@zz", "scheme (1, 9) has an index outside 1..3"),
+        ("rho@zz,rel@2,2;c1", "no constraint-space component 'zz'"),
+        ("rel@2,2;c1,rho@zz", "scheme (2, 2) repeats an index"),
     ])
     def test_the_first_bad_name_reports(self, tmp_path, capsys, names, message):
-        # the path triples are built together, but fail in list order
+        # the path triples are built together, and the space is built before
+        # any reducer, but the names fail in list order
         assert self.run(tmp_path, capsys, self.CHAIN, "--reducers", names) == (
             1, "", f"error: {message}\n")
 

@@ -20,8 +20,11 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, LinearEqBody, Scheme,
     SetDomain, equivalent, solutions,
 )
-from propeng.engine import MODES, STRATEGIES, Outcome, apply_step, make_strategy
+from propeng.engine import (
+    MODES, STRATEGIES, Outcome, apply_step, extend, make_strategy, run,
+)
 from propeng.errors import ConfigError, ResourceLimitError
+from propeng.lattice import leq
 from propeng.reducers import build_reducers, join_projection
 
 D01 = SetDomain(frozenset({0, 1}))
@@ -238,8 +241,8 @@ class TestAchieveRelational:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_function_per_m_subset(self, m):
         for csp in relational_problems(107, 8):
-            setup = consistency._relational_setup(csp, m)
-            assert len(setup.functions) == math.comb(len(setup.space.components), m)
+            space, fns = consistency._relational_setup(csp, m)
+            assert len(fns) == math.comb(len(space.components), m)
 
     def test_function_cap_checked_before_building(self, monkeypatch):
         # four variables, every variable set but {1,2} and {2,3,4} synthetic:
@@ -397,7 +400,7 @@ class TestDirectionalArc:
             assert all(not s.changed for s in steps2)
             assert equivalent(csp, out)
             # one pass: each constraint prunes its earlier variable once,
-            # later variables first, in every set mode; queue modes agree
+            # later variables first, in every mode
             later = {}
             for c in constraints:
                 i, j = c.scheme
@@ -407,11 +410,10 @@ class TestDirectionalArc:
                 steps = []
                 out_m, _ = achieve(csp, goal, mode=mode, observer=steps.append)
                 assert out_m == out, mode
-                if mode in ("ci", "cii"):
-                    fids = [s.fid for s in steps]
-                    assert sorted(fids) == sorted(later), mode
-                    ranks = [later[f] for f in fids]
-                    assert ranks == sorted(ranks, reverse=True), mode
+                fids = [s.fid for s in steps]
+                assert sorted(fids) == sorted(later), mode
+                ranks = [later[f] for f in fids]
+                assert ranks == sorted(ranks, reverse=True), mode
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ConfigError):
@@ -474,7 +476,7 @@ class TestDirectionalPath:
             assert all(not s.changed for s in steps2)
             assert equivalent(csp, out)
             # one pass: path@k,l,m once for each m later than k and l, the
-            # latest m first, in every set mode; queue modes agree
+            # latest m first, in every mode
             later = {f"path@{k},{l},{m}": rank[m]
                      for k, l, m in itertools.permutations(variables, 3)
                      if rank[m] > max(rank[k], rank[l])}
@@ -482,13 +484,69 @@ class TestDirectionalPath:
                 steps = []
                 out_m, _ = achieve(csp, goal, mode=mode, observer=steps.append)
                 assert out_m == out, mode
-                if mode in ("ci", "cii"):
-                    fids = [s.fid for s in steps]
-                    assert sorted(fids) == sorted(later), mode
-                    ranks = [later[f] for f in fids]
-                    assert ranks == sorted(ranks, reverse=True), mode
-                    # and by fid within one third index
-                    assert fids == sorted(fids, key=lambda f: (-later[f], f)), mode
+                fids = [s.fid for s in steps]
+                assert sorted(fids) == sorted(later), mode
+                ranks = [later[f] for f in fids]
+                assert ranks == sorted(ranks, reverse=True), mode
+                # and by fid within one third index
+                assert fids == sorted(fids, key=lambda f: (-later[f], f)), mode
+
+
+class TestDirectionalPass:
+    """A directional goal is Apt's simple iteration.  Number its functions
+    ``f_1 … f_k`` in application order, which is list order: each ``f_i``
+    semi-commutes with every later ``f_j`` that shares a component with it,
+    ``f_i(f_j(x)) ⊑ f_j(f_i(x))``, so one application of each, in order,
+    from the bottom reaches their least common fixpoint.  The oracles here
+    do not depend on that argument: they replay the pass themselves."""
+
+    @staticmethod
+    def goals():
+        rng = random.Random(61)
+        for n in (2, 3, 4, 5) * 3:
+            csp = random_oriented_csp(rng, n)
+            order = tuple(rng.sample(range(1, n + 1), n))
+            for kind in ("dir-arc", "dir-path"):
+                goal = ConsistencyGoal(kind, order=order)
+                yield csp, goal, *build_reducers(csp, *consistency.goal_records(csp, goal))
+
+    def test_one_application_per_function_in_every_mode(self):
+        passes = 0
+        for csp, goal, space, fns in self.goals():
+            # the pass, one apply_step per function in list order
+            state = space.bottom()
+            for f in fns:
+                state = apply_step(f, state)[0]
+            assert all(apply_step(f, state)[1] == () for f in fns), goal
+            assert state == run(fns, space.bottom(), validate=False).value
+            for mode, name in itertools.product(MODES, STRATEGIES):
+                steps = []
+                out, trace = achieve(csp, goal, mode=mode, strategy=make_strategy(name, 3),
+                                     observer=steps.append)
+                assert trace.total_applications == len(fns), (goal, mode, name)
+                assert [s.fid for s in steps] == [f.fid for f in fns], (goal, mode, name)
+                assert out == space.rebuild(state), (goal, mode, name)
+            passes += bool(fns)
+        assert passes > 20
+
+    def test_earlier_functions_semi_commute_with_later_ones(self):
+        # on the pairs that share a component, at points drawn as the probes
+        # draw them: each component by its own sample, seeded by its position
+        checked = 0
+        for csp, goal, space, fns in self.goals():
+            bottom = space.bottom()
+            lifted = [extend(f, len(bottom)) for f in fns]
+            for (i, f), (j, g) in itertools.combinations(enumerate(fns), 2):
+                if set(f.scheme).isdisjoint(g.scheme):
+                    continue
+                rngs = {p: random.Random(p) for p in {*f.scheme, *g.scheme}}
+                for _ in range(4):
+                    x = bottom.replace({p: bottom.component(p).sample(rng)
+                                        for p, rng in rngs.items()})
+                    assert leq(lifted[i](lifted[j](x)), lifted[j](lifted[i](x))), (
+                        goal, f.fid, g.fid)
+                    checked += 1
+        assert checked > 1000
 
 
 def random_oriented_csp(rng, n):
@@ -521,14 +579,14 @@ class TestPathReducers:
             csp = random_oriented_csp(rng, n)
             order = tuple(rng.sample(range(1, n + 1), n))
             for goal in (ConsistencyGoal("path"), ConsistencyGoal("dir-path", order=order)):
-                setup = build_reducers(csp, *consistency.goal_records(csp, goal))
-                space, fns = setup.space, setup.functions
+                space, fns = build_reducers(csp, *consistency.goal_records(csp, goal))
+                start = space.bottom()
                 at = {comp.scheme: p for p, comp in enumerate(space.components, start=1)}
                 assert len({id(f.apply) for f in fns}) == 1
                 for _ in range(2):
-                    state = setup.start.replace({
+                    state = start.replace({
                         p: v.with_elements(x for x in v.elements if rng.random() < 0.7)
-                        for p, v in enumerate(setup.start.components, start=1)})
+                        for p, v in enumerate(start.components, start=1)})
                     for f in fns:
                         k, l, m = map(int, f.fid.removeprefix("path@").split(","))
                         t, a, b = at[(k, l)], at[(k, m)], at[(m, l)]

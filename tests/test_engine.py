@@ -20,7 +20,7 @@ from propeng.csp import (
 from propeng.engine import (
     MODES, STRATEGIES, Outcome, Pending, ReductionFunction, Strategy, TraceStep,
     apply_step, closure_star, compare_limits, extend, make_strategy,
-    probe_function, run,
+    position_key, probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from propeng.lattice import GridInterval, PowersetValue, ProductValue, leq
@@ -28,7 +28,6 @@ from propeng.reducers import (
     build_named_reducers, domain_bottom, csp_from_domain_state,
     make_binary_projections, make_full_projection, make_linear_eq_narrowing,
 )
-from propeng.consistency import _PassOrder
 from propeng.csp import solutions
 
 # every strategy, the seeded one under two seeds
@@ -83,9 +82,9 @@ def named_lists(rng, count):
             rng, domains[i - 1], domains[j - 1], f"c{i}{j}", (i, j))
             for i, j in ((1, 2), (1, 3), (3, 2), (2, 3)))
         csp = CSP(tuple(SetDomain(d) for d in domains), cs)
-        setup = build_named_reducers(
+        space, fns = build_named_reducers(
             csp, rng.sample(NAMED_POOL, rng.randint(2, len(NAMED_POOL))))
-        yield setup.functions, setup.start
+        yield fns, space.bottom()
 
 
 def path_lists(rng, count):
@@ -100,8 +99,8 @@ def path_lists(rng, count):
             for i, j in pairs))
         triples = list(itertools.permutations(range(1, n + 1), 3))
         names = ["path@%d,%d,%d" % t for t in rng.sample(triples, rng.randint(2, len(triples)))]
-        setup = build_named_reducers(csp, names)
-        yield setup.functions, setup.start
+        space, fns = build_named_reducers(csp, names)
+        yield fns, space.bottom()
 
 
 def reference_set_run(functions, start, mode, strategy):
@@ -712,7 +711,7 @@ class TestScheduling:
     def test_the_key_is_evaluated_only_while_ranking(self, name):
         # eight divergent pairs of equalities, x - y = 1 and x - y = 0, run
         # to a cap of many more steps than the ranking's key evaluations
-        base = _PassOrder if name == "pass order" else STRATEGIES[name]
+        base = Strategy if name == "pass order" else STRATEGIES[name]
 
         class Counting(base):
             calls = 0
@@ -726,7 +725,7 @@ class TestScheduling:
                 return counted
 
             @key.setter
-            def key(self, value):     # the pass order sets its key in reset
+            def key(self, value):     # lifo and seeded set their keys in reset
                 self.inner = value
 
         fns = [TestProbes.equation(f"e{k}{b}", (2 * k - 1, 2 * k), (1, -1), b)
@@ -735,6 +734,8 @@ class TestScheduling:
         bound = len(fns) * math.ceil(math.log2(len(fns))) + len(fns)
         for mode in MODES:
             strategy = Counting(1)
+            if name == "pass order":    # as consistency.achieve keys a directional goal
+                strategy.key = position_key(fns)
             res = run(fns, start, mode=mode, strategy=strategy, step_cap=4000,
                       validate=False)
             assert res.trace.outcome is Outcome.STEP_LIMIT
@@ -902,11 +903,11 @@ class TestProbes:
             cs = tuple(random_binary_constraint(
                 rng, domains[i - 1], domains[j - 1], f"c{i}{j}", (i, j))
                 for i, j in ((1, 2), (1, 3), (3, 2), (2, 3)))
-            setup = build_named_reducers(
+            space, fns = build_named_reducers(
                 CSP(tuple(SetDomain(d) for d in domains), cs), names)
-            for f in setup.functions:
+            for f in fns:
                 assert f.idempotent and f.reads is not None, f.fid
-                probe_function(f, setup.start, samples=20)
+                probe_function(f, space.bottom(), samples=20)
                 probed.add(f.fid)
         assert probed == set(names)
 

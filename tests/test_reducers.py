@@ -130,10 +130,10 @@ class TestFullProjection:
             scheme = tuple(rng.sample((1, 2, 3), rng.randint(1, 3)))
             space = itertools.product(*(domains[i - 1].members() for i in scheme))
             c = ext("c", scheme, {t for t in space if rng.random() < 0.4})
-            setup = build_named_reducers(CSP(tuple(domains), (c,)), [f"{kind}@c"])
+            built, fns = build_named_reducers(CSP(tuple(domains), (c,)), [f"{kind}@c"])
             box = []
             for i in scheme:
-                v = setup.start.component(i)
+                v = built.bottom().component(i)
                 if isinstance(v, GridInterval):
                     lo, hi = sorted(rng.choices(range(v.lo, v.hi + 1), k=2))
                     box.append(GridInterval(v.grid, lo, hi))
@@ -142,7 +142,7 @@ class TestFullProjection:
             live = [t for t in c.tuples
                     if all(x in (v.members() if isinstance(v, GridInterval) else v.elements)
                            for x, v in zip(t, box))]
-            out = setup.functions[0].apply(tuple(box))
+            out = fns[0].apply(tuple(box))
             for k, (v, got) in enumerate(zip(box, out)):
                 points = {t[k] for t in live}
                 if isinstance(v, GridInterval):
@@ -194,14 +194,14 @@ class TestIntervalHullProjection:
             space = itertools.product(*(domains[i - 1].members() for i in scheme))
             c = ext("c", scheme, {t for t in space if rng.random() < 0.4})
             csp = CSP(tuple(domains), (c,))
-            hull = build_named_reducers(csp, ["hull@c"])
-            full = build_named_reducers(csp, ["piC@c"])
-            assert (run(hull.functions, hull.start).value
-                    == run(full.functions, full.start).value)
+            hull_space, hull = build_named_reducers(csp, ["hull@c"])
+            full_space, full = build_named_reducers(csp, ["piC@c"])
+            start = hull_space.bottom()
+            assert run(hull, start).value == run(full, full_space.bottom()).value
             box = tuple(
                 GridInterval(v.grid, *sorted(rng.choices(range(v.lo, v.hi + 1), k=2)))
-                for v in (hull.start.component(i) for i in scheme))
-            assert hull.functions[0].apply(box) == full.functions[0].apply(box)
+                for v in (start.component(i) for i in scheme))
+            assert hull[0].apply(box) == full[0].apply(box)
 
     def test_powerset_components_project_like_the_full_projection(self):
         c = ext("c", (1, 2, 3), {(0, 0, 1), (1, 0, 0)})
@@ -568,13 +568,13 @@ class TestNoChangeApplication:
             ext("c12", (1, 2), {(0, 0), (0, 1)}),
             ext("c13", (1, 3), {(0, 0), (0, 1)}),
             ext("c32", (3, 2), set(itertools.product((0, 1), repeat=2)))))
-        setup = build_named_reducers(csp, [name])
-        (f,) = setup.functions
-        args = tuple(setup.start.component(i) for i in f.scheme)
+        space, (f,) = build_named_reducers(csp, [name])
+        start = space.bottom()
+        args = tuple(start.component(i) for i in f.scheme)
         out = f.apply(args)
         assert all(o is a for o, a in zip(out, args))
-        state, changed = apply_step(f, setup.start)
-        assert changed == () and state is setup.start
+        state, changed = apply_step(f, start)
+        assert changed == () and state is start
 
 
 class TestOneJoinPerApplication:
@@ -599,16 +599,15 @@ class TestOneJoinPerApplication:
             csp = CSP((D012, D012, D012), tuple(
                 random_binary_constraint(rng, D012.values, D012.values, f"c{i}{j}", (i, j))
                 for i, j in ((1, 2), (1, 3), (3, 2))))
-            setup = build_named_reducers(csp, [name])
-            (f,) = setup.functions
-            args = tuple(setup.start.component(i) for i in f.scheme)
+            space, (f,) = build_named_reducers(csp, [name])
+            args = tuple(space.bottom().component(i) for i in f.scheme)
             for x in [args] + [tuple(v.sample(rng) for v in args) for _ in range(3)]:
                 calls.clear()
                 changed += f.apply(x) is not x
                 assert len(calls) == 1 and calls[0].get("within") is not None
             steps = []
             calls.clear()
-            run([f], setup.start, strategy=make_strategy("det"), validate=False,
+            run([f], space.bottom(), strategy=make_strategy("det"), validate=False,
                 observer=steps.append)
             assert len(calls) == len(steps)
         assert (changed > 0) == (not name.startswith("rho@"))
@@ -706,12 +705,12 @@ class TestNamedReducerRegistry:
         h = Constraint("h", Scheme((1,)), ExtensionalBody(frozenset({(3,), (5,)})))
         e = Constraint("e", Scheme((1, 2)), LinearEqBody((3, -5), 4))
         csp = CSP((IntDomain(0, 9), IntDomain(1, 8)), (c, h, e))
-        setup = build_named_reducers(csp, ["hull@h", "lineq@e", "piC@b"])
-        assert isinstance(setup.space, ConstraintSpace)
-        assert [c.key for c in setup.space.components] == ["~dom1", "~dom2"]
-        assert [f.fid for f in setup.functions] == ["hull@h", "lineq@e", "piC@b"]
-        res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(res.value)
+        space, fns = build_named_reducers(csp, ["hull@h", "lineq@e", "piC@b"])
+        assert isinstance(space, ConstraintSpace)
+        assert [c.key for c in space.components] == ["~dom1", "~dom2"]
+        assert [f.fid for f in fns] == ["hull@h", "lineq@e", "piC@b"]
+        res = run(fns, space.bottom(), validate=False)
+        rebuilt = space.rebuild(res.value)
         assert rebuilt.domains[0] == IntDomain(3, 3)
         assert rebuilt.domains[1] == IntDomain(1, 1)
         assert equivalent(csp, rebuilt)
@@ -723,11 +722,10 @@ class TestNamedReducerRegistry:
             build_named_reducers(csp, ["pi1@b"])
 
     def test_constraint_space_names(self, chain_csp):
-        setup = build_named_reducers(
+        space, fns = build_named_reducers(
             chain_csp, ["rel@1,3;c1,c2", "rho@c1,c2"])
-        assert setup.space is not None
-        res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(res.value)
+        res = run(fns, space.bottom(), validate=False)
+        rebuilt = space.rebuild(res.value)
         assert rebuilt.constraint("u(1,3)").tuples == frozenset({(0, 1)})
         assert equivalent(chain_csp, rebuilt)
 
@@ -740,9 +738,9 @@ class TestNamedReducerRegistry:
         c13 = ext("c13", (1, 3), {(0, 1), (1, 1)})
         c32 = ext("c32", (3, 2), {(1, 1)})
         csp = CSP((D01, D01, D01, SetDomain(frozenset())), (c12, c13, c32))
-        setup = build_named_reducers(csp, names)
-        res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(res.value)
+        space, fns = build_named_reducers(csp, names)
+        res = run(fns, space.bottom(), validate=False)
+        rebuilt = space.rebuild(res.value)
         if names[0].startswith("rho"):
             expected = {"c12": c12.tuples, "c13": set(), "c32": set()}
         else:
@@ -751,31 +749,31 @@ class TestNamedReducerRegistry:
 
     def test_path_names(self):
         space = path_space()
-        setup = build_named_reducers(space.csp, ["path@1,2,3"])
-        res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(res.value)
+        space, fns = build_named_reducers(space.csp, ["path@1,2,3"])
+        res = run(fns, space.bottom(), validate=False)
+        rebuilt = space.rebuild(res.value)
         assert rebuilt.constraint("c12").tuples == frozenset({(0, 1)})
 
     def test_named_path_triples_share_one_apply(self, chain_csp):
         # one make_path_reducers call builds every path@ of a list, as it
         # builds the path goal's, whatever names come between them
-        setup = build_named_reducers(
+        space, fns = build_named_reducers(
             chain_csp, ["path@1,2,3", "rho@c1,c2", "path@3,1,2", "pi1@c1", "path@2,3,1"])
-        assert [f.fid for f in setup.functions] == [
+        assert [f.fid for f in fns] == [
             "path@1,2,3", "rho@c1,c2", "path@3,1,2", "pi1@c1", "path@2,3,1"]
-        paths = setup.functions[::2]
+        paths = fns[::2]
         assert len({id(f.apply) for f in paths}) == 1
         for f in paths:
             k, l, m = map(int, f.fid.removeprefix("path@").split(","))
-            at = {comp.scheme: p for p, comp in enumerate(setup.space.components, start=1)
+            at = {comp.scheme: p for p, comp in enumerate(space.components, start=1)
                   if isinstance(comp, ExtComponent)}
             assert f.scheme == (at[k, l], at[k, m], at[m, l])
 
     def test_universals_follow_the_constraints_in_scheme_order(self, chain_csp):
         # named last to first, by length, then indices
-        setup = build_named_reducers(
+        space, fns = build_named_reducers(
             chain_csp, ["rel@3,2,1;c1,c2", "path@3,2,1", "path@2,1,3"])
-        assert [c.key for c in setup.space.components] == [
+        assert [c.key for c in space.components] == [
             "c1", "c2", "u(2,1)", "u(3,1)", "u(3,2)", "u(3,2,1)"]
         _, comps = reducers.constraint_components(
             chain_csp, [(3, 2, 1), (3, 1), (1, 2), (2, 1, 3), (2, 1), (3, 1)])
@@ -786,9 +784,9 @@ class TestNamedReducerRegistry:
         i1 = Constraint("i1", Scheme((1, 2)), LinearIneqBody((1, 1), 1))
         i2 = Constraint("i2", Scheme((1, 2)), LinearIneqBody((1, -1), 0))
         csp = CSP((IntDomain(-2, 3), IntDomain(-2, 3)), (i1, i2))
-        setup = build_named_reducers(csp, ["cut@i1,i2;1/2,1/2"])
-        res = run(setup.functions, setup.start, validate=False)
-        rebuilt = setup.rebuild(res.value)
+        space, fns = build_named_reducers(csp, ["cut@i1,i2;1/2,1/2"])
+        res = run(fns, space.bottom(), validate=False)
+        rebuilt = space.rebuild(res.value)
         cids = [c.cid for c in rebuilt.constraints]
         assert cids == ["i1", "i2", "cutset(i1,i2)/cut1"]
         assert equivalent(csp, rebuilt)
@@ -796,6 +794,26 @@ class TestNamedReducerRegistry:
     def test_unknown_kind_rejected(self, chain_csp):
         with pytest.raises(ConfigError):
             build_named_reducers(chain_csp, ["zap@c1"])
+
+    def test_a_constraint_joins_one_cut_group(self):
+        i = [Constraint(f"i{k}", Scheme((1,)), LinearIneqBody((1,), k)) for k in (1, 2, 3)]
+        csp = CSP((IntDomain(0, 3),), tuple(i))
+        with pytest.raises(ConfigError, match="constraint 'i2' appears in two cut groups"):
+            build_named_reducers(csp, ["cut@i1,i2;1,1", "cut@i2,i3;1,1"])
+
+    def test_a_shared_scheme_is_merged_first(self, chain_csp):
+        # the builders merge the constraints on one scheme; a space built by
+        # hand may keep both, and a reducer found by scheme refuses them
+        c1, c2 = chain_csp.constraints
+        b = ext("b", (1, 2), {(0, 0)})
+        csp = CSP(chain_csp.domains, (c1, b, c2))
+        space = ConstraintSpace(csp, [ExtComponent(c) for c in (
+            c1, b, c2, universal_constraint(csp, Scheme((1, 3))))])
+        for build in (lambda: make_relational_reducer(space, Scheme((1, 2)), ["c2"]),
+                      lambda: make_path_reducers(space, [(1, 2, 3)])):
+            with pytest.raises(ConfigError, match=(
+                    r"several constraints share scheme \(1, 2\); normalize first")):
+                build()
 
 
 class TestOneSpace:
@@ -806,14 +824,14 @@ class TestOneSpace:
     def run_all_modes(csp, names):
         """The problem each mode's run rebuilds, once checked that the run
         ends at a common fixpoint of the list and keeps the solution set."""
-        setup = build_named_reducers(csp, names)
+        space, fns = build_named_reducers(csp, names)
         out = []
         for mode in MODES:
-            res = run(setup.functions, setup.start, mode=mode, validate=False)
+            res = run(fns, space.bottom(), mode=mode, validate=False)
             assert res.converged, mode
-            for f in setup.functions:
+            for f in fns:
                 assert apply_step(f, res.value)[1] == (), (mode, f.fid)
-            rebuilt = setup.rebuild(res.value)
+            rebuilt = space.rebuild(res.value)
             assert solutions(rebuilt) == solutions(csp), mode
             out.append(rebuilt)
         assert all(r == out[0] for r in out)
@@ -845,11 +863,11 @@ class TestOneSpace:
                                ["pi1@c12", "pi2@c32", "path@1,2,3"])
 
     def test_domain_reducer_keeps_its_id(self, chain_csp):
-        setup = build_named_reducers(chain_csp, ["pi1@c1", "rho@c1,c2", "piC@c2"])
-        assert [f.fid for f in setup.functions] == ["pi1@c1", "rho@c1,c2", "piC@c2"]
-        assert [c.key for c in setup.space.components] == [
+        space, fns = build_named_reducers(chain_csp, ["pi1@c1", "rho@c1,c2", "piC@c2"])
+        assert [f.fid for f in fns] == ["pi1@c1", "rho@c1,c2", "piC@c2"]
+        assert [c.key for c in space.components] == [
             "~dom1", "~dom2", "~dom3", "c1", "c2"]
-        assert [f.scheme for f in setup.functions] == [(1, 2), (4, 5), (2, 3)]
+        assert [f.scheme for f in fns] == [(1, 2), (4, 5), (2, 3)]
 
     @pytest.mark.parametrize("names, keys", [
         (["rho@c2,~dom2"], ["~dom1", "~dom2", "~dom3", "c1", "c2"]),
@@ -858,8 +876,8 @@ class TestOneSpace:
         (["rel@1,3;c1,c2"], ["c1", "c2", "u(1,3)"])])
     def test_domain_join_member_puts_the_variables_first(self, chain_csp, names, keys):
         # naming ~domN is enough; a list that names none has no variables
-        setup = build_named_reducers(chain_csp, names)
-        assert [c.key for c in setup.space.components] == keys
+        space, fns = build_named_reducers(chain_csp, names)
+        assert [c.key for c in space.components] == keys
 
     def test_unknown_constraint_id(self, chain_csp):
         for names in (["pi1@nope"], ["cut@nope;1"]):
@@ -898,17 +916,17 @@ class TestEmbedding:
         assert changed == ()
 
     def test_hybrid_run_is_strategy_independent(self, chain_csp):
-        setup = build_named_reducers(
+        space, fns = build_named_reducers(
             chain_csp, ["rho@c1,c2", "pi1@c1", "pi2@c1", "piC@c2"])
         values = set()
         for mode in ("ci", "cii", "ciq", "ciiq"):
             for name, seed in [("det", 0), ("seeded", 3), ("lifo", 0), ("block", 0)]:
-                res = run(setup.functions, setup.start, mode=mode,
+                res = run(fns, space.bottom(), mode=mode,
                           strategy=make_strategy(name, seed), validate=False)
                 assert res.converged
                 values.add(res.value)
         assert len(values) == 1
-        rebuilt = setup.rebuild(values.pop())
+        rebuilt = space.rebuild(values.pop())
         assert equivalent(chain_csp, rebuilt)
 
 
@@ -1032,8 +1050,8 @@ def constraint_reducer_zoo(rng):
     out.append((sp, make_solution_projection(sp, ["ckl", "cml"])))
     out.append((sp, make_relational_reducer(sp, Scheme((1, 2)), ["ckm", "cml"])))
     # a relational-goal reducer whose targets strictly include its members
-    rel = consistency._relational_setup(csp, 2)
-    out.append((rel.space, rng.choice([f for f in rel.functions if f.reads])))
+    rel_space, rel = consistency._relational_setup(csp, 2)
+    out.append((rel_space, rng.choice([f for f in rel if f.reads])))
     # a domain reducer on the variables of a mixed space
     mixed = mixed_space(csp)
     out.append((mixed, rng.choice(make_binary_projections(c_kl))))
