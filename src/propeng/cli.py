@@ -1,9 +1,13 @@
 """Command-line front end: validate problem files, run goals or explicit
 reducer lists, and emit reduced problems, traces and statistics.
 
+Both commands read their problem through ``_load``.  ``main`` alone turns an
+error into exit 1: a ``PropagationError`` or ``OSError``, raised while reading
+the file or writing the output, prints one ``error: <message>`` line.
+
 Exit status: 0 converged (or stopped early on an emptied component), 1 input,
-configuration or usage error, 2 step cap exceeded, 3 equivalence check
-failed.  ``--help`` exits 0.
+configuration or usage error (an unreadable or non-UTF-8 file, an unwritable
+output), 2 step cap exceeded, 3 equivalence check failed.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import sys
 
 from . import consistency, csp as csp_mod, engine, reducers, textio
-from .errors import PropagationError
+from .errors import ConfigError, DataError, PropagationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,18 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> csp_mod.CSP:
+    """The problem in the file at ``path``: the only place a command opens one.
+    A file that is not UTF-8 is a ``DataError`` that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        problem = textio.parse_csp(fh.read())
-    issues = csp_mod.validate(problem)
-    if issues:
-        raise PropagationError("invalid problem:\n  " + "\n  ".join(issues))
-    return problem
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: byte {exc.start} is not UTF-8 "
+                            f"({exc.reason})") from None
+    return textio.parse_csp(text)
 
 
 def cmd_run(args) -> int:
     if (args.goal is None) == (args.reducers is None):
-        print("error: exactly one of --goal / --reducers is required", file=sys.stderr)
-        return 1
+        raise ConfigError("exactly one of --goal / --reducers is required")
     # a text trace prints each step as it is made; a JSON one keeps the
     # steps for the document written after the run
     steps: list[engine.TraceStep] = []
@@ -83,32 +89,27 @@ def cmd_run(args) -> int:
         def observer(s: engine.TraceStep) -> None:
             print(f"step={next(count)} fn={s.fid} changed={int(s.changed)} "
                   f"comps={','.join(map(str, s.changed_components))}")
-    try:
-        problem = _load(args.input)
-        strategy = engine.make_strategy(args.strategy, args.seed)
-        if args.goal is not None:
-            goal = consistency.parse_goal(args.goal)
-            reduced, trace = consistency.achieve(
-                problem, goal, mode=args.mode, strategy=strategy,
-                step_cap=args.max_steps, early_exit=args.early_exit,
-                observer=observer)
-        else:
-            names = [s.strip() for s in args.reducers.split(",")]
-            names = _regroup_reducer_names(names)
-            space, functions = reducers.build_named_reducers(problem, names)
-            result = engine.run(functions, space.bottom(), mode=args.mode,
-                                strategy=strategy, step_cap=args.max_steps,
-                                early_exit=args.early_exit, observer=observer)
-            reduced, trace = space.rebuild(result.value), result.trace
-        equivalence = None
-        if args.check_equivalence:
-            equivalence = csp_mod.equivalent(problem, reduced)
-    except PropagationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    problem = _load(args.input)
+    issues = csp_mod.validate(problem)
+    if issues:
+        raise DataError("invalid problem:\n  " + "\n  ".join(issues))
+    strategy = engine.make_strategy(args.strategy, args.seed)
+    if args.goal is not None:
+        goal = consistency.parse_goal(args.goal)
+        reduced, trace = consistency.achieve(
+            problem, goal, mode=args.mode, strategy=strategy,
+            step_cap=args.max_steps, early_exit=args.early_exit,
+            observer=observer)
+    else:
+        names = _regroup_reducer_names([s.strip() for s in args.reducers.split(",")])
+        space, functions = reducers.build_named_reducers(problem, names)
+        result = engine.run(functions, space.bottom(), mode=args.mode,
+                            strategy=strategy, step_cap=args.max_steps,
+                            early_exit=args.early_exit, observer=observer)
+        reduced, trace = space.rebuild(result.value), result.trace
+    equivalence = None
+    if args.check_equivalence:
+        equivalence = csp_mod.equivalent(problem, reduced)
 
     if args.format == "json":
         # json.dumps(payload, indent=2, sort_keys=True)'s bytes, with the
@@ -149,12 +150,7 @@ def _regroup_reducer_names(names: list[str]) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            problem = textio.parse_csp(fh.read())
-    except (PropagationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    problem = _load(args.input)
     issues = csp_mod.validate(problem)
     for issue in issues:
         print(issue, file=sys.stderr)
@@ -166,9 +162,12 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_validate(args)
+    command = cmd_run if args.command == "run" else cmd_validate
+    try:
+        return command(args)
+    except (PropagationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -317,18 +317,19 @@ def witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]) ->
     getter on the tuple so far, the member's key getter, and the membership
     tests that become possible once the member is bound.  The next level's
     member shares a bound index when some member does."""
-    joined = list(dict.fromkeys(itertools.chain.from_iterable(schemes)))
+    joined = dict.fromkeys(itertools.chain.from_iterable(schemes))
     if not all(i in joined for i in onto):
         raise ConfigError(f"indices {onto} not all present in {tuple(joined)}")
-    bound = list(onto)          # the index at each position of the tuple so far
+    # each bound index -> its first position in the tuple built so far
+    bound = {i: k for k, i in enumerate(onto)}
+    width = len(onto)
     pending = list(range(len(schemes)))
 
     def tests():
         ready = [j for j in pending if all(i in bound for i in schemes[j])]
         for j in ready:
             pending.remove(j)
-        return tuple((j, _tuple_getter([bound.index(i) for i in schemes[j]]))
-                     for j in ready)
+        return tuple((j, _tuple_getter([bound[i] for i in schemes[j]])) for j in ready)
 
     first = tests()
     levels = []
@@ -337,28 +338,37 @@ def witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]) ->
         pending.remove(j)
         s = schemes[j]
         shared = [i for i in s if i in bound]
-        level = (j, _key_getter([bound.index(i) for i in shared]),
+        level = (j, _key_getter([bound[i] for i in shared]),
                  _key_getter([s.index(i) for i in shared]))
-        bound += s
+        for k, i in enumerate(s, width):
+            bound.setdefault(i, k)
+        width += len(s)
         levels.append(level + (tests(),))
     return WitnessPlan(first, tuple(levels), Scheme(onto))
 
 
-def _extends(t: tuple, levels: list, k: int) -> bool:
-    """Whether ``t`` extends through ``levels[k:]`` (each: the key getter,
-    the lookup of the member's tuples by key, the membership tests), depth
-    first, stopping at the first witness."""
-    key, get, tests = levels[k]
-    k += 1
-    last = k == len(levels)
-    for v in get(key(t), ()):
-        u = t + v
-        for pick, tuples in tests:
-            if pick(u) not in tuples:
+def _extends(t: tuple, levels: list) -> bool:
+    """Whether ``t`` extends through ``levels`` (each: the key getter, the
+    lookup of the member's tuples by key, the membership tests), depth
+    first, stopping at the first witness.  The search keeps its own stack
+    of the candidates left at each bound level, so a plan of any length
+    runs within Python's recursion limit."""
+    key, get, _ = levels[0]
+    stack = [(t, iter(get(key(t), ())))]
+    while stack:
+        u, candidates = stack[-1]
+        tests = levels[len(stack) - 1][2]
+        for v in candidates:
+            w = u + v
+            if all(pick(w) in tuples for pick, tuples in tests):
                 break
         else:
-            if last or _extends(u, levels, k):
-                return True
+            stack.pop()
+            continue
+        if len(stack) == len(levels):
+            return True
+        key, get, _ = levels[len(stack)]
+        stack.append((w, iter(get(key(w), ()))))
     return False
 
 
@@ -393,7 +403,7 @@ def _witnessed(sets: Sequence[frozenset], plan: WitnessPlan, within: frozenset) 
                     break
         kept = out
     elif index:
-        kept = [t for t in kept if _extends(t, index, 0)]
+        kept = [t for t in kept if _extends(t, index)]
     return Relation(scheme, within if len(kept) == len(within) else frozenset(kept))
 
 

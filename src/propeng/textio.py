@@ -217,10 +217,24 @@ def parse_csp(text: str) -> CSP:
     if not domains:
         raise DataError("no domains declared")
     n = max(domains)
-    missing = [str(i) for i in range(1, n + 1) if i not in domains]
-    if missing:
-        raise DataError(f"missing domain declarations for index {', '.join(missing)}")
+    if len(domains) != n:
+        raise DataError(f"missing domain declarations for index {_gaps(sorted(domains))}")
     return CSP(tuple(domains[i] for i in range(1, n + 1)), tuple(constraints))
+
+
+def _gaps(declared: list[int]) -> str:
+    """The indices from 1 up to the last of ``declared`` (sorted, distinct,
+    each at least 1) that it leaves out; a run of three or more is written
+    ``first..last``, so the text grows with the runs, not with the indices."""
+    out: list[str] = []
+    after = 1
+    for i in declared:
+        if i - after >= 3:
+            out.append(f"{after}..{i - 1}")
+        else:
+            out.extend(map(str, range(after, i)))
+        after = i + 1
+    return ", ".join(out)
 
 
 def _linear_text(variables: list[int], coeffs: list[int]) -> str:

@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import random
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -525,6 +527,22 @@ class TestRunCommand:
         assert "# equivalence: PASS" in out
         assert is_relationally_m_consistent(parse_csp(out), 2)
 
+    def test_relational_reducer_over_a_long_chain(self, tmp_path, capsys):
+        # x1 = x2 = ... = x1101: the witness search binds 1099 members one
+        # level each, deeper than Python's recursion limit
+        n = 1101
+        p = tmp_path / "chain.csp"
+        p.write_text("".join(f"domain {i} set {{0,1}}\n" for i in range(1, n + 1))
+                     + "".join(f"constraint c{k} scheme ({k},{k + 1}) tuples {{(0,0),(1,1)}}\n"
+                               for k in range(1, n)))
+        members = ",".join(f"c{k}" for k in range(1, n))
+        t0 = time.perf_counter()
+        assert main(["run", str(p), "--reducers", f"rel@1,{n};{members}"]) == 0
+        assert time.perf_counter() - t0 < 2
+        out = capsys.readouterr().out.splitlines()
+        assert f"constraint u(1,{n}) scheme (1,{n}) tuples {{(0,0),(1,1)}}" in out
+        assert out[-1] == "# outcome: converged applications=1"
+
     def test_relational_goal_with_commas_in_ids(self, tmp_path, capsys):
         # joined with plain commas, {a, "b,c"} and {"a,b", c} would share an id
         p = tmp_path / "commas.csp"
@@ -759,6 +777,34 @@ def test_odd_runs_end_in_an_exit_status(tmp_path, capsys, problem):
             assert "Traceback" not in err
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, (run, output)
+
+
+@pytest.mark.parametrize("command", [["run", "--goal", "arc"], ["validate"]])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    p = tmp_path / "latin1.csp"
+    p.write_bytes(b"domain 1 set {\xff}\n")
+    assert main([command[0], str(p), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {p}: byte 14 is not UTF-8 (invalid start byte)\n"
+    assert captured.out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under ``propeng run ... | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["run", "--goal", "arc"],
+                                  ["run", "--goal", "arc", "--format", "json"],
+                                  ["validate"]])
+def test_an_output_that_cannot_be_written_is_an_input_error(
+        eq_ne_file, capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([argv[0], str(eq_ne_file), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_repeated_main_calls_keep_no_memory(tmp_path):

@@ -4,6 +4,7 @@ writer."""
 
 import json
 import random
+import time
 
 import pytest
 
@@ -63,6 +64,8 @@ class TestErrorMessages:
          "line 2: unknown constraint kind 'table'"),
         ("domain 1 set {0}\nvariable 2\n", "line 2: unknown declaration 'variable'"),
         ("# no declaration\n", "no domains declared"),
+        ("domain 2 set {0}\ndomain 6 set {1}\ndomain 9 set {1}\n",
+         "missing domain declarations for index 1, 3..5, 7, 8"),
         ("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
          "constraint e scheme (1,2) lineq 1*x1 + 1*x2 3\n",
          "line 3: expected '=' in lineq form"),
@@ -84,6 +87,17 @@ class TestErrorMessages:
     ])
     def test_message_text(self, text, message):
         assert error_of(text) == message
+
+    def test_missing_indices_cost_what_their_runs_do(self):
+        # one declaration far out: the check and its message do not grow
+        # with the index
+        t0 = time.perf_counter()
+        message = error_of("domain 2000000 set {a}\n")
+        assert time.perf_counter() - t0 < 0.1
+        assert message == "missing domain declarations for index 1..1999999"
+        assert len(message) < 200
+        # a run of one or two is still written out
+        assert error_of("domain 3 set {0}\n") == "missing domain declarations for index 1, 2"
 
     @pytest.mark.parametrize("scheme", ["()", "( )"])
     def test_empty_scheme_is_left_to_validate(self, scheme):
