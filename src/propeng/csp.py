@@ -10,6 +10,7 @@ positions of the target indices (``_tuple_getter``).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -316,34 +317,62 @@ def witness_plan(schemes: tuple[tuple[int, ...], ...], onto: tuple[int, ...]) ->
     member's bound coordinates key its index.  It holds the member, the key
     getter on the tuple so far, the member's key getter, and the membership
     tests that become possible once the member is bound.  The next level's
-    member shares a bound index when some member does."""
-    joined = dict.fromkeys(itertools.chain.from_iterable(schemes))
-    if not all(i in joined for i in onto):
-        raise ConfigError(f"indices {onto} not all present in {tuple(joined)}")
+    member is the first pending one, in member order, that shares a bound
+    index, else the first pending one.  Each index lists the members that
+    hold it, and each member counts its unbound indices, so binding an index
+    touches only its holders: the plan takes time linear in the members'
+    schemes, up to a heap of the members that share a bound index."""
+    holders: dict[int, list[int]] = {}
+    for j, s in enumerate(schemes):
+        for i in dict.fromkeys(s):
+            holders.setdefault(i, []).append(j)
+    if not all(i in holders for i in onto):
+        raise ConfigError(f"indices {onto} not all present in {tuple(holders)}")
     # each bound index -> its first position in the tuple built so far
     bound = {i: k for k, i in enumerate(onto)}
     width = len(onto)
-    pending = list(range(len(schemes)))
+    unbound = [sum(i not in bound for i in dict.fromkeys(s)) for s in schemes]
+    pending = [True] * len(schemes)
+    # the members sharing a bound index, some no longer pending (a sorted list is a heap)
+    sharing = sorted({j for i in bound for j in holders[i]})
+    first_pending = 0
 
-    def tests():
-        ready = [j for j in pending if all(i in bound for i in schemes[j])]
+    def tests(ready):
         for j in ready:
-            pending.remove(j)
-        return tuple((j, _tuple_getter([bound[i] for i in schemes[j]])) for j in ready)
+            pending[j] = False
+        return tuple((j, _tuple_getter([bound[i] for i in schemes[j]])) for j in sorted(ready))
 
-    first = tests()
+    first = tests([j for j, n in enumerate(unbound) if not n])
+    left = len(schemes) - len(first)
     levels = []
-    while pending:
-        j = next((j for j in pending if any(i in bound for i in schemes[j])), pending[0])
-        pending.remove(j)
+    while left:
+        while sharing and not pending[sharing[0]]:
+            heapq.heappop(sharing)
+        if sharing:
+            j = heapq.heappop(sharing)
+        else:
+            while not pending[first_pending]:
+                first_pending += 1
+            j = first_pending
+        pending[j] = False
         s = schemes[j]
         shared = [i for i in s if i in bound]
         level = (j, _key_getter([bound[i] for i in shared]),
                  _key_getter([s.index(i) for i in shared]))
+        ready = []
         for k, i in enumerate(s, width):
-            bound.setdefault(i, k)
+            if i not in bound:
+                bound[i] = k
+                for h in holders[i]:
+                    if pending[h]:
+                        heapq.heappush(sharing, h)
+                        unbound[h] -= 1
+                        if not unbound[h]:
+                            ready.append(h)
         width += len(s)
-        levels.append(level + (tests(),))
+        ready = tests(ready)
+        left -= 1 + len(ready)
+        levels.append(level + (ready,))
     return WitnessPlan(first, tuple(levels), Scheme(onto))
 
 

@@ -51,12 +51,13 @@ It compares components with ``lattice.leq`` and tests them with
 through each component's own ``sample`` and ``sample_above``.
 
 Before the loop, ``run(validate=True)`` probes every function on a few
-drawn inputs: it must be inflationary and monotonic there, and, if it
-declares ``idempotent``, idempotent too.  A component's draws come from its
-own seed (its position), so they are the same for every function that reads
-it; ``run`` draws each component once and shares the draws among its
-readers, and drops them once the last reader has been probed, so the probes
-hold the draws of the components still to be read, not of all of them.
+drawn inputs: it must be inflationary and monotonic there, idempotent if
+it declares ``idempotent``, and, if it declares ``reads``, stay stable when
+its unread components move up.  A component's draws come from its own seed
+(its position), so they are the same for every function that reads it;
+``run`` draws each component once and shares the draws among its readers,
+and drops them once the last reader has been probed, so the probes hold the
+draws of the components still to be read, not of all of them.
 
 Termination is guaranteed on finite-chain components; a step cap guards
 against the general case, where infinite executions exist.
@@ -341,6 +342,22 @@ def _probe_draws(b, position: int, samples: int):
     return tuple(xs), tuple(above)
 
 
+# how many times the reads probe applies a non-idempotent function to reach
+# a point where it is stable
+_SETTLE_STEPS = 100
+
+
+def _settle(f: ReductionFunction, z: tuple) -> tuple | None:
+    """The first ``z`` from which ``f`` changes nothing, applying ``f`` at
+    most ``_SETTLE_STEPS`` times; ``None`` if there is none by then."""
+    for _ in range(_SETTLE_STEPS):
+        fz = tuple(f.apply(z))
+        if fz == z:
+            return z
+        z = fz
+    return None
+
+
 def probe_function(f: ReductionFunction, start: ProductValue,
                    samples: int = 6, draws: dict | None = None) -> None:
     """Spot-check that ``f`` is inflationary and monotonic, and idempotent
@@ -359,13 +376,15 @@ def probe_function(f: ReductionFunction, start: ProductValue,
     ``samples``, to every probe, so a component is drawn once per run, not
     once per function reading it.
 
-    A function that declares both ``idempotent`` and ``reads`` is stable at
-    ``z = f(x)``, and its ``reads`` says it stays so while only unread
-    components change.  So each sample also moves every unread coordinate
-    of ``z`` up, by ``sample_above`` on a stream of its own seeded by the
-    component's position (the shared draws stay as they are), and checks
-    that ``f`` is stable at the moved point.  A function that declares
-    ``reads`` but not ``idempotent`` is not checked against its ``reads``.
+    A function that declares ``reads`` says it stays stable while only
+    unread components change.  So each sample takes a point ``z`` where
+    ``f`` is stable: ``f(x)`` if ``f`` declares ``idempotent``, else the
+    first repeat of applying ``f`` from ``f(x)``, at most
+    ``_SETTLE_STEPS`` times (a sample that does not settle is not checked
+    against ``reads``).  It moves every unread coordinate of ``z`` up, by
+    ``sample_above`` on a stream of its own seeded by the component's
+    position (the shared draws stay as they are), and checks that ``f`` is
+    stable at the moved point.
     """
     if draws is None:
         draws = {}
@@ -379,7 +398,7 @@ def probe_function(f: ReductionFunction, start: ProductValue,
     rows = zip(zip(*xcols), zip(*ycols)) if xcols else [((), ())] * samples
     # the unread coordinates, each with its own stream of upward moves
     unread = {k: random.Random(i) for k, i in enumerate(f.scheme)
-              if f.idempotent and f.reads is not None and i not in f.reads}
+              if f.reads is not None and i not in f.reads}
     for x, y in rows:
         fx = tuple(f.apply(x))
         if len(fx) != len(x):
@@ -389,8 +408,9 @@ def probe_function(f: ReductionFunction, start: ProductValue,
         if f.idempotent and tuple(f.apply(fx)) != fx:
             raise ProbeRejectionError(
                 f.fid, "declares idempotent=True but failed the idempotence probe")
-        if unread:
-            z = list(fx)
+        z = (fx if f.idempotent else _settle(f, fx)) if unread else None
+        if z is not None:
+            z = list(z)
             for k, rng in unread.items():
                 z[k] = z[k].sample_above(rng)
             z = tuple(z)

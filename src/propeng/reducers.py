@@ -16,8 +16,8 @@ target's tuples that extend to a tuple of the join, so path reduction keeps
 a pair of ``C_kl`` when some value of ``m`` supports it and never builds
 ``C_km ∘ C_ml``; such a reducer resolves the search's plan when it is built,
 so an application is one ``join_constraints`` call.  That plan is the same
-for every path triple, so ``make_path_reducers`` resolves it once and its
-reducers share one ``apply``, each over its own three components.  With
+for every path triple, so it is resolved at import, and every path reducer
+has the one ``apply``, ``_path_apply``, over its own components.  With
 several targets, the projection onto the union of their schemes is fused
 into the join (``join_constraints(..., onto=...)``), and each target is
 intersected with its part.  Either way an application that removes nothing
@@ -470,8 +470,9 @@ def join_projection(space: ConstraintSpace, targets: Sequence[int],
                     members: Sequence[int], fid: str, group: str) -> ReductionFunction:
     """Intersect each target component with the projection, onto its scheme,
     of the join of the member components (the one constraint-reducer shape:
-    ``rho``, path and relational reduction).  Each member's and target's
-    join scheme is resolved here, once: an extensional constraint's own, and
+    ``rho`` and relational reduction; ``_path_apply`` is its one-target
+    case on a plan resolved at import).  Each member's and target's join
+    scheme is resolved here, once: an extensional constraint's own, and
     ``(p,)`` for a variable at ``p`` over a set domain, whose atoms join as
     1-tuples; any other component is not joinable.  Members are checked
     before targets.  One target keeps the tuples that have a witness in the
@@ -571,36 +572,39 @@ def make_solution_projection(space: ConstraintSpace,
     return f
 
 
-def make_path_reducers(space: ConstraintSpace, triples) -> list[ReductionFunction]:
-    """One path reducer per ``(k,l,m)`` of ``triples``, in order, sharing one
-    ``apply``: it keeps the pairs ``(a,b)`` on ``(k,l)`` for which the
-    witness search finds a ``c`` with ``(a,c)`` on ``(k,m)`` and ``(c,b)`` on
-    ``(m,l)``.  Each triple's three components are found by
-    scheme, so they are extensional constraints over ``(k,l)``, ``(k,m)``
-    and ``(m,l)``, and the witness plan of ``((k,m),(m,l))`` onto ``(k,l)``
-    is positional: bind the ``(k,m)`` member on the target's first
-    coordinate, then test ``(m,l)`` on coordinates 3 and 1 of the tuple so
-    far, whatever ``k``, ``l`` and ``m`` are.  So the first triple is built
-    by ``join_projection`` and every other one takes its ``apply``."""
+# the witness plan of ((k,m),(m,l)) onto (k,l), whatever k, l and m are: bind
+# (k,m) on the target's first coordinate, test (m,l) on coordinates 3 and 1
+_PATH_PLAN = witness_plan(((1, 3), (3, 2)), (1, 2))
+
+
+def _path_apply(args):
+    """Every path reducer's one ``apply``, on ``(C_kl, C_km, C_ml)``: keep
+    the pairs ``(a,b)`` of ``C_kl`` for which the witness search finds a
+    ``c`` with ``(a,c)`` in ``C_km`` and ``(c,b)`` in ``C_ml``."""
+    v = args[0]
+    kept = join_constraints([args[1].elements, args[2].elements],
+                            onto=_PATH_PLAN, within=v.elements).tuples
+    return args if kept is v.elements else (v.with_elements(kept),) + args[1:]
+
+
+def make_path_reducer(space: ConstraintSpace, triple) -> ReductionFunction:
+    """The path reducer of ``(k,l,m)``: ``_path_apply`` over the
+    extensional constraints on ``(k,l)``, ``(k,m)`` and ``(m,l)``, found by
+    scheme, reading the last two."""
+    k, l, m = triple
     n, at = space.csp.arity, space._position_of
-    fns: list[ReductionFunction] = []
-    for k, l, m in triples:
-        if k == l or k == m or l == m:
-            raise ConfigError("path reduction needs three distinct indices")
-        if not (0 < k <= n and 0 < l <= n and 0 < m <= n):
-            raise ConfigError(f"path@{k},{l},{m} has an index outside 1..{n}")
-        try:
-            t, a, b = at[k, l], at[k, m], at[m, l]
-        except KeyError:    # none or several on a scheme: the method says which
-            t, a, b = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
-        fid, group = f"path@{k},{l},{m}", space.components[t - 1].key
-        if fns:
-            # three distinct schemes' positions: a Scheme without the repeat check
-            fns.append(ReductionFunction(fid, tuple.__new__(Scheme, (t, a, b)), fns[0].apply,
-                                         idempotent=True, group=group, reads=(a, b)))
-        else:
-            fns.append(join_projection(space, (t,), (a, b), fid, group))
-    return fns
+    if k == l or k == m or l == m:
+        raise ConfigError("path reduction needs three distinct indices")
+    if not (0 < k <= n and 0 < l <= n and 0 < m <= n):
+        raise ConfigError(f"path@{k},{l},{m} has an index outside 1..{n}")
+    try:
+        t, a, b = at[k, l], at[k, m], at[m, l]
+    except KeyError:    # none or several on a scheme: the method says which
+        t, a, b = map(space.position_of_scheme, ((k, l), (k, m), (m, l)))
+    # three distinct schemes' positions: a Scheme without the repeat check
+    return ReductionFunction(f"path@{k},{l},{m}", tuple.__new__(Scheme, (t, a, b)),
+                             _path_apply, idempotent=True,
+                             group=space.components[t - 1].key, reads=(a, b))
 
 
 def make_relational_reducer(space: ConstraintSpace, t: Scheme,
@@ -736,9 +740,9 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
     member ids)`` for ``rel``, ``(ids, multipliers)`` for ``cut``.  The
     constraints are ``constraint_components(csp, ...)`` of ``schemes``, each
     ``rel`` target and each triple's ``(k,l)``, ``(k,m)`` and ``(m,l)``.
-    One ``make_path_reducers`` call builds the triples, so they share one
-    ``apply``; an item that cannot be built still fails in list order.  A
-    run starts at ``space.bottom()`` and folds back by ``space.rebuild``."""
+    Each item is built in its place, so an item that cannot be built fails
+    in list order.  A run starts at ``space.bottom()`` and folds back by
+    ``space.rebuild``."""
     # the first of an id wins; csp.constraint raises for an id that none has
     by_id = {c.cid: c for c in reversed(csp.constraints)}
     cut_groups = list(dict.fromkeys(ids for kind, items in records if kind == "cut"
@@ -757,24 +761,18 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
             m.startswith("~dom") for kind, items in records if kind in ("rho", "rel")
             for item in items for m in (item if kind == "rho" else item[1])):
         components.extend(map(DomainComponent, range(1, csp.arity + 1)))
-    base, extensional, given, triples = csp, [], 0, []
+    base, extensional, given = csp, [], 0
     if not kinds.isdisjoint(_CONSTRAINT_KINDS):
         # each scheme once, a given one as the Scheme the space keeps; a rel
         # target or a triple that fails when built (an index repeated or
         # outside 1..n) names none, so its error comes in list order
-        named, n, accepted = dict.fromkeys(map(Scheme, schemes)), csp.arity, True
+        named, n = dict.fromkeys(map(Scheme, schemes)), csp.arity
         for kind, items in records:
             if kind == "rel":
                 named.update((t, None) for t, _ in items if _well_formed(t, n))
             elif kind == "path":
-                for t in items:
-                    if _well_formed(t, n):
-                        k, l, m = t
-                        named[k, l] = named[k, m] = named[m, l] = None
-                        if accepted:
-                            triples.append(t)
-                    else:
-                        accepted = False
+                for k, l, m in (t for t in items if _well_formed(t, n)):
+                    named[k, l] = named[k, m] = named[m, l] = None
         base, extensional = constraint_components(csp, named)
         given = sum(c.is_extensional for c in base.constraints)
     # traces number the components: the inequality groups keep their place
@@ -786,10 +784,8 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
     components.extend(extensional[given:])
 
     space = ConstraintSpace(base, components)
-    # ``triples`` end at the first one rejected, which is built alone, and fails
-    paths = iter(make_path_reducers(space, triples))
     return space, [
-        next(paths, None) or make_path_reducers(space, [item])[0] if kind == "path"
+        make_path_reducer(space, item) if kind == "path"
         else _domain_function(kind, by_id.get(item) or csp.constraint(item), csp)
         if kind in _DOMAIN_KINDS
         else make_solution_projection(space, item) if kind == "rho"

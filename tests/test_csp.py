@@ -4,6 +4,7 @@ oracle and equivalence."""
 import collections
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import brute_force_join, random_set_csp
 from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, LinearIneqBody,
     Relation, Scheme, SetDomain, equivalent, join_constraints, reselect,
-    scheme_union, solutions, tuple_restrict, validate,
+    scheme_union, solutions, tuple_restrict, validate, witness_plan,
 )
 from propeng.errors import ConfigError, DataError, ResourceLimitError
 
@@ -238,6 +239,23 @@ class TestJoin:
             join_constraints([c], within=frozenset({(0, 0)}))
         with pytest.raises(ConfigError):
             join_constraints([c], onto=Scheme((1, 4)), within=frozenset({(0, 0)}))
+
+    def test_a_long_chain_plan_is_built_in_linear_time(self):
+        # (k,k+1) onto (1,4001): each member binds the index the next one
+        # shares, so there are 3999 levels, the last testing (4000,4001); a
+        # scan of every pending member per level took seconds here
+        schemes = tuple((k, k + 1) for k in range(1, 4001))
+        witness_plan.cache_clear()
+        t0 = time.perf_counter()
+        plan = witness_plan(schemes, (1, 4001))
+        assert time.perf_counter() - t0 < 0.5
+        assert plan.first == ()
+        assert [level[0] for level in plan.levels] == list(range(3999))
+        assert [[j for j, _ in level[3]] for level in plan.levels[-2:]] == [[], [3999]]
+        # the test reads (4000,4001) off the tuple so far: 4000 was bound by
+        # the last level, at its second coordinate, and 4001 is onto's second
+        ((_, pick),) = plan.levels[-1][3]
+        assert pick(tuple(range(2 + 2 * 3999))) == (2 + 2 * 3998 + 1, 1)
 
 
 class TestSolutions:

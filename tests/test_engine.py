@@ -818,8 +818,10 @@ class TestProbes:
     @pytest.mark.parametrize("idempotent", [False, True])
     def test_every_sample_is_applied(self, idempotent):
         # run probes each function on probe_function's default 6 samples:
-        # f(x) and f(y) for each, f(f(x)) too if f declares idempotence, and
-        # f at f(x) moved up off its reads if it declares both (pi1, pi2)
+        # f(x) and f(y) for each; f(f(x)) too if f declares idempotence or
+        # reads (the idempotence check, or the first step towards a stable
+        # point, where pi1 and pi2 stop); and f at f(x) moved up off its
+        # reads if it declares them (pi1, pi2)
         c = Constraint("c", Scheme((1, 2)),
                        ExtensionalBody(frozenset({(1, 1), (2, 2), (3, 1)})))
         csp = CSP((SetDomain(frozenset({1, 2, 3})), SetDomain(frozenset({1, 2}))), (c,))
@@ -830,7 +832,7 @@ class TestProbes:
             fns.append(self.recorded(f, calls.setdefault(f.fid, [])))
         run(fns, domain_bottom(csp), step_cap=0)
         assert {fid: len(args) for fid, args in calls.items()} == {
-            f.fid: (2 + idempotent + (idempotent and f.reads is not None)) * 6
+            f.fid: (2 + (idempotent or f.reads is not None) + (f.reads is not None)) * 6
             for f in fns}
 
     @staticmethod
@@ -890,6 +892,42 @@ class TestProbes:
         assert res.converged and res.value.component(2).lo == 0
         res = run([up, self.a_up(None)], start, mode=mode)
         assert res.value.component(2).lo == 3
+
+    @staticmethod
+    def y_to_x(reads):
+        """Raises ``y.lo`` by one while it is below ``x.lo``, on ``(x, y)``:
+        monotone and inflationary, not idempotent, and a change of ``x`` can
+        make it unstable."""
+
+        def apply(args):
+            x, y = args
+            if y.is_empty or not x.is_empty and y.lo >= x.lo:
+                return args
+            if x.is_empty or y.lo == y.hi:
+                return (x, GridInterval.empty(y.grid))
+            return (x, GridInterval(y.grid, y.lo + 1, y.hi))
+
+        return ReductionFunction("f", Scheme((1, 2)), apply, reads=reads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_false_reads_declaration_without_idempotence_rejected(self, mode):
+        # f declares that it reads y only; h cuts x to [5..10].  Run unprobed,
+        # the run converges with f unstable: y is still [0..10]
+        h = ReductionFunction(
+            "h", Scheme((1,)),
+            lambda args: args if args[0].is_empty or args[0].lo >= 5
+            else (GridInterval.empty(args[0].grid) if args[0].hi < 5
+                  else GridInterval(args[0].grid, 5, args[0].hi),),
+            idempotent=True)
+        start = domain_bottom(CSP((IntDomain(0, 10), IntDomain(0, 10)), ()))
+        with pytest.raises(ProbeRejectionError,
+                           match=r"'f' rejected: declares reads=\(2,\)"):
+            run([self.y_to_x((2,)), h], start, mode=mode)
+        res = run([self.y_to_x((2,)), h], start, mode=mode, validate=False)
+        y = res.value.component(2)
+        assert res.converged and (y.lo, y.hi) == (0, 10)
+        res = run([self.y_to_x(None), h], start, mode=mode)
+        assert res.value.component(2).lo == 5
 
     def test_catalogue_reads_declarations_pass(self):
         # pi1/pi2 read the other side, path@ and a rel@ whose target is not

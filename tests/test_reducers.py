@@ -29,7 +29,7 @@ from propeng.reducers import (
     build_named_reducers, csp_from_domain_state, cutting_plane, domain_bottom,
     join_projection, linear_eq_narrow, make_binary_projections, make_cut_reducer,
     make_full_projection, make_interval_hull_projection, make_linear_eq_narrowing,
-    make_path_reducers, make_relational_reducer, make_solution_projection,
+    make_path_reducer, make_relational_reducer, make_solution_projection,
     universal_constraint,
 )
 
@@ -411,7 +411,7 @@ def path_space():
 class TestPathReducer:
     def test_worked_example(self):
         space = path_space()
-        g = make_path_reducers(space, [(1, 2, 3)])[0]
+        g = make_path_reducer(space, (1, 2, 3))
         state, changed = apply_step(g, space.bottom())
         assert changed == (1,)
         assert state.component(1).elements == frozenset({(0, 1)})
@@ -422,23 +422,39 @@ class TestPathReducer:
         c32 = ext("c32", (3, 2), set(itertools.product((0, 1), (0, 1))))
         csp = CSP((D01, D01, D01), (c12, c13, c32))
         space = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-        g = make_path_reducers(space, [(1, 2, 3)])[0]
+        g = make_path_reducer(space, (1, 2, 3))
         _, changed = apply_step(g, space.bottom())
         assert changed == ()
 
     def test_empty_through_constraint_empties_target(self):
         space = path_space()
-        g = make_path_reducers(space, [(1, 2, 3)])[0]
+        g = make_path_reducer(space, (1, 2, 3))
         start = space.bottom()
         state = start.replace({2: start.component(2).with_elements(())})
         out, changed = apply_step(g, state)
         assert changed == (1,)
         assert out.component(1).elements == frozenset()
 
+    def test_every_path_reducer_has_the_one_apply(self, chain_csp):
+        # the witness plan is positional, so two spaces built by hand, with
+        # their triples at different positions, and the path goal's 6
+        # reducers all run one apply object
+        space = path_space()
+        first = make_path_reducer(space, (1, 2, 3))
+        c12, c13, c32 = space.csp.constraints
+        turned = ConstraintSpace(space.csp, tuple(map(ExtComponent, (c32, c12, c13))))
+        second = make_path_reducer(turned, (1, 2, 3))
+        assert (first.scheme, second.scheme) == ((1, 2, 3), (2, 3, 1))
+        assert apply_step(second, turned.bottom())[0].component(2).elements == {(0, 1)}
+        _, goal = reducers.build_reducers(chain_csp, *consistency.goal_records(
+            chain_csp, consistency.parse_goal("path")))
+        assert len(goal) == 6
+        assert len({id(f.apply) for f in [first, second, *goal]}) == 1
+
     def test_missing_pair_rejected(self):
         space = path_space()
         with pytest.raises(ConfigError):
-            make_path_reducers(space, [(2, 1, 3)])[0]
+            make_path_reducer(space, (2, 1, 3))
 
     def test_matches_joint_solution_projection(self):
         # on its triple, the path function computes exactly the projection
@@ -450,7 +466,7 @@ class TestPathReducer:
             c_ml = random_binary_constraint(rng, {0, 1}, {0, 1}, "cml", (3, 2))
             csp = CSP((D01, D01, D01), (c_kl, c_km, c_ml))
             space = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-            g = make_path_reducers(space, [(1, 2, 3)])[0]
+            g = make_path_reducer(space, (1, 2, 3))
             state, _ = apply_step(g, space.bottom())
             joint = {
                 (a, b, m)
@@ -477,7 +493,7 @@ class TestPathReducer:
             csp = CSP((D012,) * 3, (ext("ckl", (1, 2), kl), ext("ckm", (1, 3), km),
                                     ext("cml", (3, 2), ml)))
             space = ConstraintSpace(csp, tuple(map(ExtComponent, csp.constraints)))
-            g = make_path_reducers(space, [(1, 2, 3)])[0]
+            g = make_path_reducer(space, (1, 2, 3))
             args = tuple(space.bottom().components)
             out = g.apply(args)
             want = {(a, b) for a, b in kl
@@ -755,8 +771,8 @@ class TestNamedReducerRegistry:
         assert rebuilt.constraint("c12").tuples == frozenset({(0, 1)})
 
     def test_named_path_triples_share_one_apply(self, chain_csp):
-        # one make_path_reducers call builds every path@ of a list, as it
-        # builds the path goal's, whatever names come between them
+        # every path@ of a list runs the one witness kernel, as the path
+        # goal's reducers do, whatever names come between them
         space, fns = build_named_reducers(
             chain_csp, ["path@1,2,3", "rho@c1,c2", "path@3,1,2", "pi1@c1", "path@2,3,1"])
         assert [f.fid for f in fns] == [
@@ -810,7 +826,7 @@ class TestNamedReducerRegistry:
         space = ConstraintSpace(csp, [ExtComponent(c) for c in (
             c1, b, c2, universal_constraint(csp, Scheme((1, 3))))])
         for build in (lambda: make_relational_reducer(space, Scheme((1, 2)), ["c2"]),
-                      lambda: make_path_reducers(space, [(1, 2, 3)])):
+                      lambda: make_path_reducer(space, (1, 2, 3))):
             with pytest.raises(ConfigError, match=(
                     r"several constraints share scheme \(1, 2\); normalize first")):
                 build()
@@ -1040,13 +1056,13 @@ def constraint_reducer_zoo(rng):
     """(space, reducer) pairs covering the constraint-reducer kinds."""
     out = []
     space = path_space()
-    out.append((space, make_path_reducers(space, [(1, 2, 3)])[0]))
+    out.append((space, make_path_reducer(space, (1, 2, 3))))
     c_kl = random_binary_constraint(rng, {0, 1}, {0, 1}, "ckl", (1, 2))
     c_km = random_binary_constraint(rng, {0, 1}, {0, 1}, "ckm", (1, 3))
     c_ml = random_binary_constraint(rng, {0, 1}, {0, 1}, "cml", (3, 2))
     csp = CSP((D01, D01, D01), (c_kl, c_km, c_ml))
     sp = ConstraintSpace(csp, tuple(ExtComponent(c) for c in csp.constraints))
-    out.append((sp, make_path_reducers(sp, [(1, 2, 3)])[0]))
+    out.append((sp, make_path_reducer(sp, (1, 2, 3))))
     out.append((sp, make_solution_projection(sp, ["ckl", "cml"])))
     out.append((sp, make_relational_reducer(sp, Scheme((1, 2)), ["ckm", "cml"])))
     # a relational-goal reducer whose targets strictly include its members
@@ -1129,7 +1145,7 @@ class TestDeclaredReads:
         pi1, pi2 = make_binary_projections(ext("c", (2, 1), {(0, 0)}))
         assert (pi1.reads, pi2.reads) == ((1,), (2,))
         space = path_space()
-        f = make_path_reducers(space, [(1, 2, 3)])[0]
+        f = make_path_reducer(space, (1, 2, 3))
         assert f.reads == f.scheme[1:]
         assert make_solution_projection(space, ["c13", "c32"]).reads is None
 
