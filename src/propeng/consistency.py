@@ -30,9 +30,7 @@ from typing import Callable, Iterable
 from .csp import (
     CSP, DEFAULT_ENUM_CAP, Relation, Scheme, SetDomain, join_constraints, reselect,
 )
-from .engine import (
-    DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, position_key, run,
-)
+from .engine import DEFAULT_STEP_CAP, RunTrace, Strategy, TraceStep, run
 from .errors import ConfigError, ResourceLimitError
 from .reducers import (
     ConstraintSpace, build_reducers, constraint_components, join_projection,
@@ -147,14 +145,14 @@ def achieve(csp: CSP, goal: ConsistencyGoal, mode: str = "ci",
     (``goal_records``), built by ``reducers.build_reducers`` as a named
     list is.  ``observer`` is passed to ``engine.run``, which calls it once
     per step.  A directional goal is one pass, whatever ``mode`` and
-    ``strategy`` say: mode ``ci``, keyed by list position.  A function of
+    ``strategy`` say: mode ``ci``, in list order.  A function of
     the pass reads none of what it writes, and only later ones read that,
     so it wakes only pending functions: each is applied once, in order."""
     space, functions = (_relational_setup(csp, goal.m) if goal.kind == "rel"
                         else build_reducers(csp, *goal_records(csp, goal)))
     if goal.kind.startswith("dir-"):
         mode, strategy = "ci", Strategy()
-        strategy.key = position_key(functions)
+        strategy.order = list    # the pass order: the functions as listed
     result = run(functions, space.bottom(), mode=mode, strategy=strategy,
                  step_cap=step_cap, early_exit=early_exit, validate=False,
                  observer=observer)

@@ -14,18 +14,16 @@ whether an idempotent applied function is left out of its own wake-up:
 * ``cii``, ``ciiq`` -- set, queue; an idempotent applied function is not
                        woken by its own change (it is stable there).
 
-The run ranks its functions once, right after the strategy's ``reset``:
-a function's rank is its position in ``key`` order, and that sort is the
-only place the run evaluates the key.  From then on its bookkeeping works on
-ranks, and the woken functions enter the worklist in rank order, which is
-key order: a component -> readers index, built before the loop, holds each
-component's readers as an ascending list of ranks, a change of one
-component wakes its list as it is, and a change of several merges their
-lists once per distinct changed-component tuple.  So a strategy is a key
-and a ``choose``, and an order of its own is a key by position
-(``position_key``), set in ``reset``: ``lifo`` keys by descending fid, and
-``seeded`` by a seeded random order, drawn once per run, with a seeded
-random pick in set modes.
+A strategy is an order and a pick among ranks.  The run asks it for an
+order of its functions once, and a function's rank is its position there;
+from then on the bookkeeping works on ranks, and the woken functions enter
+the worklist in rank order: a component -> readers index, built before the
+loop, holds each component's readers as an ascending list of ranks, a change
+of one component wakes its list as it is, and a change of several merges
+their lists once per distinct changed-component tuple.  ``det`` orders by
+fid, ``block`` by group, ``lifo`` by descending fid, and ``seeded`` by a
+seeded random order, drawn once per run, with a seeded random pick in set
+modes.
 An application that changes nothing returns its argument tuple itself, and
 ``apply_step`` takes that as no change after one identity test: as in Apt's
 update rule, only a change costs bookkeeping.
@@ -33,17 +31,15 @@ A function reads its whole scheme unless it declares ``reads``.  An
 intersection ``x := x & h(y)`` stays stable when only ``x`` shrinks, so it
 may leave ``x`` out and still keep the invariant of generic iteration: every
 function outside the worklist is stable at the current state.  A set mode
-keeps its pending functions in a ``Pending`` list sorted by rank, which is
-key order, beside the list of their ranks; it finds where to insert or
-delete a function by bisecting those integers, and hands the function list
-to the strategy's ``choose``.  So one step costs O(log F + wake degree)
-integer comparisons for F functions, and no key evaluation (``roundrobin``'s
-``choose`` bisects by key, O(log F)).  The pick deletes ``pending[0]``
-without a search when that is the chosen function, as it always is under
-``det`` and ``block``.  Beside the list, ``Pending.recent``
-keeps the wake order: a function woken again while pending moves to the
-back of it, so ``lifo``, which takes the back, runs the most recently woken
-function first.
+keeps its pending ranks in one ascending list, which the strategy's
+``choose`` picks from, and inserts or deletes a rank by bisecting it.  So
+one step costs O(log F + wake degree) integer comparisons for F functions
+(``roundrobin``'s ``choose`` bisects too, O(log F)).  The pick deletes the
+head without a search when that is the chosen rank, as it always is under
+``det`` and ``block``.  Beside the list, a dict from fid to rank keeps the
+wake order: a function woken again while pending moves to the back of it,
+so ``lifo``, which takes the back, runs the most recently woken function
+first.
 
 The engine is generic over the component orders: it knows no value family.
 It compares components with ``lattice.leq`` and tests them with
@@ -159,53 +155,32 @@ class FixpointResult:
 # Scheduling strategies
 
 
-class Pending(list):
-    """A set mode's pending functions, sorted by the strategy's ``key``: the
-    run keeps them in rank order, their position in key order.
-
-    ``recent`` maps the fid of each of them to the function, in wake order:
-    the most recently woken one is last.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.recent: dict[str, ReductionFunction] = {}
-
-
-def position_key(order: Iterable[ReductionFunction]) -> Callable[[ReductionFunction], int]:
-    """The key that ranks each function by its position in ``order``."""
-    position = {f.fid: k for k, f in enumerate(order)}
-    return lambda f: position[f.fid]
-
-
 class Strategy:
     """Resolves the nondeterminism left open by the iteration loop: which
-    pending function a set mode picks next.  Its ``key`` also orders the
-    functions a change wakes as they enter the worklist, so a strategy is a
-    key and a ``choose``; a subclass customises ``key``, ``reset`` and
-    ``choose``.
+    pending function a set mode picks next.  A strategy is an order and a
+    pick among ranks; a subclass customises ``order`` and ``choose``.
 
-    The base class is the deterministic policy: lowest ``key`` first.
-    ``key`` must give distinct functions distinct, comparable values.
-    ``run`` evaluates it once per function, right after ``reset``, to rank
-    the functions, and schedules by rank from then on; a strategy's own
-    methods may still call it (``roundrobin``'s ``choose`` does).  A
-    ``reset`` may set the key for the run, as ``position_key`` of an order
-    it draws from the functions.  A set mode passes ``choose`` its pending
-    functions as a ``Pending`` list, already sorted by ``key``, which
-    ``choose`` must not modify.  Every strategy is built from the run's
-    seed; only ``seeded`` draws from it.
+    ``run`` calls ``order`` once per run, on the run's functions, and takes
+    a function's rank to be its position in the returned list, which must
+    list each function exactly once.  From then on the run schedules ranks:
+    the functions a change wakes enter the worklist in rank order, and a set
+    mode passes ``choose`` its pending ranks, ascending, and ``recent``,
+    which maps the fid of each pending function to its rank in wake order,
+    the most recently woken last.  ``choose`` returns one of the pending
+    ranks and must modify neither argument.
+
+    The base class is the deterministic policy: fid order, lowest rank
+    first.  Every strategy is built from the run's seed; only ``seeded``
+    draws from it.
     """
-
-    key = operator.attrgetter("fid")
 
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def reset(self, functions: Sequence[ReductionFunction]) -> None:
-        pass
+    def order(self, functions: Sequence[ReductionFunction]) -> list[ReductionFunction]:
+        return sorted(functions, key=operator.attrgetter("fid"))
 
-    def choose(self, pending: Pending) -> ReductionFunction:
+    def choose(self, pending: list[int], recent: dict[str, int]) -> int:
         return pending[0]
 
 
@@ -213,49 +188,47 @@ class SeededStrategy(Strategy):
     """A seeded random order, drawn once per run, and a seeded random pick
     in set modes; reproducible across runs."""
 
-    def reset(self, functions):
+    def order(self, functions):
         self._rng = random.Random(self.seed)
-        order = sorted(functions, key=Strategy.key)
+        order = super().order(functions)
         self._rng.shuffle(order)
-        self.key = position_key(order)
+        return order
 
-    def choose(self, pending):
+    def choose(self, pending, recent):
         return self._rng.choice(pending)
 
 
 class LifoStrategy(Strategy):
-    """Most recently woken function first: the key is descending fid order,
-    a set mode moves a function that is woken again to the back of the wake
-    order, and this picks the back."""
+    """Most recently woken function first: the order is descending fid, a
+    set mode moves a function that is woken again to the back of
+    ``recent``, and this picks the back."""
 
-    def reset(self, functions):
-        self.key = position_key(sorted(functions, key=Strategy.key, reverse=True))
+    def order(self, functions):
+        return super().order(functions)[::-1]
 
-    def choose(self, pending):
-        return next(reversed(pending.recent.values()))
+    def choose(self, pending, recent):
+        return next(reversed(recent.values()))
 
 
 class RoundRobinStrategy(Strategy):
     """Cycles through the registered ids, taking the next one pending."""
 
-    def reset(self, functions):
+    def order(self, functions):
         self._last = None
+        return super().order(functions)
 
-    def choose(self, pending):
-        # the first pending id after the last chosen one, else wrap around
-        i = 0 if self._last is None else bisect.bisect_right(
-            pending, self._last, key=self.key)
-        g = pending[i] if i < len(pending) else pending[0]
-        self._last = self.key(g)
-        return g
+    def choose(self, pending, recent):
+        # the first pending rank after the last chosen one, else wrap around
+        i = 0 if self._last is None else bisect.bisect_right(pending, self._last)
+        self._last = pending[i] if i < len(pending) else pending[0]
+        return self._last
 
 
 class BlockStrategy(Strategy):
     """Keeps the functions of one group (typically one constraint) together."""
 
-    @staticmethod
-    def key(f):
-        return (f.group or f.fid, f.fid)
+    def order(self, functions):
+        return sorted(functions, key=lambda f: (f.group or f.fid, f.fid))
 
 
 STRATEGIES = {
@@ -454,11 +427,11 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if step_cap < 0:
         raise ConfigError(f"step cap must be at least 0, got {step_cap}")
     n = len(start)
-    rank: dict[str, int] = {}   # fid -> rank, once the functions are ranked
+    listed: dict[str, ReductionFunction | None] = {}   # fid -> function, until ranked
     for f in functions:
-        if f.fid in rank:
+        if f.fid in listed:
             raise ConfigError(f"function {f.fid!r} listed twice in one run")
-        rank[f.fid] = -1
+        listed[f.fid] = f
     for f in functions:
         _check_scheme(f, n)
     if validate:
@@ -472,8 +445,17 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
                 if last[i] == k:
                     draws.pop(i, None)
 
+    # the ranks: each function's position in the strategy's order, drawn
+    # once; from here on the run schedules ranks
     strategy = strategy or Strategy()
-    strategy.reset(functions)
+    ranked = strategy.order(functions)
+    for f in ranked:
+        if listed.get(f.fid) is not f:
+            raise ConfigError(f"the strategy's order lists {f.fid!r}, "
+                              "which is not a function of the run or is listed twice")
+        listed[f.fid] = None
+    if len(ranked) != len(functions):
+        raise ConfigError("the strategy's order leaves out a function of the run")
     applications = 0
     d = start
 
@@ -485,12 +467,6 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
 
     if early_exit and emptied(range(1, n + 1)) is not None:
         return FixpointResult(d, RunTrace(0, Outcome.EMPTY_COMPONENT))
-
-    # the ranks: each function's position in key order, the only place the
-    # run evaluates the key; from here on it schedules ranks
-    ranked = sorted(functions, key=strategy.key)
-    for r, f in enumerate(ranked):
-        rank[f.fid] = r
 
     # component -> the ranks of the functions reading it, ascending, built once
     readers: list[list[int]] = [[] for _ in range(n + 1)]
@@ -516,14 +492,10 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
     if queue:
         pending = deque(range(len(ranked)))
     else:
-        # every function is pending, in key order in the list and in
-        # ``recent``; ``ranks`` runs beside ``pending`` and is what the
-        # bisections search
-        pending = Pending()
-        pending.extend(ranked)
-        pending.recent.update((f.fid, f) for f in ranked)
-        ranks = list(range(len(ranked)))
-        recent = pending.recent
+        # every rank is pending, ascending in the list; ``recent`` maps each
+        # pending fid to its rank, in wake order
+        pending = list(range(len(ranked)))
+        recent = {f.fid: r for r, f in enumerate(ranked)}
         choose = strategy.choose
 
     def push(wake: Sequence[int]) -> None:
@@ -531,28 +503,22 @@ def run(functions: Iterable[ReductionFunction], start: ProductValue,
             pending.extend(wake)
             return
         for r in wake:
-            f = ranked[r]
-            if recent.pop(f.fid, None) is None:
-                i = bisect.bisect_left(ranks, r)
-                ranks.insert(i, r)
-                pending.insert(i, f)
-            recent[f.fid] = f    # a re-woken function moves to the back
+            fid = ranked[r].fid
+            if recent.pop(fid, None) is None:
+                bisect.insort(pending, r)
+            recent[fid] = r    # a re-woken function moves to the back
 
     while pending:
         if applications >= step_cap:
             return FixpointResult(d, RunTrace(applications, Outcome.STEP_LIMIT))
         if queue:
             gr = pending.popleft()
-            g = ranked[gr]
         else:
-            g = choose(pending)
-            del recent[g.fid]
-            if pending[0] is g:     # always so under det and block
-                i = 0
-            else:
-                i = bisect.bisect_left(ranks, rank[g.fid])
-            gr = ranks.pop(i)
-            del pending[i]
+            gr = choose(pending, recent)
+            # the pick is always the head under det and block
+            del pending[0 if pending[0] == gr else bisect.bisect_left(pending, gr)]
+            del recent[ranked[gr].fid]
+        g = ranked[gr]
         d2, changed = apply_step(g, d)
         applications += 1
         if observer is not None:

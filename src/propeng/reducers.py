@@ -377,13 +377,20 @@ class ConstraintSpace:
                 members = {_ineq_record(m) for m in comp.members}
                 extras = sorted(value.items - members)
                 for k, rec in enumerate(extras, start=1):
+                    # primed while the base problem or an earlier cut uses
+                    # it, as a rerun's input holds its cuts; ``base`` takes
+                    # it in, which the components after the groups cannot
+                    # meet: they are universals, named u(...)
+                    cid = f"{comp.gid}/cut{k}"
+                    while cid in base:
+                        cid += "'"
+                    base[cid] = last
                     if rec[0]:
-                        cut = _record_constraint(rec, f"{comp.gid}/cut{k}")
+                        cut = _record_constraint(rec, cid)
                     else:
                         # a variable-free infeasible cut: no tuple satisfies it
                         v = comp.members[0].scheme[0]
-                        cut = Constraint(f"{comp.gid}/cut{k}", Scheme((v,)),
-                                         ExtensionalBody(frozenset()))
+                        cut = Constraint(cid, Scheme((v,)), ExtensionalBody(frozenset()))
                     out.append((last, cut))
         out.sort(key=lambda kc: kc[0])
         return CSP(domains, tuple(c for _, c in out))
@@ -749,7 +756,7 @@ def build_reducers(csp: CSP, records: Sequence[tuple[str, Sequence]],
                                     for ids, _ in items))
     grouped_cids: set[str] = set()
     for cids in cut_groups:
-        for cid in cids:
+        for cid in dict.fromkeys(cids):
             if cid in grouped_cids:
                 raise ConfigError(f"constraint {cid!r} appears in two cut groups")
             grouped_cids.add(cid)

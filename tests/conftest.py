@@ -246,11 +246,12 @@ class AlternatingStrategy(Strategy):
 
     name = "alternating"
 
-    def reset(self, functions):
+    def order(self, functions):
         self._next = "f1"
+        return super().order(functions)
 
-    def choose(self, pending):
-        pick = next(f for f in pending if f.fid == self._next)
+    def choose(self, pending, recent):
+        pick = recent[self._next]
         self._next = "f2" if self._next == "f1" else "f1"
         return pick
 

@@ -700,6 +700,34 @@ class TestRunCommand:
         assert [c.cid for c in out.constraints] == ["i1", "cutset(i1)/cut1"]
         assert serialize_csp(out) == text
 
+    def test_a_rerun_primes_the_cut_ids_its_input_uses(self, tmp_path, capsys):
+        # the output holds cutset(l)/cut1, and a rerun derives that cut again
+        p = tmp_path / "cut.csp"
+        p.write_text("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+                     "constraint l scheme (1,2) leq 2*x1 + 2*x2 <= 3\n")
+        assert main(["run", str(p), "--reducers", "cut@l;1/2"]) == 0
+        p.write_text(capsys.readouterr().out)
+        assert main(["run", str(p), "--reducers", "cut@l;1/2",
+                     "--check-equivalence"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("# equivalence: PASS\n")
+        p.write_text(out)
+        assert main(["validate", str(p)]) == 0
+        assert [c.cid for c in parse_csp(out).constraints] == [
+            "l", "cutset(l)/cut1", "cutset(l)/cut1'"]
+
+    @pytest.mark.parametrize("names, code, text", [
+        ("cut@z,z;1,1", 1, "error: no constraint with id 'z'\n"),
+        ("cut@l,l;1/2,1/2", 0, "# equivalence: PASS\n")])
+    def test_an_id_repeated_in_one_cut_group(self, tmp_path, capsys, names, code, text):
+        p = tmp_path / "cut.csp"
+        p.write_text("domain 1 int [0..3]\ndomain 2 int [0..3]\n"
+                     "constraint l scheme (1,2) leq 2*x1 + 2*x2 <= 3\n")
+        assert main(["run", str(p), "--reducers", names, "--check-equivalence"]) == code
+        captured = capsys.readouterr()
+        assert (captured.err if code else captured.out).endswith(text)
+        assert "Traceback" not in captured.err
+
     def test_variable_free_infeasible_cut_is_an_empty_constraint(self, tmp_path, capsys):
         # x1 <= 0 and -x1 <= -1 add up to 0 <= -1: no variable is left to
         # carry the cut, so it prints as an empty relation on the group's first

@@ -3,10 +3,9 @@ probes, closure, and limit comparison."""
 
 import dataclasses
 import itertools
-import math
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -18,9 +17,9 @@ from propeng.csp import (
     CSP, Constraint, ExtensionalBody, IntDomain, LinearEqBody, Scheme, SetDomain,
 )
 from propeng.engine import (
-    MODES, STRATEGIES, Outcome, Pending, ReductionFunction, Strategy, TraceStep,
+    MODES, STRATEGIES, Outcome, ReductionFunction, Strategy, TraceStep,
     apply_step, closure_star, compare_limits, extend, make_strategy,
-    position_key, probe_function, run,
+    probe_function, run,
 )
 from propeng.errors import ConfigError, ProbeRejectionError, ResourceLimitError
 from propeng.lattice import GridInterval, PowersetValue, ProductValue, leq
@@ -105,25 +104,23 @@ def path_lists(rng, count):
 
 def reference_set_run(functions, start, mode, strategy):
     """The steps and the value of a set-mode run (``ci`` or ``cii``), by
-    Apt's generic iteration written plainly: the worklist is a dict in wake
-    order, re-sorted for every pick, the readers of a change are found by
-    scanning every function, and they join in key order."""
+    Apt's generic iteration written plainly: the worklist is a dict from fid
+    to rank in wake order, re-sorted for every pick, the readers of a change
+    are found by scanning every function, and they join in rank order."""
     functions = tuple(functions)
-    strategy.reset(functions)
+    ranked = strategy.order(functions)
+    rank = {f.fid: r for r, f in enumerate(ranked)}
     pending = {}
 
     def push(woken):
-        for f in sorted(woken, key=strategy.key):
+        for f in sorted(woken, key=lambda f: rank[f.fid]):
             pending.pop(f.fid, None)
-            pending[f.fid] = f
+            pending[f.fid] = rank[f.fid]
 
     push(functions)
     d, steps = start, []
     while pending:
-        view = Pending()
-        view.extend(sorted(pending.values(), key=strategy.key))
-        view.recent.update(pending)
-        g = strategy.choose(view)
+        g = ranked[strategy.choose(sorted(pending.values()), dict(pending))]
         del pending[g.fid]
         d, changed = apply_step(g, d)
         steps.append(TraceStep(g.fid, changed))
@@ -138,10 +135,10 @@ def reference_queue_run(functions, start, mode, strategy):
     """The steps and the value of a queue-mode run (``ciq`` or ``ciiq``), by
     Apt's generic iteration written plainly: the worklist is a FIFO queue
     with duplicates, the readers of a change are found by scanning every
-    function, and they join in key order."""
+    function, and they join in rank order."""
     functions = tuple(functions)
-    strategy.reset(functions)
-    queue = deque(sorted(functions, key=strategy.key))
+    ranked = strategy.order(functions)
+    queue = deque(ranked)
     d, steps = start, []
     while queue:
         g = queue.popleft()
@@ -152,8 +149,41 @@ def reference_queue_run(functions, start, mode, strategy):
                 (f for f in functions
                  if set(changed) & set(f.scheme if f.reads is None else f.reads)
                  and not (mode == "ciiq" and f is g and g.idempotent)),
-                key=strategy.key))
+                key=ranked.index))
     return steps, d
+
+
+class InvariantWatch:
+    """An observer that replays a run's steps with ``apply_step`` and keeps
+    its own worklist, by the mode's rule, from each function's ``scheme``,
+    ``reads`` and ``idempotent``.  After every step it checks Apt's
+    invariant of generic iteration: the applied function was pending, the
+    changed components agree, and every function outside the worklist is
+    stable at the current state."""
+
+    def __init__(self, functions, start, mode):
+        self.functions = tuple(functions)
+        self.by_fid = {f.fid: f for f in self.functions}
+        self.d = start
+        self.queue = mode in ("ciq", "ciiq")
+        self.keep_out = mode in ("cii", "ciiq")
+        self.pending = Counter(f.fid for f in self.functions)    # fid -> times pending
+        self.steps = 0
+
+    def __call__(self, step):
+        g = self.by_fid[step.fid]
+        assert self.pending[g.fid] > 0, step
+        self.pending[g.fid] = self.pending[g.fid] - 1 if self.queue else 0
+        self.d, changed = apply_step(g, self.d)
+        assert changed == step.changed_components, step
+        for f in self.functions:
+            if (set(changed) & set(f.scheme if f.reads is None else f.reads)
+                    and not (self.keep_out and f is g and g.idempotent)):
+                self.pending[f.fid] = self.pending[f.fid] + 1 if self.queue else 1
+        for f in self.functions:
+            if not self.pending[f.fid]:
+                assert apply_step(f, self.d)[1] == (), (self.steps, step, f.fid)
+        self.steps += 1
 
 
 def keep_only_one(args):
@@ -541,43 +571,6 @@ class TestScheduling:
             assert " ".join(s.fid for s in steps) == want, mode
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
-    def test_scheduling_cost_is_logarithmic(self, name):
-        # F functions on F separate components, each shrinking its own once:
-        # every step wakes at most one function, so picking and waking must
-        # not evaluate the key of every pending function
-        n = 512
-        base = frozenset({0, 1})
-        fns = [ReductionFunction(
-            f"f{i:03d}", Scheme((i,)),
-            lambda args: (args[0].with_elements(args[0].elements & {0}),),
-            idempotent=True)
-            for i in range(1, n + 1)]
-        start = ProductValue(tuple(PowersetValue.bottom(base) for _ in range(n)))
-        base = STRATEGIES[name]
-
-        class Counting(base):
-            calls = 0
-            inner = staticmethod(base.key)
-
-            @property
-            def key(self):
-                def counted(f):
-                    self.calls += 1
-                    return self.inner(f)
-                return counted
-
-            @key.setter
-            def key(self, value):     # lifo and seeded set their key in reset
-                self.inner = value
-
-        for mode in ("ci", "cii"):
-            strategy = Counting(1)
-            res = run(fns, start, mode=mode, strategy=strategy, validate=False)
-            assert res.converged
-            per_step = strategy.calls / res.trace.total_applications
-            assert per_step <= 4 * math.log2(n), (mode, per_step)
-
-    @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_two_changed_components_wake_each_reader_once(self, name):
         # g shrinks components 1 and 2 together, twice (so it is not
         # idempotent): in ciq each wake-up queues the readers of either
@@ -598,8 +591,7 @@ class TestScheduling:
         steps = []
         run(fns, start, mode="ciq", strategy=strategy, validate=False,
             observer=steps.append)
-        # the strategy keeps the run's key after it
-        first = [f.fid for f in sorted(fns, key=strategy.key)]
+        first = [f.fid for f in make_strategy(name, 3).order(fns)]
         wake = [fid for fid in first if fid != "rd"]
         assert [s.fid for s in steps] == first + wake + wake
         assert [s.changed_components for s in steps if s.changed] == [(1, 2)] * 2
@@ -707,39 +699,57 @@ class TestScheduling:
                 several += sum(len(s.changed_components) > 1 for s in steps)
         assert several > 0, several
 
-    @pytest.mark.parametrize("name", ["det", "block", "lifo", "seeded", "pass order"])
-    def test_the_key_is_evaluated_only_while_ranking(self, name):
+    @pytest.mark.parametrize("name", [*sorted(STRATEGIES), "pass order"])
+    def test_the_order_is_drawn_once_and_choose_sees_ranks(self, name):
         # eight divergent pairs of equalities, x - y = 1 and x - y = 0, run
-        # to a cap of many more steps than the ranking's key evaluations
+        # to a cap: one order per run, and a set mode hands ``choose`` the
+        # pending ranks, ascending, and their fids' ranks in wake order
         base = Strategy if name == "pass order" else STRATEGIES[name]
 
-        class Counting(base):
-            calls = 0
-            inner = staticmethod(base.key)
+        class Watched(base):
+            orders = choices = 0
 
-            @property
-            def key(self):
-                def counted(f):
-                    self.calls += 1
-                    return self.inner(f)
-                return counted
+            def order(self, functions):
+                self.orders += 1
+                # as consistency.achieve orders a directional goal
+                return list(functions) if name == "pass order" else super().order(functions)
 
-            @key.setter
-            def key(self, value):     # lifo and seeded set their keys in reset
-                self.inner = value
+            def choose(self, pending, recent):
+                self.choices += 1
+                assert all(type(r) is int for r in pending)
+                assert sorted(recent.values()) == pending
+                r = super().choose(pending, recent)
+                assert type(r) is int and r in pending
+                return r
 
         fns = [TestProbes.equation(f"e{k}{b}", (2 * k - 1, 2 * k), (1, -1), b)
                for k in range(1, 9) for b in (1, 0)]
         start = domain_bottom(CSP((IntDomain(0, 10**9),) * 16, ()))
-        bound = len(fns) * math.ceil(math.log2(len(fns))) + len(fns)
         for mode in MODES:
-            strategy = Counting(1)
-            if name == "pass order":    # as consistency.achieve keys a directional goal
-                strategy.key = position_key(fns)
-            res = run(fns, start, mode=mode, strategy=strategy, step_cap=4000,
+            strategy = Watched(1)
+            res = run(fns, start, mode=mode, strategy=strategy, step_cap=400,
                       validate=False)
             assert res.trace.outcome is Outcome.STEP_LIMIT
-            assert 0 < strategy.calls <= bound < res.trace.total_applications, mode
+            assert strategy.orders == 1, mode
+            assert strategy.choices == (0 if mode in ("ciq", "ciiq") else 400), mode
+
+    @pytest.mark.parametrize("bad", ["drops", "repeats", "adds", "repeats for one"])
+    def test_an_order_must_list_each_function_once(self, bad):
+        def identity(fid):
+            return ReductionFunction(fid, Scheme((1,)), lambda args: args)
+
+        fns = [identity("a"), identity("b"), identity("c")]
+        orders = {"drops": fns[:2], "repeats": fns + fns[:1],
+                  "adds": fns + [identity("d")], "repeats for one": fns[:2] + fns[:1]}
+
+        class Bad(Strategy):
+            def order(self, functions):
+                return orders[bad]
+
+        start = ProductValue((pv({0, 1}, {0, 1}),))
+        for mode in MODES:
+            with pytest.raises(ConfigError, match="the strategy's order"):
+                run(fns, start, mode=mode, strategy=Bad(), validate=False)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError, match="unknown strategy"):
@@ -1092,6 +1102,23 @@ class TestOrderIndependence:
         for fns, start in inputs:
             results = {res.value for _, _, res in runs_everywhere(fns, start)}
             assert len(results) == 1, [f.fid for f in fns]
+
+    def test_apts_invariant_holds_after_every_step(self):
+        rng = random.Random(31)
+        lists = [*lineq_lists(rng, 6), *projection_lists(rng, 6),
+                 *named_lists(rng, 6), *path_lists(rng, 6)]
+        changes = 0
+        for fns, start in lists:
+            for mode in MODES:
+                for name, seed in STRATEGY_SETTINGS:
+                    watch = InvariantWatch(fns, start, mode)
+                    res = run(fns, start, mode=mode, strategy=make_strategy(name, seed),
+                              validate=False, observer=watch)
+                    assert res.converged, (mode, name, seed)
+                    assert watch.steps == res.trace.total_applications
+                    assert watch.d == res.value and not +watch.pending
+                    changes += watch.d != start
+        assert changes > len(lists)
 
     def test_queue_modes_terminate_under_random_strategies(self):
         rng = random.Random(99)
